@@ -770,7 +770,7 @@ let run_lp_bench () =
             runs))
   in
   (* Reluplex-style engine under the same strategies: identical eps,
-     fewer case splits under the guided rules. *)
+     fewer case splits under the guided rule. *)
   let reluplex_branches =
     let input = Cert.Bounds.box_domain dnn3 ~lo:0.0 ~hi:1.0 in
     let runs =

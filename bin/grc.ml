@@ -130,12 +130,10 @@ let hi_arg =
 
 let branch_arg =
   let doc =
-    "Branch & bound strategy: $(b,most-fractional) (historical default), \
-     $(b,violation), $(b,dual-guided) (rank branching and refinement \
-     candidates by accumulated |dual| column sensitivity) or \
-     $(b,dy-partition) (additionally split distance-variable intervals at \
-     their LP point).  Certified eps is identical across strategies; only \
-     node counts differ."
+    "Branch & bound strategy: $(b,most-fractional) (historical default) or \
+     $(b,dual-guided) (rank branching and refinement candidates by \
+     accumulated |dual| column sensitivity).  Certified eps is identical \
+     across strategies; only node counts differ."
   in
   Arg.(value
        & opt
@@ -145,6 +143,20 @@ let branch_arg =
                  Search.Strategy.all))
            Search.Strategy.Most_fractional
        & info [ "branch" ] ~docv:"STRATEGY" ~doc)
+
+let symbolic_arg =
+  let doc =
+    "Symbolic pre-analysis before Algorithm 1: $(b,off) or $(b,back) \
+     (backward substitution; answers provably-no-op LP queries statically \
+     and seeds strictly tighter bounds, certified eps unchanged when it \
+     declines).  Bare $(b,--symbolic) means $(b,back)."
+  in
+  Arg.(value
+       & opt ~vopt:Cert.Certifier.Sym_back
+           (enum [ ("off", Cert.Certifier.Sym_off);
+                   ("back", Cert.Certifier.Sym_back) ])
+           Cert.Certifier.Sym_off
+       & info [ "symbolic" ] ~docv:"MODE" ~doc)
 
 let certify_cmd =
   let window =
@@ -169,23 +181,6 @@ let certify_cmd =
          & info [ "no-dedup" ]
              ~doc:"Encode every cone separately (disable the planner's \
                    structural cone deduplication).")
-  in
-  let symbolic =
-    let doc =
-      "Symbolic pre-analysis before Algorithm 1: $(b,off), $(b,fwd) \
-       (forward affine propagation, tightens the pipeline's bounds) or \
-       $(b,back) (backward substitution; answers provably-no-op LP \
-       queries statically and seeds strictly tighter bounds, certified \
-       eps unchanged when it declines).  Bare $(b,--symbolic) means \
-       $(b,fwd), matching the old boolean flag."
-    in
-    Arg.(value
-         & opt ~vopt:Cert.Certifier.Sym_fwd
-             (enum [ ("off", Cert.Certifier.Sym_off);
-                     ("fwd", Cert.Certifier.Sym_fwd);
-                     ("back", Cert.Certifier.Sym_back) ])
-             Cert.Certifier.Sym_off
-         & info [ "symbolic" ] ~docv:"MODE" ~doc)
   in
   let meth =
     let doc =
@@ -298,7 +293,7 @@ let certify_cmd =
   in
   Cmd.v info_
     Term.(const run $ net_arg $ delta_arg $ lo_arg $ hi_arg
-          $ window $ refine $ refine_frac $ domains $ no_dedup $ symbolic
+          $ window $ refine $ refine_frac $ domains $ no_dedup $ symbolic_arg
           $ branch_arg $ meth $ trace)
 
 let attack_cmd =
@@ -583,17 +578,6 @@ let submit_cmd =
              ~doc:"Fraction of relaxable neurons refined (overrides \
                    --refine).")
   in
-  let symbolic =
-    Arg.(value
-         & opt ~vopt:Cert.Certifier.Sym_fwd
-             (enum [ ("off", Cert.Certifier.Sym_off);
-                     ("fwd", Cert.Certifier.Sym_fwd);
-                     ("back", Cert.Certifier.Sym_back) ])
-             Cert.Certifier.Sym_off
-         & info [ "symbolic" ] ~docv:"MODE"
-             ~doc:"Symbolic pre-analysis: off, fwd or back (bare \
-                   $(b,--symbolic) means fwd).")
-  in
   let no_cache =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Bypass the daemon's result cache.")
@@ -839,7 +823,7 @@ let submit_cmd =
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ net $ digest $ delta_arg
-           $ lo_arg $ hi_arg $ window $ refine $ refine_frac $ symbolic
+           $ lo_arg $ hi_arg $ window $ refine $ refine_frac $ symbolic_arg
            $ branch_arg $ no_cache $ deadline_ms $ load_n $ concurrency
            $ batch $ timeout_s $ stats $ ping $ shutdown))
 

@@ -19,16 +19,13 @@ let check ?(name = "plan") (plan : Plan.t) =
     push Diag.Error ~code:"encode-count" ~loc:(Diag.loc name)
       (Printf.sprintf "n_encodes = %d but plan holds %d tasks"
          plan.Plan.n_encodes n_tasks);
-  (* branching metadata: probe and partition variables are only hints
-     (dual accumulation targets, interval-split candidates), but a
-     variable outside the task's model would crash the executor's
-     column tables, and a partition candidate that is integer-marked
-     would be split fractionally by [Dy_partition]. *)
+  (* branching metadata: probe variables are only hints (dual
+     accumulation targets), but a variable outside the task's model
+     would crash the executor's column tables *)
   Array.iteri
     (fun t (task : Plan.task) ->
       let loc = Diag.loc ~row:t name in
-      let model = task.Plan.model in
-      let nv = Lp.Model.n_vars model in
+      let nv = Lp.Model.n_vars task.Plan.model in
       Array.iter
         (fun ((_, v) : (int * int) * Lp.Model.var) ->
           if v < 0 || v >= nv then
@@ -36,20 +33,7 @@ let check ?(name = "plan") (plan : Plan.t) =
               (Printf.sprintf
                  "task %S: probe variable %d outside model (%d vars)"
                  task.Plan.label v nv))
-        task.Plan.probes;
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= nv then
-            push Diag.Error ~code:"partition-var-range" ~loc
-              (Printf.sprintf
-                 "task %S: partition variable %d outside model (%d vars)"
-                 task.Plan.label v nv)
-          else if Lp.Model.is_integer model v then
-            push Diag.Warn ~code:"partition-integer-var" ~loc
-              (Printf.sprintf
-                 "task %S: partition variable %d is integer-marked; \
-                  interval splits would be fractional" task.Plan.label v))
-        task.Plan.partition)
+        task.Plan.probes)
     tasks;
   let replayed = Array.make (max 1 n_tasks) 0 in
   let queries = ref 0 and replays = ref 0 in

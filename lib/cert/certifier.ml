@@ -1,6 +1,6 @@
 type refine_rule = Refine.rule = No_refine | Count of int | Fraction of float
 
-type sym_mode = Sym_off | Sym_fwd | Sym_back
+type sym_mode = Sym_off | Sym_back
 
 type config = {
   window : int;
@@ -75,19 +75,14 @@ let certify ?(config = default_config) ?pool ?solve_hook net ~input ~delta =
     Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
   in
   Interval_prop.propagate net bounds;
-  (* [Sym_fwd] tightens the pipeline's own bounds (certified eps may
-     change, only ever downward).  [Sym_back] analyses a shadow copy:
-     the pipeline bounds stay bitwise untouched and the analysis acts
-     through the planner — conclusive query skips and strictly tighter
-     seeds only — so certified eps is unchanged whenever the fast path
-     declines. *)
+  (* [Sym_back] analyses a shadow copy: the pipeline bounds stay bitwise
+     untouched and the analysis acts through the planner — conclusive
+     query skips and strictly tighter seeds only — so certified eps is
+     unchanged whenever the fast path declines. *)
   let stable_relus = ref 0 in
   let shadow =
     match config.symbolic with
     | Sym_off -> None
-    | Sym_fwd ->
-        Symbolic.propagate net bounds;
-        None
     | Sym_back ->
         let sh = Bounds.copy bounds in
         let analysis = Symbolic_back.analyse net sh in
@@ -96,13 +91,12 @@ let certify ?(config = default_config) ?pool ?solve_hook net ~input ~delta =
   in
   (* cross-layer dual-sensitivity accumulator: layer i's solves inform
      the refinement selection of every later layer's cones.  Allocated
-     only under the guided strategies, so the default path plans (and
+     only under the guided strategy, so the default path plans (and
      certifies) bit-identically to before. *)
   let dual_sens =
     match config.branch with
-    | Search.Strategy.Dual_guided | Search.Strategy.Dy_partition ->
-        Some (Hashtbl.create 64)
-    | Search.Strategy.Most_fractional | Search.Strategy.Violation -> None
+    | Search.Strategy.Dual_guided -> Some (Hashtbl.create 64)
+    | Search.Strategy.Most_fractional -> None
   in
   let pconfig =
     { Planner.window = config.window; refine = config.refine;

@@ -22,10 +22,6 @@ type refine_rule = Refine.rule =
 
 type sym_mode =
   | Sym_off
-  | Sym_fwd
-      (** forward affine pre-pass ({!Symbolic.propagate}): tightens the
-          pipeline's own bounds in place, so certified eps can change
-          (only ever downward) *)
   | Sym_back
       (** backward-substituting pre-analysis
           ({!Symbolic_back.analyse}) on a shadow copy of the bounds:
@@ -53,8 +49,16 @@ type config = {
   domains : int;
       (** fan the independent per-neuron sub-problems of each layer out
           over this many OCaml domains (the paper's future-work
-          parallelisation).  1 = sequential; results are identical for
-          any value. *)
+          parallelisation).  1 = sequential.  Results are not bitwise
+          independent of the value: each domain worker keeps its own
+          warm solver session over a contiguous chunk of queries, so a
+          warm restart can land a last bit away from the sequential
+          solve (on the 6x12 camera net at delta 0.00303, [domains = 2]
+          certifies an eps one ulp below [domains = 1]).  What holds:
+          the daemon, at one domain per worker, agrees bitwise with
+          one-shot [domains = 1], and [scripts/check.sh] checks that
+          [--domains 4] certifies the same eps as sequential on its
+          lint net. *)
   symbolic : sym_mode;
       (** symbolic pre-analysis before the layer sweep (extension
           beyond the paper); see {!sym_mode}. *)
@@ -66,13 +70,11 @@ type config = {
   branch : Search.Strategy.t;
       (** branch & bound / refinement strategy, threaded into every
           MILP sub-solve and into {!Refine.select}.  [Most_fractional]
-          (default) and [Violation] reproduce the historical behaviour
-          bit for bit.  [Dual_guided] ranks branching and refinement
-          candidates by accumulated |dual| column sensitivity;
-          [Dy_partition] additionally allows splitting distance-variable
-          intervals at their LP point.  Certified eps is unchanged
-          across strategies (searches run to proven optimality); only
-          the node counts differ. *)
+          (default) reproduces the historical behaviour bit for bit.
+          [Dual_guided] ranks branching and refinement candidates by
+          accumulated |dual| column sensitivity.  Certified eps is
+          unchanged across strategies (searches run to proven
+          optimality); only the node counts differ. *)
 }
 
 val default_config : config

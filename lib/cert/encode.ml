@@ -254,7 +254,6 @@ type btne_enc = {
   split_b : (int * int, relu_split) Hashtbl.t;
   input_a : (int * Model.var) list;
   input_b : (int * Model.var) list;
-  dist_vars : (int * Model.var) list;
 }
 
 (* Encode one explicit copy of the view into [model]; [input_var id]
@@ -342,7 +341,6 @@ let btne ?phases_a ?phases_b ?(split_relus = false) ~link_input_dist ~mode
   let model = Model.create () in
   let copy_a = Hashtbl.create 64 and copy_b = Hashtbl.create 64 in
   let split_a = Hashtbl.create 16 and split_b = Hashtbl.create 16 in
-  let dist_vars = ref [] in
   let splits t = if split_relus then Some t else None in
   let in_a = Hashtbl.create 16 and in_b = Hashtbl.create 16 in
   Array.iter
@@ -354,7 +352,6 @@ let btne ?phases_a ?phases_b ?(split_relus = false) ~link_input_dist ~mode
       Hashtbl.replace in_b id vb;
       if link_input_dist then begin
         let d = var_of_interval model (input_dist_interval bounds view id) in
-        dist_vars := (id, d) :: !dist_vars;
         Model.add_constr model [ (vb, 1.0); (va, -1.0); (d, -1.0) ] Model.Eq
           0.0
       end)
@@ -367,8 +364,7 @@ let btne ?phases_a ?phases_b ?(split_relus = false) ~link_input_dist ~mode
     Hashtbl.fold (fun id v acc -> (id, v) :: acc) table []
   in
   { model; view; copy_a; copy_b; split_a; split_b;
-    input_a = assoc in_a; input_b = assoc in_b;
-    dist_vars = List.rev !dist_vars }
+    input_a = assoc in_a; input_b = assoc in_b }
 
 let btne_out_delta enc j =
   let abs = enc.view.Subnet.last in

@@ -39,14 +39,13 @@ let phase_value = function
   | Encode.Ph_active -> 1.0
   | Encode.Ph_inactive -> 0.0
 
-let run_queries ?bounds ?partition ~out_dim ~milp_options ~model ~terms_of
-    () =
+let run_queries ?bounds ~out_dim ~milp_options ~model ~terms_of () =
   let nodes = ref 0 and exact = ref true in
   let per_output =
     Array.init out_dim (fun j ->
         let solve dir =
           let r = Milp.solve ~options:milp_options ~objective:(dir, terms_of j)
-              ?bounds ?partition model in
+              ?bounds model in
           nodes := !nodes + r.Milp.nodes;
           (match r.Milp.status with
            | Milp.Optimal -> ()
@@ -91,9 +90,8 @@ let global_btne ?(milp_options = Milp.default_options) ?presolve ?stable
     Encode.btne ?phases_a:stable ?phases_b:stable ~link_input_dist:true
       ~mode:Encode.Exact ~bounds view
   in
-  let partition = Array.of_list (List.map snd enc.Encode.dist_vars) in
   let per_output, nodes, exact =
-    run_queries ~partition ~out_dim ~milp_options ~model:enc.Encode.model
+    run_queries ~out_dim ~milp_options ~model:enc.Encode.model
       ~terms_of:(Encode.btne_out_delta enc) ()
   in
   { eps = Array.map Interval.abs_max per_output; per_output; exact; nodes;
@@ -145,13 +143,8 @@ let global_itne ?(milp_options = Milp.default_options) ?presolve ?stable
     if fixed = [] then None
     else Some (Milp.fixing_bounds enc.Encode.model fixed)
   in
-  (* the window-input distance variables [d] of the ITNE in_vars
-     triples: the [dy]s eligible for interval-partition branching *)
-  let partition =
-    Array.map (fun (_, d, _) -> d) enc.Encode.in_vars
-  in
   let per_output, nodes, exact =
-    run_queries ~partition ?bounds:mbounds ~out_dim ~milp_options
+    run_queries ?bounds:mbounds ~out_dim ~milp_options
       ~model:enc.Encode.model ~terms_of ()
   in
   { eps = Array.map Interval.abs_max per_output; per_output; exact; nodes;

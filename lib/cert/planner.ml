@@ -248,41 +248,29 @@ let emit_cone builder cache ~dedup ~mode ~seed ~branch ~label
         (queries_per_target ~sign rep.r_enc)
   | None ->
       let enc = Encode.itne ~refined ~include_output_relu ~mode ~bounds view in
-      (* under the guided strategies, ask the executor to charge each
+      (* under the guided strategy, ask the executor to charge each
          solve's duals back to the interior ReLU neurons' distance
          variables — the running totals feed the next layers'
-         [Refine.select].  [Dy_partition] additionally marks the
-         window-input distance variables as interval-branching
-         candidates for integer cones. *)
-      let probes, partition =
+         [Refine.select] *)
+      let probes =
         match (branch : Search.Strategy.t) with
-        | Search.Strategy.Most_fractional | Search.Strategy.Violation ->
-            ([||], [||])
-        | Search.Strategy.Dual_guided | Search.Strategy.Dy_partition ->
-            let probes =
-              Array.of_list
-                (List.filter_map
-                   (fun key ->
-                     match Hashtbl.find_opt enc.Encode.vars key with
-                     | None -> None
-                     | Some (nv : Encode.neuron_vars) ->
-                         Some
-                           ( key,
-                             match nv.Encode.dx with
-                             | Some dx -> dx
-                             | None -> nv.Encode.dy ))
-                   (interior_relu_neurons view))
-            in
-            let partition =
-              if branch = Search.Strategy.Dy_partition then
-                Array.map (fun (_, d, _) -> d) enc.Encode.in_vars
-              else [||]
-            in
-            (probes, partition)
+        | Search.Strategy.Most_fractional -> [||]
+        | Search.Strategy.Dual_guided ->
+            Array.of_list
+              (List.filter_map
+                 (fun key ->
+                   match Hashtbl.find_opt enc.Encode.vars key with
+                   | None -> None
+                   | Some (nv : Encode.neuron_vars) ->
+                       Some
+                         ( key,
+                           match nv.Encode.dx with
+                           | Some dx -> dx
+                           | None -> nv.Encode.dy ))
+                 (interior_relu_neurons view))
       in
       let task_id =
-        Plan.add_task ~probes ~partition builder ~label ~signature:sign
-          enc.Encode.model
+        Plan.add_task ~probes builder ~label ~signature:sign enc.Encode.model
       in
       if dedup then Hashtbl.replace cache sign { r_task = task_id; r_enc = enc };
       (* a defining instance gets overrides only when a seed genuinely

@@ -25,7 +25,7 @@ let select ?(strategy = Search.Strategy.Most_fractional) ?sens
     (bounds : Bounds.t) ~candidates ~r =
   if r <= 0 then []
   else begin
-    (* under the dual-guided strategies, a neuron whose relaxation rows
+    (* under the dual-guided strategy, a neuron whose relaxation rows
        bound earlier solves hard (large accumulated |dual| column
        sensitivity) outranks an equally-inaccurate neuron the solver
        never leaned on; the static score stays the base factor, so
@@ -33,8 +33,7 @@ let select ?(strategy = Search.Strategy.Most_fractional) ?sens
        sensitivity *)
     let weight key =
       match (strategy, sens) with
-      | (Search.Strategy.Dual_guided | Search.Strategy.Dy_partition),
-        Some table -> (
+      | Search.Strategy.Dual_guided, Some table -> (
           match Hashtbl.find_opt table key with
           | Some s -> 1.0 +. s
           | None -> 1.0)

@@ -13,17 +13,6 @@ type result = {
 
 let split_tol = 1e-6
 
-(* interval-partition splits narrower than this cannot tighten the
-   chord relaxations; fall back to phase splitting *)
-let partition_min_width = 1e-6
-
-(* Interval splits per root-to-node path: unlike phase splitting
-   (bounded by the number of ambiguous ReLU copies), partitioning can
-   recurse on every child, so an uncapped rule subdivides the distance
-   box exponentially; past the cap only phase splits fire, which
-   terminate. *)
-let partition_max_splits = 4
-
 (* Phase fixing through bounds only (see Encode.relu_split): the child
    node's delta lists all three variables absolutely, so the shared
    {!Search.Cursor} can move the session between any two nodes of the
@@ -47,11 +36,10 @@ let apply_phase session (sp : Encode.relu_split) phase =
     (fun (v, lo, hi) -> Lp.Simplex.set_var_bounds session v ~lo ~hi)
     (phase_delta sp phase)
 
-(* What a tree edge did: fixed a ReLU copy's phase, or split an
-   input-distance interval.  Phase edges feed the per-node [dynamic]
-   table (keys that must not be branched on again below this node);
-   partition edges need no bookkeeping beyond their bound delta. *)
-type edge = Root | Phase of bool * (int * int) | Partition
+(* What a tree edge did: fixed a ReLU copy's phase.  Phase edges feed
+   the per-node [dynamic] table (keys that must not be branched on
+   again below this node). *)
+type edge = Root | Phase of bool * (int * int)
 
 (* Maximise [terms] over the exact twin-network semantics by lazy ReLU
    splitting, driven by the shared {!Search} core on an explicit DFS
@@ -66,8 +54,7 @@ type edge = Root | Phase of bool * (int * int) | Partition
    [session] and hence part of the cursor's root snapshot.  Returns
    (exact_max_or_upper_bound, completed). *)
 let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
-    ~strategy ~columns ~dist_vars ~max_nodes ~search_stats ~terms
-    ~eval_true =
+    ~strategy ~columns ~max_nodes ~search_stats ~terms ~eval_true =
   let input_dim = Nn.Network.input_dim net in
   let best = ref neg_infinity in
   let mk_input assoc (sol : Lp.Simplex.solution) =
@@ -80,12 +67,7 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
   (* the cursor's root bounds are the session's current bounds — i.e.
      with the caller's static phase fixes already in place *)
   let root_lo, root_hi = Lp.Simplex.session_bounds session in
-  let cur_lo = Array.copy root_lo and cur_hi = Array.copy root_hi in
-  let set v ~lo ~hi =
-    cur_lo.(v) <- lo;
-    cur_hi.(v) <- hi;
-    Lp.Simplex.set_var_bounds session v ~lo ~hi
-  in
+  let set v ~lo ~hi = Lp.Simplex.set_var_bounds session v ~lo ~hi in
   let root = Search.Node.root Root in
   let cursor = Search.Cursor.create ~set ~root_lo ~root_hi root in
   let frontier = Search.Frontier.dfs () in
@@ -94,20 +76,16 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
      [fixed], the static ones); rebuilt from the node's edge tags at
      each visit — O(depth), same as the cursor move *)
   let dynamic = Hashtbl.create 16 in
-  (* returns the number of partition edges on the node's path *)
   let sync_dynamic node =
     Hashtbl.reset dynamic;
-    Search.Node.fold_tags node ~init:0 ~f:(fun splits edge ->
+    Search.Node.fold_tags node ~init:() ~f:(fun () edge ->
         match edge with
-        | Phase (in_a, key) ->
-            Hashtbl.replace dynamic (in_a, key) ();
-            splits
-        | Partition -> splits + 1
-        | Root -> splits)
+        | Phase (in_a, key) -> Hashtbl.replace dynamic (in_a, key) ()
+        | Root -> ())
   in
   let visit node =
     Search.Cursor.goto cursor node;
-    let partition_splits = sync_dynamic node in
+    sync_dynamic node;
     (* counted, audited solve returning the full solution: the
        optimiser's point drives incumbents and split selection *)
     let sol =
@@ -138,14 +116,11 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
                weighted by its slack column's |dual| sensitivity *)
             let weight sp =
               match strategy with
-              | Search.Strategy.Dual_guided | Search.Strategy.Dy_partition
-                ->
+              | Search.Strategy.Dual_guided ->
                   1.0
                   +. Search.Strategy.Columns.sensitivity (Lazy.force columns)
                        ~duals:sol.Lp.Simplex.duals sp.Encode.sp_slack
-              | Search.Strategy.Most_fractional | Search.Strategy.Violation
-                ->
-                  1.0
+              | Search.Strategy.Most_fractional -> 1.0
             in
             let worst = ref None and worst_score = ref 0.0 in
             let scan in_a table =
@@ -179,63 +154,18 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
                   Search.note_incumbent search_stats
                 end;
                 Search.Expand []
-            | Some (in_a, key, sp) -> (
+            | Some (in_a, key, sp) ->
                 let key_lp = -.sol.Lp.Simplex.obj in
-                let phase_children () =
-                  (* LIFO stack: push the active phase first so the
-                     inactive child is explored first, matching the
-                     historical recursion order *)
+                (* LIFO stack: push the active phase first so the
+                   inactive child is explored first, matching the
+                   historical recursion order *)
+                Search.Expand
                   [ Search.Node.child node ~tag:(Phase (in_a, key))
                       ~delta:(phase_delta sp Encode.Ph_active)
                       ~key:key_lp;
                     Search.Node.child node ~tag:(Phase (in_a, key))
                       ~delta:(phase_delta sp Encode.Ph_inactive)
                       ~key:key_lp ]
-                in
-                let partition_children () =
-                  (* best interval split: width x |dual| sensitivity *)
-                  let best_v = ref None and best_score = ref 0.0 in
-                  List.iter
-                    (fun (_, v) ->
-                      let w = cur_hi.(v) -. cur_lo.(v) in
-                      if w > partition_min_width then begin
-                        let s =
-                          w
-                          *. Search.Strategy.Columns.sensitivity
-                               (Lazy.force columns)
-                               ~duals:sol.Lp.Simplex.duals v
-                        in
-                        if s > !best_score then begin
-                          best_v := Some v;
-                          best_score := s
-                        end
-                      end)
-                    dist_vars;
-                  match !best_v with
-                  | Some v when !best_score > !worst_score ->
-                      let lo = cur_lo.(v) and hi = cur_hi.(v) in
-                      let w = hi -. lo in
-                      let pt =
-                        Float.max
-                          (lo +. (0.2 *. w))
-                          (Float.min (hi -. (0.2 *. w)) sol.Lp.Simplex.x.(v))
-                      in
-                      Some
-                        [ Search.Node.child node ~tag:Partition
-                            ~delta:[ (v, pt, hi) ]
-                            ~key:key_lp;
-                          Search.Node.child node ~tag:Partition
-                            ~delta:[ (v, lo, pt) ]
-                            ~key:key_lp ]
-                  | _ -> None
-                in
-                match strategy with
-                | Search.Strategy.Dy_partition
-                  when partition_splits < partition_max_splits -> (
-                    match partition_children () with
-                    | Some children -> Search.Expand children
-                    | None -> Search.Expand (phase_children ()))
-                | _ -> Search.Expand (phase_children ()))
           end
         end
   in
@@ -259,7 +189,7 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
   (!best, completed)
 
 let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
-    ?(branch = Search.Strategy.Violation) net ~input ~delta =
+    ?(branch = Search.Strategy.Most_fractional) net ~input ~delta =
   let t0 = Unix.gettimeofday () in
   let bounds =
     if presolve then begin
@@ -312,9 +242,9 @@ let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
          table);
   let stats = Plan.Engine.zero_stats () in
   let search_stats = Search.zero_stats () in
-  (* |dual|-weighted column sensitivities of the slack and distance
-     variables, for the guided strategies; built lazily so the default
-     rule never pays for it *)
+  (* |dual|-weighted column sensitivities of the slack variables, for
+     the guided strategy; built lazily so the default rule never pays
+     for it *)
   let columns =
     lazy
       (let slacks table =
@@ -323,14 +253,10 @@ let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
              sp.Encode.sp_slack :: acc)
            table []
        in
-       let vars =
-         slacks enc.Encode.split_a @ slacks enc.Encode.split_b
-         @ List.map snd enc.Encode.dist_vars
-       in
+       let vars = slacks enc.Encode.split_a @ slacks enc.Encode.split_b in
        Search.Strategy.Columns.make enc.Encode.model
          ~vars:(Array.of_list vars))
   in
-  let dist_vars = enc.Encode.dist_vars in
   (* each of the 2 x out_dim maximisations gets its own slice of the
      node budget, so an expensive early output cannot silently starve
      the later ones *)
@@ -349,13 +275,13 @@ let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
         in
         let hi, ok1 =
           maximise net bounds enc session stats ~fixed ~strategy:branch
-            ~columns ~dist_vars ~max_nodes:slice ~search_stats
-            ~terms:(terms 1.0) ~eval_true:(eval_true 1.0)
+            ~columns ~max_nodes:slice ~search_stats ~terms:(terms 1.0)
+            ~eval_true:(eval_true 1.0)
         in
         let neg_lo, ok2 =
           maximise net bounds enc session stats ~fixed ~strategy:branch
-            ~columns ~dist_vars ~max_nodes:slice ~search_stats
-            ~terms:(terms (-1.0)) ~eval_true:(eval_true (-1.0))
+            ~columns ~max_nodes:slice ~search_stats ~terms:(terms (-1.0))
+            ~eval_true:(eval_true (-1.0))
         in
         completed.(j) <- ok1 && ok2;
         let lo = -.neg_lo in

@@ -111,7 +111,7 @@ let propagation_sweep ?(widths = [ 4; 8; 16 ]) ?(delta = 0.02) () =
         eps_algo1_symbolic =
           algo
             { Cert.Certifier.default_config with
-              Cert.Certifier.symbolic = Cert.Certifier.Sym_fwd } })
+              Cert.Certifier.symbolic = Cert.Certifier.Sym_back } })
     widths
 
 let print_propagation fmt rows =

@@ -31,10 +31,6 @@ let m_solves = Obs.Metrics.counter "milp.solves"
 let m_nodes = Obs.Metrics.counter "milp.nodes"
 let m_incumbents = Obs.Metrics.counter "milp.incumbents"
 
-(* An interval split below this width cannot meaningfully tighten the
-   relaxation; partition branching falls back to the discrete rule. *)
-let partition_min_width = 1e-6
-
 (* Exploration slack: a node is pruned only when its relaxation bound
    exceeds the incumbent by more than this.  Warm node bounds agree
    with exact values only up to solver noise, so pruning exactly at the
@@ -44,13 +40,6 @@ let partition_min_width = 1e-6
    is considered under every strategy and the reported optimum is a
    function of the problem alone. *)
 let tie_slack = 1e-9
-
-(* Interval splits per root-to-node path.  Unlike integer branching,
-   partition branching is not self-limiting (each child can split
-   again), so without a cap the tree degenerates into an exponential
-   subdivision of the continuous box; after this many splits on a path
-   only the discrete rule fires, which terminates. *)
-let partition_max_splits = 4
 
 (* Audit-mode incumbent check: the claimed MILP solution must satisfy
    the original model's rows and bounds, be integral on the marked
@@ -82,8 +71,7 @@ let audit_incumbent ?objective model (r : result) =
       Audit_core.Mode.report (diags @ int_diags)
   | _ -> ()
 
-let solve_inner ?(options = default_options) ?objective ?bounds
-    ?(partition = [||]) model =
+let solve_inner ?(options = default_options) ?objective ?bounds model =
   let cp = Lp.Simplex.compile model in
   let n = Lp.Simplex.n_struct cp in
   (* one persistent solver session: each node's LP warm-starts from the
@@ -124,8 +112,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
     cur_hi.(j) <- hi;
     Lp.Simplex.set_var_bounds session j ~lo ~hi
   in
-  (* node tag: interval-partition splits on the path from the root *)
-  let root = Search.Node.root 0 in
+  let root = Search.Node.root () in
   let cursor = Search.Cursor.create ~set ~root_lo ~root_hi root in
   let frontier = Search.Frontier.best_first () in
   Search.Frontier.push frontier root;
@@ -136,13 +123,9 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   let lp_failed = ref false in
   let unbounded = ref false in
   let t0 = Unix.gettimeofday () in
-  (* |dual|-weighted column sensitivities for the guided strategies;
+  (* |dual|-weighted column sensitivities for the guided strategy;
      built lazily so the default rule never pays for it *)
-  let columns =
-    lazy
-      (Search.Strategy.Columns.make model
-         ~vars:(Array.append ints partition))
-  in
+  let columns = lazy (Search.Strategy.Columns.make model ~vars:ints) in
   let accept_incumbent key x =
     best_key := key;
     best_x := Array.copy x;
@@ -244,7 +227,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   in
   let heuristic_period = 20 in
   (* Discrete branching candidate: the fractional integer chosen by the
-     strategy.  The guided rules weight each candidate's distance from
+     strategy.  The guided rule weights each candidate's distance from
      integrality by its |dual| column sensitivity; a zero-information
      dual vector degrades to the most-fractional rule. *)
   let pick_int_var (sol : Lp.Simplex.solution) =
@@ -259,9 +242,8 @@ let solve_inner ?(options = default_options) ?objective ?bounds
         end)
       ints;
     match options.branch with
-    | Search.Strategy.Most_fractional | Search.Strategy.Violation ->
-        (!best_j, !best_frac)
-    | Search.Strategy.Dual_guided | Search.Strategy.Dy_partition ->
+    | Search.Strategy.Most_fractional -> !best_j
+    | Search.Strategy.Dual_guided ->
         let cols = Lazy.force columns in
         let duals = sol.Lp.Simplex.duals in
         let guided_j = ref (-1) and guided_score = ref 0.0 in
@@ -279,35 +261,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
               end
             end)
           ints;
-        if !guided_j >= 0 then (!guided_j, !guided_score)
-        else (!best_j, !best_frac)
-  in
-  (* Interval-partition candidate (Dy_partition only): the designated
-     continuous variable whose width x |dual| sensitivity is largest.
-     Splitting its interval at the LP point is sound — the two child
-     boxes cover the node box — and tightens the big-M / chord
-     relaxations through the variable bounds. *)
-  let pick_partition_var (sol : Lp.Simplex.solution) =
-    if Array.length partition = 0 then None
-    else begin
-      let cols = Lazy.force columns in
-      let duals = sol.Lp.Simplex.duals in
-      let best = ref None and best_score = ref 0.0 in
-      Array.iter
-        (fun v ->
-          let w = cur_hi.(v) -. cur_lo.(v) in
-          if w > partition_min_width then begin
-            let s = w *. Search.Strategy.Columns.sensitivity cols ~duals v in
-            if s > !best_score then begin
-              best := Some v;
-              best_score := s
-            end
-          end)
-        partition;
-      match !best with
-      | None -> None
-      | Some v -> Some (v, !best_score)
-    end
+        if !guided_j >= 0 then !guided_j else !best_j
   in
   let visit node =
     Search.Cursor.goto cursor node;
@@ -327,48 +281,23 @@ let solve_inner ?(options = default_options) ?objective ?bounds
         if key >= !best_key +. tie_slack -. options.gap_abs then
           Search.Expand []
         else begin
-          let expand_branch (bsol : Lp.Simplex.solution) j int_score =
-            let split_interval v point =
-              let lo = cur_lo.(v) and hi = cur_hi.(v) in
-              let w = hi -. lo in
-              (* clamp the split point into the interval's middle 60%
-                 so both children shrink geometrically *)
-              let pt = Float.max (lo +. (0.2 *. w))
-                  (Float.min (hi -. (0.2 *. w)) point) in
-              let tag = Search.Node.tag node + 1 in
-              [ Search.Node.child node ~tag ~delta:[ (v, lo, pt) ] ~key;
-                Search.Node.child node ~tag ~delta:[ (v, pt, hi) ] ~key ]
-            in
-            let branch_int () =
-              let v = bsol.Lp.Simplex.x.(j) in
-              let lo = cur_lo.(j) and hi = cur_hi.(j) in
-              let down_hi = Float.floor v and up_lo = Float.ceil v in
-              let tag = Search.Node.tag node in
-              let children = ref [] in
-              if up_lo <= hi then
-                children :=
-                  Search.Node.child node ~tag
-                    ~delta:[ (j, up_lo, hi) ]
-                    ~key
-                  :: !children;
-              if lo <= down_hi then
-                children :=
-                  Search.Node.child node ~tag
-                    ~delta:[ (j, lo, down_hi) ]
-                    ~key
-                  :: !children;
-              !children
-            in
-            match options.branch with
-            | Search.Strategy.Dy_partition
-              when Search.Node.tag node < partition_max_splits -> (
-                match pick_partition_var bsol with
-                | Some (v, score) when score > int_score ->
-                    Search.Expand (split_interval v bsol.Lp.Simplex.x.(v))
-                | _ -> Search.Expand (branch_int ()))
-            | _ -> Search.Expand (branch_int ())
+          let expand_branch (bsol : Lp.Simplex.solution) j =
+            let v = bsol.Lp.Simplex.x.(j) in
+            let lo = cur_lo.(j) and hi = cur_hi.(j) in
+            let down_hi = Float.floor v and up_lo = Float.ceil v in
+            let children = ref [] in
+            if up_lo <= hi then
+              children :=
+                Search.Node.child node ~tag:() ~delta:[ (j, up_lo, hi) ] ~key
+                :: !children;
+            if lo <= down_hi then
+              children :=
+                Search.Node.child node ~tag:() ~delta:[ (j, lo, down_hi) ]
+                  ~key
+                :: !children;
+            Search.Expand !children
           in
-          let j, int_score = pick_int_var sol in
+          let j = pick_int_var sol in
           if j < 0 then begin
             (* integral: candidate incumbent.  Pure LPs skip the
                canonical re-solve — there is no assignment to pin, the
@@ -399,7 +328,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
               resolve_pivots := !resolve_pivots + cold.Lp.Simplex.pivots;
               match cold.Lp.Simplex.status with
               | Lp.Simplex.Optimal ->
-                  let jc, int_score_c = pick_int_var cold in
+                  let jc = pick_int_var cold in
                   if jc < 0 then begin
                     ignore
                       (consider_assignment
@@ -408,7 +337,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
                        : float option);
                     Search.Expand []
                   end
-                  else expand_branch cold jc int_score_c
+                  else expand_branch cold jc
               | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded
               | Lp.Simplex.Iteration_limit ->
                   (* a solver artefact: the warm solve already proved
@@ -416,7 +345,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
                   Search.Expand []
             end
           end
-          else expand_branch sol j int_score
+          else expand_branch sol j
         end
   in
   let deadline =
@@ -519,9 +448,9 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   if Audit_core.Mode.enabled () then audit_incumbent ?objective model result;
   result
 
-let solve ?options ?objective ?bounds ?partition model =
+let solve ?options ?objective ?bounds model =
   Obs.Trace.with_span "milp.solve" (fun () ->
-      let r = solve_inner ?options ?objective ?bounds ?partition model in
+      let r = solve_inner ?options ?objective ?bounds model in
       Obs.Metrics.add m_solves 1;
       Obs.Metrics.add m_nodes r.nodes;
       Obs.Trace.count "nodes" r.nodes;

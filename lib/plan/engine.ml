@@ -64,16 +64,13 @@ let of_session stats ~name ~model session =
         | Lp.Simplex.Iteration_limit -> None);
     duals = (fun () -> !last_duals) }
 
-let of_milp stats ~options ?bounds ?partition model =
+let of_milp stats ~options ?bounds model =
   { run =
       (fun dir terms ->
         Obs.Trace.with_span "engine.query" @@ fun () ->
         Obs.Metrics.add m_milp_queries 1;
         stats.milp_solves <- stats.milp_solves + 1;
-        let r =
-          Milp.solve ~options ?bounds ?partition ~objective:(dir, terms)
-            model
-        in
+        let r = Milp.solve ~options ?bounds ~objective:(dir, terms) model in
         stats.lp_pivots <- stats.lp_pivots + r.Milp.pivots;
         match r.Milp.status with
         | Milp.Optimal | Milp.Limit | Milp.Lp_failure ->

@@ -51,12 +51,10 @@ val of_milp :
   stats ->
   options:Milp.options ->
   ?bounds:float array * float array ->
-  ?partition:int array ->
   Lp.Model.t -> t
 (** [bounds] overrides the model's structural root bounds (see
     {!Milp.solve}); used to replay a deduplicated integer cone under an
-    instance's input intervals.  [partition] lists continuous variables
-    eligible for interval-partition branching (see {!Milp.solve}). *)
+    instance's input intervals. *)
 
 val of_model : stats -> options:Milp.options -> name:string -> Lp.Model.t -> t
 (** Session engine when the model has no integer marks, MILP engine

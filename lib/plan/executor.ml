@@ -245,7 +245,7 @@ let run ?hook ?pool ?partial_stats config (plan : Spec.t) =
                   (Lp.Simplex.create_session ~lo ~hi pe.pe_compiled)
             | Milp_task ->
                 Engine.of_milp stats ~options:config.milp_options
-                  ~partition:task.Spec.partition task.Spec.model
+                  task.Spec.model
           in
           Hashtbl.add cache u.Spec.task_id e;
           e
@@ -270,7 +270,7 @@ let run ?hook ?pool ?partial_stats config (plan : Spec.t) =
       | Milp_task ->
           let bounds = override_bounds task.Spec.model u.Spec.overrides in
           Engine.of_milp stats ~options:config.milp_options ~bounds
-            ~partition:task.Spec.partition task.Spec.model
+            task.Spec.model
     end
   in
   let init () = (Engine.zero_stats (), Hashtbl.create 8) in

@@ -36,7 +36,6 @@ type task = {
   integer : bool;
   signature : string;
   probes : ((int * int) * Lp.Model.var) array;
-  partition : Lp.Model.var array;
 }
 
 type unit_of_work = {
@@ -86,11 +85,11 @@ let count_symbolic_seeded b n =
 
 let add_affine b a = b.b_affine <- a :: b.b_affine
 
-let add_task ?(probes = [||]) ?(partition = [||]) b ~label ~signature model =
+let add_task ?(probes = [||]) b ~label ~signature model =
   let id = b.b_n_tasks in
   b.b_tasks <-
     { label; model; integer = Lp.Model.integer_vars model <> []; signature;
-      probes; partition }
+      probes }
     :: b.b_tasks;
   b.b_n_tasks <- id + 1;
   id

@@ -31,25 +31,17 @@ module Strategy : sig
   type t =
     | Most_fractional
         (** branch on the integer variable farthest from integrality
-            (the classic rule; [Milp]'s historical default) *)
-    | Violation
-        (** branch on the constraint-violation maximiser (the
-            Reluplex-style rule: worst ReLU violation) *)
+            (the classic rule; [Milp]'s historical default); in the
+            Reluplex-style engine, split the worst-violated ReLU *)
     | Dual_guided
         (** rank candidates by |dual| x relaxation gap, using the node
             LP's row duals to weight each candidate by how strongly its
             relaxation rows bind the current optimum *)
-    | Dy_partition
-        (** additionally consider splitting a designated continuous
-            variable's interval at its LP point (partition branching on
-            the ITNE distance variables [dy]), falling back to the
-            dual-guided discrete rule *)
 
   val all : t list
 
   val to_string : t -> string
-  (** CLI / wire name: ["most-fractional"], ["violation"],
-      ["dual-guided"], ["dy-partition"]. *)
+  (** CLI / wire name: ["most-fractional"], ["dual-guided"]. *)
 
   val of_string : string -> t option
 
@@ -86,8 +78,6 @@ module Node : sig
       overridden by a deeper delta). *)
 
   val key : 'a t -> float
-
-  val tag : 'a t -> 'a
 
   val depth : 'a t -> int
   (** Root has depth 0. *)

@@ -64,7 +64,9 @@ let quantile_locked t q =
          end
        done
      with Exit -> ());
-    !result
+    (* no sample exceeds the max, so neither may a quantile: the top
+       bucket's edge can be up to 2x above it *)
+    Float.min !result t.max_s
   end
 
 let quantile t q =

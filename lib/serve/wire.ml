@@ -67,14 +67,10 @@ let query_fields q =
         ("hi", Json.Num q.q_hi);
         ("window", Json.Num (float_of_int q.q_window)) ];
       refine_fields q.q_refine;
-      (* [Sym_fwd] keeps the legacy boolean field so old servers still
-         understand it; [Sym_back] is a protocol extension *)
+      (* protocol extensions: each is absent at the historical default *)
       (match q.q_symbolic with
        | Cert.Certifier.Sym_off -> []
-       | Cert.Certifier.Sym_fwd -> [ ("symbolic", Json.Bool true) ]
-       | Cert.Certifier.Sym_back ->
-           [ ("symbolic_mode", Json.Str "back") ]);
-      (* protocol extension: absent means the historical default *)
+       | Cert.Certifier.Sym_back -> [ ("symbolic_mode", Json.Str "back") ]);
       (if q.q_branch = Search.Strategy.Most_fractional then []
        else [ ("branch", Json.Str (Search.Strategy.to_string q.q_branch)) ]);
       (if q.q_no_cache then [ ("no_cache", Json.Bool true) ] else []);
@@ -103,6 +99,18 @@ let encode_request ~id req =
 let get ~what o = function
   | Some v -> v
   | None -> failwith (Printf.sprintf "Serve.Wire: %s: bad or missing %s" o what)
+
+(* Legacy spellings of removed options, decoded as the surviving value
+   that answers them — the one place old clients' names are mapped.
+   [violation] always branched exactly like most-fractional;
+   [dy-partition] used the dual-guided refinement weights and probes,
+   and every strategy certifies the same eps.  The forward symbolic
+   mode ([symbolic: true], [symbolic_mode: "fwd"]) maps to the backward
+   one, which never loosens a bound. *)
+let legacy_branch = function
+  | "violation" -> Some Search.Strategy.Most_fractional
+  | "dy-partition" | "dy_partition" -> Some Search.Strategy.Dual_guided
+  | _ -> None
 
 let decode_query v =
   let num field default =
@@ -136,22 +144,21 @@ let decode_query v =
     q_symbolic =
       (match Json.mem_str "symbolic_mode" v with
        | Some "off" -> Cert.Certifier.Sym_off
-       | Some "fwd" -> Cert.Certifier.Sym_fwd
-       | Some "back" -> Cert.Certifier.Sym_back
+       | Some ("back" | "fwd") -> Cert.Certifier.Sym_back
        | Some m ->
            failwith
              (Printf.sprintf "Serve.Wire: certify: unknown symbolic_mode %S" m)
        | None ->
            if Option.value ~default:false (Json.mem_bool "symbolic" v) then
-             Cert.Certifier.Sym_fwd
+             Cert.Certifier.Sym_back
            else Cert.Certifier.Sym_off);
     q_branch =
       (match Json.mem_str "branch" v with
        | None -> default_query.q_branch
        | Some s -> (
-           match Search.Strategy.of_string s with
-           | Some b -> b
-           | None ->
+           match (Search.Strategy.of_string s, legacy_branch s) with
+           | Some b, _ | None, Some b -> b
+           | None, None ->
                failwith
                  (Printf.sprintf "Serve.Wire: certify: unknown branch %S" s)));
     q_no_cache = Option.value ~default:false (Json.mem_bool "no_cache" v);

@@ -36,15 +36,18 @@ type query = {
   q_window : int;
   q_refine : Cert.Refine.rule;
   q_symbolic : Cert.Certifier.sym_mode;
-      (** on the wire: [Sym_fwd] is the legacy [symbolic: true] boolean
-          field (old servers keep understanding it); [Sym_back] is the
-          [symbolic_mode: "back"] extension, which takes precedence over
-          the boolean when both are present *)
+      (** on the wire: [Sym_back] is the [symbolic_mode: "back"]
+          extension, emitted only when on.  The retired forward mode
+          ([symbolic: true] or [symbolic_mode: "fwd"]) decodes as
+          [Sym_back]; [symbolic_mode] takes precedence over the boolean
+          when both are present *)
   q_branch : Search.Strategy.t;
       (** on the wire: the [branch] string field (a
           {!Search.Strategy.to_string} name), emitted only when
           different from the historical [Most_fractional] default so old
-          servers keep understanding default queries *)
+          servers keep understanding default queries.  Names of
+          retired strategies decode as the surviving strategy that
+          answers them (the table is in DESIGN.md, "Service layer") *)
   q_no_cache : bool;          (** bypass the result cache (still runs) *)
   q_deadline_ms : float option;
       (** drop the request if not {e finished} this many ms after the

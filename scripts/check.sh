@@ -78,7 +78,7 @@ echo "== branch-strategy certify parity (sequential and --domains 4) =="
 # only the tree shape (node counts) may differ — sequentially and
 # under domain parallelism.
 ref_eps=""
-for strategy in most-fractional violation dual-guided dy-partition; do
+for strategy in most-fractional dual-guided; do
   seq_eps=$(dune exec -- grc certify \
     --net _build/lint-artifacts/lint-ci.net --delta 0.001 \
     --branch "$strategy" | grep '^output')

@@ -214,24 +214,6 @@ let test_symbolic_affine_eval () =
   Alcotest.(check bool) "affine range" true
     (Interval.equal r (Interval.make (-1.5) 3.5))
 
-let test_symbolic_certifier_not_looser () =
-  let rng = rng0 () in
-  let net = random_net ~rng ~dims:[ 3; 8; 5; 1 ] ~relu_last:false in
-  let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-  let delta = 0.05 in
-  let plain =
-    (Cert.Certifier.certify net ~input ~delta).Cert.Certifier.eps.(0)
-  in
-  let with_sym =
-    (Cert.Certifier.certify
-       ~config:{ Cert.Certifier.default_config with
-                 Cert.Certifier.symbolic = Cert.Certifier.Sym_fwd }
-       net ~input ~delta)
-      .Cert.Certifier.eps.(0)
-  in
-  Alcotest.(check bool) "symbolic pre-pass not looser" true
-    (with_sym <= plain +. 1e-9)
-
 (* --- backward symbolic analysis --- *)
 
 (* regression: a zero coefficient on an unbounded input must not poison
@@ -842,9 +824,7 @@ let suites =
         Alcotest.test_case "sound" `Quick test_symbolic_sound;
         Alcotest.test_case "forward containment" `Quick
           test_symbolic_forward_containment;
-        Alcotest.test_case "affine eval" `Quick test_symbolic_affine_eval;
-        Alcotest.test_case "certifier pre-pass" `Quick
-          test_symbolic_certifier_not_looser ] );
+        Alcotest.test_case "affine eval" `Quick test_symbolic_affine_eval ] );
     ( "cert:symbolic-back",
       [ Alcotest.test_case "zero coeff on unbounded input" `Quick
           test_eval_range_zero_coeff_unbounded;

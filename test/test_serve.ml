@@ -83,7 +83,7 @@ let sample_query =
   { Wire.q_net = Some "grc-net 1\nlayers 0\n"; q_digest = None;
     q_delta = 0.25; q_lo = -1.0; q_hi = 1.0; q_window = 3;
     q_refine = Cert.Refine.Count 4;
-    q_symbolic = Cert.Certifier.Sym_fwd;
+    q_symbolic = Cert.Certifier.Sym_back;
     q_branch = Search.Strategy.Dual_guided; q_no_cache = true;
     q_deadline_ms = Some 125.5 }
 
@@ -178,6 +178,31 @@ let test_wire_rejects () =
     [ "{\"op\":\"nope\",\"id\":1}"; "{\"id\":1}";
       "{\"op\":\"certify\",\"id\":1,\"window\":0,\"net\":\"x\"}";
       "{\"op\":\"certify\",\"id\":1}" ]
+
+(* Names of removed options decode as the surviving value that answers
+   them, so old clients keep working. *)
+let test_wire_legacy_names () =
+  let decode field =
+    let line =
+      Printf.sprintf "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",%s}"
+        field
+    in
+    match Wire.decode_request (Json.of_string line) with
+    | _, Wire.Certify q -> q
+    | _ -> Alcotest.failf "%s: not a certify request" field
+  in
+  List.iter
+    (fun (field, expected) ->
+      Alcotest.(check string) field
+        (Search.Strategy.to_string expected)
+        (Search.Strategy.to_string (decode field).Wire.q_branch))
+    [ ("\"branch\":\"violation\"", Search.Strategy.Most_fractional);
+      ("\"branch\":\"dy-partition\"", Search.Strategy.Dual_guided) ];
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) field true
+        ((decode field).Wire.q_symbolic = Cert.Certifier.Sym_back))
+    [ "\"symbolic\":true"; "\"symbolic_mode\":\"fwd\"" ]
 
 (* --- codec fuzzing: hostile bytes must fail cleanly --- *)
 
@@ -372,6 +397,19 @@ let test_hist () =
          && List.mem_assoc "buckets" kvs)
   | _ -> Alcotest.fail "expected an object"
 
+(* a lone 424ms sample sits in the (262, 524] ms bucket; p99 must report
+   the sample, not the bucket edge above every recorded value *)
+let test_hist_quantile_capped () =
+  let h = Serve.Hist.create () in
+  Serve.Hist.add h 0.424;
+  match Serve.Hist.to_json h with
+  | Json.Obj kvs ->
+      Alcotest.(check (float 1e-9)) "p99_ms" 424.0
+        (match List.assoc_opt "p99_ms" kvs with
+         | Some (Json.Num x) -> x
+         | _ -> Alcotest.fail "p99_ms missing")
+  | _ -> Alcotest.fail "expected an object"
+
 (* --- result cache --- *)
 
 let q0 = Wire.default_query
@@ -389,8 +427,7 @@ let test_cache_key_discriminates () =
       ("refine", { q0 with Wire.q_refine = Cert.Refine.Count 1 });
       ("refine frac",
        { q0 with Wire.q_refine = Cert.Refine.Fraction 0.5 });
-      ("symbolic", { q0 with Wire.q_symbolic = Cert.Certifier.Sym_fwd });
-      ("symbolic_back", { q0 with Wire.q_symbolic = Cert.Certifier.Sym_back }) ];
+      ("symbolic", { q0 with Wire.q_symbolic = Cert.Certifier.Sym_back }) ];
   if Serve.Cache.key ~digest:"other" q0 = base then
     Alcotest.fail "digest did not change the key";
   (* no-cache and deadlines do not change the answer: same key *)
@@ -398,6 +435,24 @@ let test_cache_key_discriminates () =
     (k { q0 with Wire.q_no_cache = true });
   Alcotest.(check string) "deadline irrelevant" base
     (k { q0 with Wire.q_deadline_ms = Some 5.0 })
+
+(* Key spellings of the surviving symbolic modes and strategies are
+   persisted on disk: they must not move, or old cache files stop
+   hitting. *)
+let test_cache_key_stable () =
+  let prefix = "d|4562254508917369340|0|4607182418800017408|w2|r0|" in
+  List.iter
+    (fun (sym, branch, suffix) ->
+      Alcotest.(check string) suffix (prefix ^ suffix)
+        (Serve.Cache.key ~digest:"d"
+           { q0 with Wire.q_symbolic = sym; q_branch = branch }))
+    [ (Cert.Certifier.Sym_off, Search.Strategy.Most_fractional,
+       "s0|bmost-fractional");
+      (Cert.Certifier.Sym_off, Search.Strategy.Dual_guided, "s0|bdual-guided");
+      (Cert.Certifier.Sym_back, Search.Strategy.Most_fractional,
+       "s2|bmost-fractional");
+      (Cert.Certifier.Sym_back, Search.Strategy.Dual_guided,
+       "s2|bdual-guided") ]
 
 let test_cache_persistence () =
   let path = Filename.temp_file "grc-cache" ".txt" in
@@ -827,6 +882,7 @@ let suites =
           test_wire_response_roundtrip;
         Alcotest.test_case "eps bitwise" `Quick test_wire_eps_bitwise;
         Alcotest.test_case "rejects" `Quick test_wire_rejects;
+        Alcotest.test_case "legacy names" `Quick test_wire_legacy_names;
         json_fuzz_bytes_prop; wire_fuzz_mutations_prop;
         Alcotest.test_case "read_frame hostile streams" `Quick
           test_read_frame_hostile ] );
@@ -835,7 +891,10 @@ let suites =
           test_squeue_order_and_bounds;
         Alcotest.test_case "squeue threads" `Quick test_squeue_threads;
         Alcotest.test_case "histogram" `Quick test_hist;
+        Alcotest.test_case "histogram quantile capped" `Quick
+          test_hist_quantile_capped;
         Alcotest.test_case "cache key" `Quick test_cache_key_discriminates;
+        Alcotest.test_case "cache key stable" `Quick test_cache_key_stable;
         Alcotest.test_case "cache persistence" `Quick test_cache_persistence;
         Alcotest.test_case "cache namespaces" `Quick test_cache_namespace
       ] );
