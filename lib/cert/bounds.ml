@@ -31,12 +31,10 @@ let box_domain net ~lo ~hi =
 let uniform_delta net delta =
   Array.make (Nn.Network.input_dim net) (Interval.make (-.delta) delta)
 
-let val_in b net i j =
-  ignore net;
+let val_in b i j =
   if i = 0 then b.input.(j) else b.x.(i - 1).(j)
 
-let dist_in b net i j =
-  ignore net;
+let dist_in b i j =
   if i = 0 then b.input_dist.(j) else b.dx.(i - 1).(j)
 
 let output_dist b net = b.dx.(Nn.Network.n_layers net - 1)

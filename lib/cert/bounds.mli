@@ -31,11 +31,11 @@ val box_domain : Nn.Network.t -> lo:float -> hi:float -> Interval.t array
 val uniform_delta : Nn.Network.t -> float -> Interval.t array
 (** [\[-delta, delta\]] per input component. *)
 
-val val_in : t -> Nn.Network.t -> int -> int -> Interval.t
-(** [val_in b net i j]: interval of input [j] to layer [i] (the input
+val val_in : t -> int -> int -> Interval.t
+(** [val_in b i j]: interval of input [j] to layer [i] (the input
     domain when [i = 0], otherwise layer [i-1]'s post-activation). *)
 
-val dist_in : t -> Nn.Network.t -> int -> int -> Interval.t
+val dist_in : t -> int -> int -> Interval.t
 
 val output_dist : t -> Nn.Network.t -> Interval.t array
 (** Distance intervals of the network output layer. *)

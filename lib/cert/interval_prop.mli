@@ -14,3 +14,14 @@ val certify : Nn.Network.t -> input:Interval.t array -> delta:float ->
   float array
 (** Convenience: full interval-only global-robustness bound; returns
     one epsilon per network output. *)
+
+val penalty_grad :
+  ?scale:float -> Nn.Network.t -> input:Interval.t array -> delta:float ->
+  float array list array -> float
+(** The robust-training surrogate: returns the sum of {!certify} over
+    the outputs (bitwise the same bound) and accumulates [scale]
+    (default 1) times its parameter subgradient into per-layer
+    {!Nn.Layer.alloc_grad_arrays} structures.  The reverse pass replays
+    {!propagate}'s tape on a fresh {!Bounds.t}; every step is piecewise
+    linear in the parameters, so this is a subgradient, with branch
+    ties broken as in the forward pass. *)

@@ -102,12 +102,9 @@ let grid_deltas config =
 
 let run ?client ?on_epoch config net ~train ~test =
   let xs = train.Data.Dataset.xs and ys = train.Data.Dataset.ys in
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Train_robust.run: empty train set";
-  if Array.length ys <> n then invalid_arg "Train_robust.run: xs/ys length";
   let deltas = grid_deltas config in
-  let input_box = Nn.Robust.box net ~lo:config.lo ~hi:config.hi in
-  let dist = Nn.Robust.uniform_dist net config.delta in
+  let input = Cert.Bounds.box_domain net ~lo:config.lo ~hi:config.hi in
+  let delta = config.delta in
   let eval epoch =
     let train_loss = Nn.Train.mean_loss config.loss net ~xs ~ys in
     let metric =
@@ -116,13 +113,14 @@ let run ?client ?on_epoch config net ~train ~test =
     in
     let acc = accuracy ~loss:config.loss ~acc_tol:config.acc_tol net test in
     let surrogate =
-      Nn.Robust.penalty net (Nn.Robust.record net ~input:input_box ~dist)
+      Array.fold_left ( +. ) 0.0
+        (Cert.Interval_prop.certify net ~input ~delta)
     in
     let recert =
       Option.map
         (fun c ->
           recertify c ~window:config.window ~lo:config.lo ~hi:config.hi
-            ~deltas ~target:config.delta net)
+            ~deltas ~target:delta net)
         client
     in
     let r =
@@ -131,45 +129,24 @@ let run ?client ?on_epoch config net ~train ~test =
     (match on_epoch with Some f -> f r net | None -> ());
     r
   in
-  let rng = Random.State.make [| config.seed |] in
-  let order = Array.init n Fun.id in
-  let state = Nn.Train.make_state net in
-  let grads = Nn.Train.alloc_grads net in
+  (* the penalty enters once per update; pre-scale by the batch size so
+     the optimiser's 1/batch leaves an effective weight of exactly
+     [lambda] *)
+  let penalty ~grads ~batch =
+    if config.lambda > 0.0 then
+      ignore
+        (Cert.Interval_prop.penalty_grad
+           ~scale:(config.lambda *. float_of_int batch)
+           net ~input ~delta grads)
+  in
   let records = ref [ eval 0 ] in
-  for epoch = 1 to config.epochs do
-    for i = n - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let t = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- t
-    done;
-    let pos = ref 0 in
-    while !pos < n do
-      let bsz = min config.batch_size (n - !pos) in
-      Nn.Train.zero_grads grads;
-      for k = 0 to bsz - 1 do
-        let idx = order.(!pos + k) in
-        let tape = Nn.Grad.record net xs.(idx) in
-        let pred = tape.Nn.Grad.posts.(Nn.Network.n_layers net - 1) in
-        let _, dout =
-          Nn.Train.loss_value_grad config.loss ~pred ~target:ys.(idx)
-        in
-        ignore (Nn.Grad.backprop_params net tape ~dout grads)
-      done;
-      (* the penalty enters once per update; pre-scale by the batch
-         size so the optimiser's 1/bsz leaves an effective weight of
-         exactly [lambda] *)
-      if config.lambda > 0.0 then
-        ignore
-          (Nn.Robust.penalty_grad
-             ~scale:(config.lambda *. float_of_int bsz)
-             net ~input:input_box ~dist grads);
-      Nn.Train.apply_update config.optimizer state net grads
-        (1.0 /. float_of_int bsz);
-      pos := !pos + bsz
-    done;
-    records := eval epoch :: !records
-  done;
+  Nn.Train.fit
+    ~log:(fun ~epoch ~loss:_ -> records := eval epoch :: !records)
+    ~penalty
+    { Nn.Train.loss = config.loss; optimizer = config.optimizer;
+      epochs = config.epochs; batch_size = config.batch_size;
+      seed = config.seed }
+    net ~xs ~ys;
   List.rev !records
 
 type family =

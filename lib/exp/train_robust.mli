@@ -1,8 +1,9 @@
 (** Certifier-in-the-loop robust training ([grc train-robust]).
 
     Augments the standard training loss with the differentiable
-    global-robustness surrogate ({!Cert.Diff_bound} over
-    {!Nn.Robust}): each mini-batch update descends
+    global-robustness surrogate ({!Cert.Interval_prop.penalty_grad},
+    through {!Nn.Train.fit}'s penalty hook): each mini-batch update
+    descends
 
     {v data_loss + lambda * sum_j eps_j(net, delta) v}
 

@@ -275,6 +275,34 @@ let linear_row t j =
       done;
       Sparse_row.make !coeffs 0.0
 
+(* Inverse of [linear_row]'s indexing: where a gradient with respect to
+   a row coefficient or constant lands in the parameter arrays. *)
+let grad_sinks t grads =
+  match (t.kind, grads) with
+  | Dense { weight; _ }, [ dw; db ] ->
+      let cols = weight.Mat.cols in
+      ( (fun j k g -> dw.((j * cols) + k) <- dw.((j * cols) + k) +. g),
+        fun j g -> db.(j) <- db.(j) +. g )
+  | Conv2d { in_shape; out_chans; kh; kw; stride; pad; _ }, [ dw; db ] ->
+      let os = conv_out_shape ~in_shape ~out_chans ~kh ~kw ~stride ~pad in
+      let hw_out = os.h * os.w in
+      let hw_in = in_shape.h * in_shape.w in
+      ( (fun j k g ->
+          let oc = j / hw_out in
+          let oy = j mod hw_out / os.w and ox = j mod os.w in
+          let ic = k / hw_in in
+          let iy = k mod hw_in / in_shape.w and ix = k mod in_shape.w in
+          let ky = iy - ((oy * stride) - pad)
+          and kx = ix - ((ox * stride) - pad) in
+          let wi = (((((oc * in_shape.c) + ic) * kh) + ky) * kw) + kx in
+          dw.(wi) <- dw.(wi) +. g),
+        fun j g -> db.(j / hw_out) <- db.(j / hw_out) +. g )
+  | Normalize _, [ dmul; dadd ] ->
+      ( (fun j _k g -> dmul.(j) <- dmul.(j) +. g),
+        fun j g -> dadd.(j) <- dadd.(j) +. g )
+  | Avg_pool _, [] -> ((fun _ _ _ -> ()), fun _ _ -> ())
+  | _ -> invalid_arg "Layer.grad_sinks: gradient structure mismatch"
+
 (* --- parameters --- *)
 
 let param_arrays t =

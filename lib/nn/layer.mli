@@ -77,6 +77,14 @@ val vjp_linear : t -> float array -> float array
 val linear_row : t -> int -> Linalg.Sparse_row.t
 (** Affine row of output neuron [j] over the layer's inputs. *)
 
+val grad_sinks :
+  t -> float array list -> (int -> int -> float -> unit) * (int -> float -> unit)
+(** [grad_sinks layer grads] inverts {!linear_row}'s indexing for
+    arrays from {!alloc_grad_arrays}: it returns [(dcoeff, dconst)]
+    where [dcoeff j k g] adds [g] to the gradient of the parameter that
+    is coefficient [k] of row [j], and [dconst j g] to that of row
+    [j]'s constant.  Pool layers have no parameters: both are no-ops. *)
+
 (** {1 Parameters (training)} *)
 
 val param_arrays : t -> float array list

@@ -94,10 +94,11 @@ let alloc_grads net =
   Array.init (Network.n_layers net) (fun i ->
       Layer.alloc_grad_arrays (Network.layer net i))
 
-let fit ?log config net ~xs ~ys =
+let fit ?log ?penalty config net ~xs ~ys =
   let n = Array.length xs in
   if Array.length ys <> n then invalid_arg "Train.fit: xs/ys length";
   if n = 0 then invalid_arg "Train.fit: empty dataset";
+  if config.batch_size <= 0 then invalid_arg "Train.fit: batch_size";
   let rng = Random.State.make [| config.seed |] in
   let order = Array.init n Fun.id in
   let state = make_state net in
@@ -125,6 +126,7 @@ let fit ?log config net ~xs ~ys =
         epoch_loss := !epoch_loss +. value;
         ignore (Grad.backprop_params net tape ~dout grads)
       done;
+      (match penalty with Some f -> f ~grads ~batch:bsz | None -> ());
       apply_update config.optimizer state net grads (1.0 /. float_of_int bsz);
       pos := !pos + bsz
     done;

@@ -25,33 +25,23 @@ type config = {
 
 val fit :
   ?log:(epoch:int -> loss:float -> unit) ->
+  ?penalty:(grads:float array list array -> batch:int -> unit) ->
   config -> Network.t -> xs:float array array -> ys:float array array -> unit
-(** Trains in place (layer parameter arrays are mutated). *)
-
-(** {1 Optimiser internals}
-
-    Exposed so custom training loops (certifier-in-the-loop robust
-    training, {!Exp.Train_robust}) can interleave extra gradient terms
-    between batches while reusing the exact update rules of {!fit}. *)
-
-type opt_state
-(** Momentum / Adam moment accumulators plus the step counter. *)
-
-val make_state : Network.t -> opt_state
+(** Trains in place (layer parameter arrays are mutated).  Each epoch
+    shuffles the samples (seeded by [config.seed]) and takes one
+    optimiser step per mini-batch from the mean data-loss gradient.
+    [penalty], when given, is called once per batch after the
+    per-sample gradients are summed into [grads] and before the step,
+    which scales [grads] by [1/batch]; it may add an extra gradient
+    term (robust training adds the certified-bound surrogate there).
+    [log] is called after every epoch with the mean data loss.
+    Raises [Invalid_argument] on an empty or mismatched dataset or a
+    non-positive [batch_size]. *)
 
 val alloc_grads : Network.t -> float array list array
 (** One {!Layer.alloc_grad_arrays} structure per layer — the
-    accumulator shape taken by {!Grad.backprop_params} and
-    {!apply_update}. *)
-
-val zero_grads : float array list array -> unit
-
-val apply_update :
-  optimizer -> opt_state -> Network.t -> float array list array -> float ->
-  unit
-(** [apply_update opt state net grads scale] performs one optimiser
-    step on [net]'s parameters from [scale *. grads] (e.g. [1/batch]),
-    mutating the parameter arrays in place. *)
+    accumulator shape taken by {!Grad.backprop_params} and by [fit]'s
+    [penalty] hook. *)
 
 val mean_loss :
   loss -> Network.t -> xs:float array array -> ys:float array array -> float

@@ -315,10 +315,6 @@ fi
 wait "$d0_pid"
 trap - EXIT
 
-echo "== serve-bench (daemon vs one-shot + shard scaling; writes BENCH_serve.json) =="
-dune exec bench/main.exe -- serve-bench
-test -s BENCH_serve.json
-
 echo "== train-robust smoke (tiny net, 3 epochs, certifier in the loop) =="
 # Three robust epochs on a tiny auto-mpg net through the in-process
 # certification daemon: the final certified eps must not exceed the
@@ -345,6 +341,10 @@ if [ -z "$hits" ] || [ "$hits" -eq 0 ] || [ "$hits" != "$cells" ]; then
   exit 1
 fi
 test -s _build/train-robust-ci.json
+
+echo "== serve-bench (daemon vs one-shot + shard scaling; writes BENCH_serve.json) =="
+dune exec bench/main.exe -- serve-bench
+test -s BENCH_serve.json
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt check =="

@@ -198,44 +198,7 @@ let symbolic_back_gate_prop =
                  false))
              off.Cert.Certifier.eps back.Cert.Certifier.eps))
 
-(* --- (e) the training surrogate IS the interval engine, bit for bit --- *)
-
-(* Nn.Robust re-implements the interval twin propagation without a
-   Cert dependency so training can backprop through it; any drift
-   between the two copies would silently decouple the penalty being
-   descended from the bound being certified. *)
-
-let surrogate_bitwise_prop =
-  Test_seed.to_alcotest
-    (QCheck.Test.make ~count:40
-       ~name:"robust surrogate = interval engine (bitwise)"
-       (QCheck.make
-          QCheck.Gen.(
-            pair (net_gen ~max_width:5 ~hidden:3) (int_range 1 20)))
-       (fun (spec, dscale) ->
-         let net = build_net spec in
-         let delta = 0.01 *. float_of_int dscale in
-         let lo = -1.0 and hi = 1.0 in
-         let engine =
-           Cert.Interval_prop.certify net
-             ~input:(Cert.Bounds.box_domain net ~lo ~hi)
-             ~delta
-         in
-         let tape =
-           Nn.Robust.record net
-             ~input:(Nn.Robust.box net ~lo ~hi)
-             ~dist:(Nn.Robust.uniform_dist net delta)
-         in
-         let surrogate = Nn.Robust.eps net tape in
-         Array.for_all2
-           (fun a b ->
-             if Int64.bits_of_float a = Int64.bits_of_float b then true
-             else (
-               Printf.eprintf "surrogate %.17g <> interval %.17g\n%!" a b;
-               false))
-           surrogate engine))
-
-(* --- (f) certifier-in-the-loop training keeps the ordering each epoch --- *)
+(* --- (e) certifier-in-the-loop training keeps the ordering each epoch --- *)
 
 (* Every epoch of the robust training loop must sit inside the chain
    PGD lower bound <= symbolic-back <= interval surrogate: the penalty
@@ -268,7 +231,7 @@ let test_train_robust_chain () =
         ~hi:config.Exp.Train_robust.hi
     in
     let delta = config.Exp.Train_robust.delta in
-    let surrogate = Cert.Diff_bound.eps net ~input ~delta in
+    let surrogate = Cert.Interval_prop.certify net ~input ~delta in
     let sym = Cert.Symbolic_back.certify net ~input ~delta in
     let pgd =
       Attack.Global_under.sweep ~domain:input ~max_samples:10
@@ -299,6 +262,38 @@ let test_train_robust_chain () =
   let records = Exp.Train_robust.run ~on_epoch config net ~train ~test in
   Alcotest.(check int) "epoch records" 4 (List.length records);
   Alcotest.(check int) "hook fired per epoch" 4 !epochs_seen
+
+(* --- (f) robust training's weight trajectory is pinned bitwise --- *)
+
+(* SGD and MSE keep libm's pow/exp out of the weights, so the digest
+   below depends only on IEEE arithmetic: any change to the interval
+   surrogate, its reverse pass or the batch loop shows up here. *)
+
+let test_train_robust_trajectory_pin () =
+  let rng = Random.State.make [| 2718 |] in
+  let xs =
+    Array.init 45 (fun _ ->
+        Array.init 3 (fun _ -> Random.State.float rng 1.0))
+  in
+  let ys =
+    Array.map
+      (fun x -> [| x.(0) -. (0.5 *. x.(1)); Float.max 0.0 (x.(2) -. x.(0)) |])
+      xs
+  in
+  let train = { Data.Dataset.xs; ys } in
+  let test = { Data.Dataset.xs = Array.sub xs 0 9; ys = Array.sub ys 0 9 } in
+  let net = dense_chain ~rng ~dims:[ 3; 6; 5; 2 ] in
+  let config =
+    { Exp.Train_robust.default_config with
+      Exp.Train_robust.loss = Nn.Train.Mse;
+      optimizer = Nn.Train.Sgd { lr = 0.05; momentum = 0.9 };
+      epochs = 4; batch_size = 7; lambda = 2e-2; delta = 0.05; lo = 0.0;
+      hi = 1.0; seed = 13 }
+  in
+  let records = Exp.Train_robust.run config net ~train ~test in
+  Alcotest.(check int) "epoch records" 5 (List.length records);
+  Alcotest.(check string) "final weights digest"
+    "87f20400312b97edcc6ba63981ebeb1a" (Nn.Network.digest net)
 
 (* --- (g) trained weights re-certify bitwise after a file round trip --- *)
 
@@ -345,8 +340,9 @@ let suites =
   [ ( "differential",
       [ attack_below_certified_prop; relaxed_vs_exact_prop;
         reluplex_vs_milp_prop; symbolic_back_gate_prop;
-        surrogate_bitwise_prop;
         Alcotest.test_case "train-robust epoch ordering chain" `Slow
           test_train_robust_chain;
+        Alcotest.test_case "train-robust trajectory pin" `Quick
+          test_train_robust_trajectory_pin;
         Alcotest.test_case "post-train recertify bitwise" `Quick
           test_post_train_recertify_bitwise ] ) ]

@@ -282,13 +282,12 @@ let robust_fd_net net rng =
   let delta = 0.01 +. Random.State.float rng 0.2 in
   let lo = -.Random.State.float rng 0.5 in
   let hi = lo +. 0.2 +. Random.State.float rng 1.0 in
-  let input = Nn.Robust.box net ~lo ~hi in
-  let dist = Nn.Robust.uniform_dist net delta in
+  let input = Cert.Bounds.box_domain net ~lo ~hi in
   let penalty () =
-    Nn.Robust.penalty net (Nn.Robust.record net ~input ~dist)
+    Array.fold_left ( +. ) 0.0 (Cert.Interval_prop.certify net ~input ~delta)
   in
   let grads = Nn.Train.alloc_grads net in
-  let v = Nn.Robust.penalty_grad net ~input ~dist grads in
+  let v = Cert.Interval_prop.penalty_grad net ~input ~delta grads in
   if Float.abs (v -. penalty ()) > 1e-12 *. (1.0 +. Float.abs v) then
     QCheck.Test.fail_reportf "penalty_grad value %.9g <> penalty %.9g" v
       (penalty ());
@@ -302,7 +301,7 @@ let robust_fd_net net rng =
 let robust_fd_prop =
   Test_seed.to_alcotest
     (QCheck.Test.make ~count:40
-       ~name:"Robust.penalty_grad = fd (random nets)"
+       ~name:"Interval_prop.penalty_grad = fd (random nets)"
        (QCheck.make chain_gen) (fun spec ->
          let net, rng = build_chain spec in
          robust_fd_net net rng;
@@ -400,6 +399,21 @@ let test_sgd_momentum () =
   Nn.Train.fit config net ~xs ~ys;
   let after = Nn.Train.mean_loss Nn.Train.Mse net ~xs ~ys in
   Alcotest.(check bool) "linear fit" true (after < 1e-3)
+
+let test_fit_rejects_batch_size () =
+  let net = small_net () in
+  let xs = [| [| 0.1; 0.2; 0.3 |] |] and ys = [| [| 0.0; 1.0 |] |] in
+  List.iter
+    (fun batch_size ->
+      let config =
+        { Nn.Train.loss = Nn.Train.Mse; optimizer = Nn.Train.adam ();
+          epochs = 1; batch_size; seed = 1 }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "batch_size %d" batch_size)
+        (Invalid_argument "Train.fit: batch_size")
+        (fun () -> Nn.Train.fit config net ~xs ~ys))
+    [ 0; -3 ]
 
 let test_softmax_ce_grad () =
   let pred = [| 1.0; 2.0; 0.5 |] in
@@ -647,6 +661,8 @@ let suites =
     ( "nn:train",
       [ Alcotest.test_case "adam converges" `Slow test_training_reduces_loss;
         Alcotest.test_case "sgd momentum" `Quick test_sgd_momentum;
+        Alcotest.test_case "rejects batch_size <= 0" `Quick
+          test_fit_rejects_batch_size;
         Alcotest.test_case "softmax ce gradient" `Quick test_softmax_ce_grad ]
     );
     ( "nn:io",
