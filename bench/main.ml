@@ -848,8 +848,8 @@ let run_lp_bench () =
 
 (* Service benchmark: the same certification answered three ways —
    cold one-shot [Cert.Certifier.certify] in-process, through a warm
-   daemon (compiled cone matrices pooled across requests, result cache
-   bypassed), and as a daemon cache hit.  Emits BENCH_serve.json. *)
+   daemon (result cache bypassed, so a full solve per request), and as
+   a daemon cache hit.  Emits BENCH_serve.json. *)
 let run_serve_bench () =
   header "serve-bench: daemon (warm / cache hit) vs cold one-shot certify";
   let sock = Filename.temp_file "grc-serve-bench" ".sock" in
@@ -884,11 +884,11 @@ let run_serve_bench () =
       eps_oneshot := r.Cert.Certifier.eps;
       oneshot := ms :: !oneshot
     done;
-    (* first daemon request: pool cold, cache miss *)
+    (* first daemon request: cache miss *)
     let first, first_ms =
       time_ms (fun () -> Serve.Client.certify client (query true))
     in
-    (* warm daemon: pooled matrices, cache still bypassed *)
+    (* warm daemon: cache still bypassed *)
     let warm = ref [] and warm_server = ref [] in
     let eps_daemon = ref first.Serve.Wire.r_eps in
     for _ = 1 to reps do
@@ -947,7 +947,7 @@ let run_serve_bench () =
   in
   (* networks where encoding + compiling the cone matrices is a
      visible share of a request; the big MILP-dominated models (dnn5
-     up) only measure B&B noise, which the pool cannot touch.
+     up) only measure B&B noise.
      Evaluation order is the report order (the daemon warms up case by
      case). *)
   let r3 = case "dnn3" dnn3 ~lo:0.0 ~hi:1.0 ~delta:0.001 in

@@ -517,7 +517,7 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "metrics" ]
              ~doc:"Include the process-wide solver metrics registry \
-                   (pivots, warm/cold splits, pool and dedup counters) in \
+                   (pivots, warm/cold splits, dedup counters) in \
                    $(b,stats) responses.")
   in
   let run socket port workers queue_cap cache cache_ns domains verbose

@@ -64,7 +64,7 @@ let m_dedup_hits = Obs.Metrics.counter "certifier.dedup_hits"
 let m_sym_conclusive = Obs.Metrics.counter "symbolic.conclusive"
 let m_sym_seeded = Obs.Metrics.counter "symbolic.seeded"
 
-let certify ?(config = default_config) ?pool ?solve_hook net ~input ~delta =
+let certify ?(config = default_config) ?solve_hook net ~input ~delta =
   Obs.Trace.with_span "certify" @@ fun () ->
   Obs.Metrics.add m_certifies 1;
   let t0 = Unix.gettimeofday () in
@@ -138,7 +138,7 @@ let certify ?(config = default_config) ?pool ?solve_hook net ~input ~delta =
     (* [partial_stats] (not the returned stats) feeds the report: a
        raising solve hook still accounts for the work already done *)
     let outcome =
-      Plan.Executor.run ?hook:solve_hook ?pool ~partial_stats:stats
+      Plan.Executor.run ?hook:solve_hook ~partial_stats:stats
         exec_config plan
     in
     (match dual_sens with
@@ -229,6 +229,6 @@ let certify ?(config = default_config) ?pool ?solve_hook net ~input ~delta =
     symbolic_stable_relus = !stable_relus;
     runtime = Unix.gettimeofday () -. t0 }
 
-let certify_box ?config ?pool ?solve_hook net ~lo ~hi ~delta =
-  certify ?config ?pool ?solve_hook net
+let certify_box ?config ?solve_hook net ~lo ~hi ~delta =
+  certify ?config ?solve_hook net
     ~input:(Bounds.box_domain net ~lo ~hi) ~delta

@@ -111,19 +111,17 @@ type report = {
 
 val certify :
   ?config:config ->
-  ?pool:Plan.Executor.pool ->
   ?solve_hook:(Plan.Executor.solve -> Plan.Executor.solve) ->
   Nn.Network.t -> input:Interval.t array -> delta:float ->
   report
-(** [pool] keeps compiled cone matrices and warm solver sessions alive
-    across calls (one pool per worker — see {!Plan.Executor}); answers
-    are identical with or without.  [solve_hook] wraps every LP/MILP
-    bound query — the certification daemon uses it to abandon a request
-    mid-solve when its deadline expires or it is cancelled. *)
+(** Each call encodes, compiles and solves from scratch: nothing is
+    kept between calls, so repeated calls answer bitwise-identically.
+    [solve_hook] wraps every LP/MILP bound query — the certification
+    daemon uses it to abandon a request mid-solve when its deadline
+    expires or it is cancelled. *)
 
 val certify_box :
   ?config:config ->
-  ?pool:Plan.Executor.pool ->
   ?solve_hook:(Plan.Executor.solve -> Plan.Executor.solve) ->
   Nn.Network.t -> lo:float -> hi:float -> delta:float ->
   report

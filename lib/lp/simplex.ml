@@ -858,11 +858,27 @@ type session_stats = {
   mutable dense_fallbacks : int;
 }
 
+(* A basis snapshot: everything but the bounds and the factorisation.
+   [b_cols] keeps the artificial columns of the state's phase 1 (pinned
+   at zero since), so a snapshot can name one of them as basic. *)
+type saved = {
+  b_kind : basis_kind;
+  b_cols : (int array * float array) array;
+  b_basis : int array;
+  b_stat : vstat array;
+  b_last_c : float array option;
+  b_dual_ok : bool;
+}
+
+type basis = saved option
+
 type session = {
   scp : compiled;
   s_lo : float array;               (* current structural bounds *)
   s_hi : float array;
   mutable sstate : state option;    (* factorised basis, or None *)
+  mutable pending : saved option;
+      (* a restored basis, installed over the bounds of the next solve *)
   mutable last_c : float array option;
       (* structural phase-2 cost of the last solve that ended [Optimal]
          (or proved infeasibility by dual pivots); the basis' reduced
@@ -870,6 +886,7 @@ type session = {
   mutable dual_ok : bool;
   mutable inverted : int;           (* #vars with lo > hi *)
   mutable solves_since_refactor : int;
+  mutable restored : bool;          (* this solve started from a snapshot *)
   stats : session_stats;
 }
 
@@ -881,8 +898,9 @@ let create_session ?lo ?hi cp =
     invalid_arg "Simplex.create_session: bounds length mismatch";
   let inverted = ref 0 in
   Array.iteri (fun j l -> if l > s_hi.(j) then incr inverted) s_lo;
-  { scp = cp; s_lo; s_hi; sstate = None; last_c = None; dual_ok = false;
-    inverted = !inverted; solves_since_refactor = 0;
+  { scp = cp; s_lo; s_hi; sstate = None; pending = None; last_c = None;
+    dual_ok = false;
+    inverted = !inverted; solves_since_refactor = 0; restored = false;
     stats = { solves = 0; cold_solves = 0; warm_solves = 0;
               dual_restarts = 0; fallbacks = 0; total_pivots = 0;
               audit_mismatches = 0; refactors = 0; eta_updates = 0;
@@ -891,6 +909,20 @@ let create_session ?lo ?hi cp =
 let session_stats sn = sn.stats
 
 let session_bounds sn = (Array.copy sn.s_lo, Array.copy sn.s_hi)
+
+(* Where a nonbasic variable sits under bounds [lo]/[hi]: on the bound
+   its status names when that bound is finite, otherwise on the finite
+   one (the one closer to zero when both are), else free at zero. *)
+let place stat ~lo ~hi =
+  if lo > neg_infinity && hi < infinity then
+    match stat with
+    | At_upper -> (At_upper, hi)
+    | At_lower -> (At_lower, lo)
+    | Free_zero | Basic ->
+        if Float.abs hi < Float.abs lo then (At_upper, hi) else (At_lower, lo)
+  else if lo > neg_infinity then (At_lower, lo)
+  else if hi < infinity then (At_upper, hi)
+  else (Free_zero, 0.0)
 
 let set_var_bounds sn j ~lo ~hi =
   if j < 0 || j >= sn.scp.n then
@@ -914,18 +946,7 @@ let set_var_bounds sn j ~lo ~hi =
          | At_lower | At_upper | Free_zero ->
              (* nonbasic variables ride along with their bound *)
              let old_v = st.value.(j) in
-             let stat', v' =
-               if lo > neg_infinity && hi < infinity then
-                 (match st.stat.(j) with
-                  | At_upper -> (At_upper, hi)
-                  | At_lower -> (At_lower, lo)
-                  | _ ->
-                      if Float.abs hi < Float.abs lo then (At_upper, hi)
-                      else (At_lower, lo))
-               else if lo > neg_infinity then (At_lower, lo)
-               else if hi < infinity then (At_upper, hi)
-               else (Free_zero, 0.0)
-             in
+             let stat', v' = place st.stat.(j) ~lo ~hi in
              st.stat.(j) <- stat';
              st.value.(j) <- v';
              let dv = v' -. old_v in
@@ -946,6 +967,65 @@ let set_bounds sn ~lo ~hi =
       set_var_bounds sn j ~lo:lo.(j) ~hi:hi.(j)
   done
 
+let snapshot sn =
+  match (sn.pending, sn.sstate) with
+  | (Some _ as b), _ -> b
+  | None, None -> None
+  | None, Some st ->
+      Some
+        { b_kind = st.kind; b_cols = st.all_cols;
+          b_basis = Array.copy st.basis; b_stat = Array.copy st.stat;
+          b_last_c = sn.last_c; b_dual_ok = sn.dual_ok }
+
+(* The retained state is dropped at once, so bound changes before the
+   next solve cost nothing; that solve rebuilds the state from the
+   snapshot and its own bounds alone. *)
+let restore sn b =
+  sn.sstate <- None;
+  sn.dual_ok <- false;
+  sn.last_c <- None;
+  sn.pending <- b
+
+(* Rebuild a solver state from snapshot [b] under the session's current
+   bounds: nonbasic values from the status flags, a fresh factorisation
+   and basic values recomputed from scratch — no eta file or
+   incrementally updated value survives from any earlier solve.  A
+   singular basis leaves no state (the solve then runs cold). *)
+let install sn b =
+  let cp = sn.scp in
+  let n = cp.n and m = cp.m in
+  let nt = Array.length b.b_cols in
+  let lo = Array.make nt 0.0 and hi = Array.make nt 0.0 in
+  Array.blit sn.s_lo 0 lo 0 n;
+  Array.blit sn.s_hi 0 hi 0 n;
+  Array.blit cp.slack_lo 0 lo n m;
+  Array.blit cp.slack_hi 0 hi n m;
+  let stat = Array.copy b.b_stat and value = Array.make nt 0.0 in
+  for j = 0 to nt - 1 do
+    if stat.(j) <> Basic then begin
+      let s, v = place stat.(j) ~lo:lo.(j) ~hi:hi.(j) in
+      stat.(j) <- s;
+      value.(j) <- v
+    end
+  done;
+  let basis = Array.copy b.b_basis in
+  let pos = Array.make nt (-1) in
+  Array.iteri (fun i j -> pos.(j) <- i) basis;
+  let st =
+    { cp; kind = b.b_kind; nt; all_cols = b.b_cols; lo; hi; stat; value;
+      basis; pos; brep = Bdense [||];
+      xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
+      cb = Array.make m 0.0; rho = Array.make m 0.0;
+      pivots = 0; refactors = 0; eta_updates = 0; dense_fallbacks = 0 }
+  in
+  sn.solves_since_refactor <- 0;
+  sn.restored <- true;
+  if refactor ~initial:true st then begin
+    sn.sstate <- Some st;
+    sn.dual_ok <- b.b_dual_ok;
+    sn.last_c <- b.b_last_c
+  end
+
 let array_eq a b =
   Array.length a = Array.length b
   &&
@@ -965,6 +1045,12 @@ let solve_session_inner ?max_iter ?objective sn =
     { status = Infeasible; obj = nan; x = Array.make n nan; pivots = 0;
       duals = [||] }
   else begin
+    sn.restored <- false;
+    (match sn.pending with
+     | Some b ->
+         sn.pending <- None;
+         install sn b
+     | None -> ());
     (* In audit mode, every result served from a retained basis is
        cross-checked against a cold solve of the same query; on
        disagreement the retained basis is dropped and the cold result
@@ -1050,8 +1136,16 @@ let solve_session_inner ?max_iter ?objective sn =
               sn.solves_since_refactor <- sn.solves_since_refactor + 1;
               (* Dense path: fixed per-solve cadence.  Sparse path: the
                  adaptive staleness triggers, plus a generous safety cap
-                 bounding drift of the incrementally maintained xb. *)
+                 bounding drift of the incrementally maintained xb.  A
+                 restored solve always ends on a fresh factorisation,
+                 as a cold solve does, so its value is read from the
+                 final basis alone, not from the pivots that led there
+                 (an incremental xb can leave 1e-19 where a cold solve
+                 reads an exact 0, and a sign decided there moves the
+                 certifier's later encodings). *)
               let due =
+                sn.restored
+                ||
                 match st.brep with
                 | Bdense _ ->
                     sn.solves_since_refactor >= session_refactor_solves

@@ -174,6 +174,30 @@ val solve_session :
     {!solve_compiled} on the same bounds and objective (up to solver
     tolerances). *)
 
+(** {2 Basis snapshots}
+
+    A snapshot fixes a warm start independently of the solve history:
+    a session restored to it solves exactly as every other session
+    restored to it under the same bounds and objective, whatever either
+    solved in between. *)
+
+type basis
+(** The basic set and the nonbasic at-lower/at-upper flags of a
+    session's retained basis (empty when it retains none). *)
+
+val snapshot : session -> basis
+(** The session's current basis; later solves do not change it. *)
+
+val restore : session -> basis -> unit
+(** Make [basis] the warm start of the session's next solve, which
+    rebuilds it under the bounds current at that solve: nonbasic values
+    follow the flags, the LU is factorised afresh (no eta file is
+    shared) and basic values are recomputed, then the usual dual
+    restart and phase 2 run.  The session's bounds are left alone.  A
+    singular basis, an empty snapshot or a numerically suspect restart
+    falls back to a cold solve.  [basis] must come from a session over
+    the same [compiled]. *)
+
 type session_stats = {
   mutable solves : int;          (** total [solve_session] calls *)
   mutable cold_solves : int;     (** full two-phase solves *)

@@ -31,6 +31,15 @@ let m_solves = Obs.Metrics.counter "milp.solves"
 let m_nodes = Obs.Metrics.counter "milp.nodes"
 let m_incumbents = Obs.Metrics.counter "milp.incumbents"
 
+(* LP solves by purpose: branch & bound nodes, rounding dives, canonical
+   values of new assignments, plateau-polish neighbours, and the
+   assignments of an enumerated integer box *)
+let m_node = Obs.Metrics.counter "milp.solves.node"
+let m_rounding = Obs.Metrics.counter "milp.solves.rounding"
+let m_canonical = Obs.Metrics.counter "milp.solves.canonical"
+let m_polish = Obs.Metrics.counter "milp.solves.polish"
+let m_enumerate = Obs.Metrics.counter "milp.solves.enumerate"
+
 (* Exploration slack: a node is pruned only when its relaxation bound
    exceeds the incumbent by more than this.  Warm node bounds agree
    with exact values only up to solver noise, so pruning exactly at the
@@ -40,6 +49,8 @@ let m_incumbents = Obs.Metrics.counter "milp.incumbents"
    is considered under every strategy and the reported optimum is a
    function of the problem alone. *)
 let tie_slack = 1e-9
+
+let enumerate_max = 4.0
 
 (* Audit-mode incumbent check: the claimed MILP solution must satisfy
    the original model's rows and bounds, be integral on the marked
@@ -133,16 +144,21 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
     Search.note_incumbent sstats;
     Obs.Metrics.add m_incumbents 1
   in
-  let resolve_pivots = ref 0 in
-  (* Canonical incumbent acceptance: re-solve the candidate's integer
-     assignment cold over the root bounds and compare the cold value
-     strictly.  A warm incumbent value depends on the node order (each
-     warm restart agrees with a cold solve only up to solver
-     tolerances), so without this two branching strategies could
-     certify last-bit-different bounds; the cold value is a function of
-     the assignment alone, and exact value ties between distinct
-     assignments report the same objective whichever is kept. *)
-  let consider_assignment_uncached ~warm_key (x : float array) =
+  (* Canonical values.  A warm incumbent value depends on the node
+     order (each warm restart agrees with another only up to solver
+     tolerances), so without canonicalisation two branching strategies
+     could certify last-bit-different bounds.  Every assignment is
+     therefore valued in a dedicated session restored to the root
+     node's optimal basis — the session's first solve under every
+     strategy — with the assignment pinned and a dual restart: the value
+     is a function of the model, the root bounds and the assignment
+     alone, and exact ties between distinct assignments report the same
+     objective whichever is kept.  Until the root has solved, the
+     snapshot is empty and restores to a cold solve. *)
+  let root_basis = ref (Lp.Simplex.snapshot session) in
+  let canon = lazy (Lp.Simplex.create_session ~lo:root_lo ~hi:root_hi cp) in
+  let pinned_solve counter (x : float array) =
+    let sn = Lazy.force canon in
     let lo = Array.copy root_lo and hi = Array.copy root_hi in
     Array.iter
       (fun j ->
@@ -150,8 +166,13 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
         lo.(j) <- v;
         hi.(j) <- v)
       ints;
-    let sol = Lp.Simplex.solve_compiled ?objective cp ~lo ~hi in
-    resolve_pivots := !resolve_pivots + sol.Lp.Simplex.pivots;
+    Lp.Simplex.restore sn !root_basis;
+    Lp.Simplex.set_bounds sn ~lo ~hi;
+    Obs.Metrics.add counter 1;
+    Lp.Simplex.solve_session ?objective sn
+  in
+  let consider_assignment_uncached counter ~warm_key (x : float array) =
+    let sol = pinned_solve counter x in
     match sol.Lp.Simplex.status with
     | Lp.Simplex.Optimal ->
         let key = to_key sol.Lp.Simplex.obj in
@@ -159,9 +180,9 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
         Some key
     | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded
     | Lp.Simplex.Iteration_limit ->
-        (* the assignment was feasible at its node, so a failed cold
-           re-solve is a solver artefact: keep the warm value rather
-           than dropping a real incumbent *)
+        (* the assignment was feasible at its node, so a failed pinned
+           solve is a solver artefact: keep the warm value rather than
+           dropping a real incumbent *)
         if warm_key < !best_key then accept_incumbent warm_key x;
         None
   in
@@ -172,18 +193,18 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
       ints;
     Buffer.contents b
   in
-  (* Each distinct assignment is cold re-solved at most once: the tree
-     can surface the same assignment at many nodes (rounding hits,
-     integral relaxations along a path), and the canonical value is a
-     function of the assignment alone.  The memo stores that canonical
-     key ([None] when the cold solve failed). *)
+  (* Each distinct assignment is valued at most once: the tree can
+     surface the same assignment at many nodes (rounding hits, integral
+     relaxations along a path), and the canonical value is a function of
+     the assignment alone.  The memo stores that canonical key ([None]
+     when the pinned solve failed). *)
   let considered : (string, float option) Hashtbl.t = Hashtbl.create 64 in
-  let consider_assignment ~warm_key (x : float array) =
+  let consider_assignment ?(counter = m_canonical) ~warm_key x =
     let key_str = assign_key x in
     match Hashtbl.find_opt considered key_str with
     | Some cached -> cached
     | None ->
-        let res = consider_assignment_uncached ~warm_key x in
+        let res = consider_assignment_uncached counter ~warm_key x in
         Hashtbl.replace considered key_str res;
         res
   in
@@ -205,6 +226,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
           let v = Float.max cur_lo.(j) (Float.min cur_hi.(j) v) in
           Lp.Simplex.set_var_bounds session j ~lo:v ~hi:v)
         ints;
+      Obs.Metrics.add m_rounding 1;
       let sol = Lp.Simplex.solve_session ?objective session in
       (* restore the node's own bounds before any further solve *)
       Array.iter
@@ -214,8 +236,8 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
       match sol.Lp.Simplex.status with
       | Lp.Simplex.Optimal ->
           (* the warm value only filters; acceptance re-derives the
-             value from a canonical cold solve (slack covers warm/cold
-             disagreement at the last bits) *)
+             value canonically (slack covers warm/canonical disagreement
+             at the last bits) *)
           let key = to_key sol.Lp.Simplex.obj in
           if key < !best_key +. tie_slack then
             ignore
@@ -263,8 +285,47 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
           ints;
         if !guided_j >= 0 then !guided_j else !best_j
   in
+  (* Small integer boxes skip branch & bound: with at most
+     [enumerate_max] assignments — the certifier's exact output relation
+     is a 2-binary MILP — every one is valued from the root basis and
+     the best is the optimum under every strategy.  A failed pinned
+     solve leaves the root relaxation as the proven bound. *)
+  let enumerable =
+    Array.length ints > 0
+    && Array.fold_left
+         (fun acc j -> acc *. Float.max 0.0 (root_hi.(j) -. root_lo.(j) +. 1.0))
+         1.0 ints
+       <= enumerate_max
+  in
+  let failed_bound = ref infinity in
+  let enumerate root_key =
+    let x = Array.make n 0.0 in
+    let rec go k =
+      if k = Array.length ints then begin
+        let sol = pinned_solve m_enumerate x in
+        match sol.Lp.Simplex.status with
+        | Lp.Simplex.Optimal ->
+            let key = to_key sol.Lp.Simplex.obj in
+            if key < !best_key then accept_incumbent key sol.Lp.Simplex.x
+        | Lp.Simplex.Infeasible -> ()
+        | Lp.Simplex.Unbounded | Lp.Simplex.Iteration_limit ->
+            lp_failed := true;
+            failed_bound := root_key
+      end
+      else begin
+        let j = ints.(k) in
+        x.(j) <- root_lo.(j);
+        while x.(j) <= root_hi.(j) do
+          go (k + 1);
+          x.(j) <- x.(j) +. 1.0
+        done
+      end
+    in
+    go 0
+  in
   let visit node =
     Search.Cursor.goto cursor node;
+    Obs.Metrics.add m_node 1;
     let sol = Lp.Simplex.solve_session ?objective session in
     match sol.Lp.Simplex.status with
     | Lp.Simplex.Infeasible -> Search.Expand []
@@ -274,15 +335,32 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
     | Lp.Simplex.Iteration_limit ->
         lp_failed := true;
         Search.Halt
+    | Lp.Simplex.Optimal when node == root && enumerable ->
+        root_basis := Lp.Simplex.snapshot session;
+        enumerate (to_key sol.Lp.Simplex.obj);
+        Search.Expand []
     | Lp.Simplex.Optimal ->
+        if node == root then root_basis := Lp.Simplex.snapshot session;
         if sstats.Search.nodes mod heuristic_period = 1 then
           try_rounding sol.Lp.Simplex.x;
         let key = to_key sol.Lp.Simplex.obj in
         if key >= !best_key +. tie_slack -. options.gap_abs then
           Search.Expand []
         else begin
-          let expand_branch (bsol : Lp.Simplex.solution) j =
-            let v = bsol.Lp.Simplex.x.(j) in
+          let j = pick_int_var sol in
+          if j < 0 then begin
+            (* integral: candidate incumbent.  Pure LPs skip the
+               canonical value — there is no assignment to pin, the
+               root solve is the answer for every strategy. *)
+            if Array.length ints = 0 then accept_incumbent key sol.Lp.Simplex.x
+            else
+              ignore
+                (consider_assignment ~warm_key:key sol.Lp.Simplex.x
+                 : float option);
+            Search.Expand []
+          end
+          else begin
+            let v = sol.Lp.Simplex.x.(j) in
             let lo = cur_lo.(j) and hi = cur_hi.(j) in
             let down_hi = Float.floor v and up_lo = Float.ceil v in
             let children = ref [] in
@@ -296,56 +374,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
                   ~key
                 :: !children;
             Search.Expand !children
-          in
-          let j = pick_int_var sol in
-          if j < 0 then begin
-            (* integral: candidate incumbent.  Pure LPs skip the
-               canonical re-solve — there is no assignment to pin, the
-               root solve is the answer for every strategy. *)
-            if Array.length ints = 0 then begin
-              accept_incumbent key sol.Lp.Simplex.x;
-              Search.Expand []
-            end
-            else begin
-              ignore
-                (consider_assignment ~warm_key:key sol.Lp.Simplex.x
-                 : float option);
-              (* An integral warm relaxation proves the node optimal
-                 only up to warm-restart noise: the session's recycled
-                 basis can stop a few last bits short of the true
-                 optimum, silently hiding a near-tied sibling
-                 assignment — and which sibling depends on the
-                 branching order.  Verify the closure with one
-                 deterministic cold solve of this node's box: if it is
-                 integral too, both assignments are considered and the
-                 node closes on cold evidence; if it is fractional, the
-                 node's true optimum was not at the warm vertex, so
-                 keep branching from the cold solution. *)
-              let cold =
-                Lp.Simplex.solve_compiled ?objective cp
-                  ~lo:(Array.copy cur_lo) ~hi:(Array.copy cur_hi)
-              in
-              resolve_pivots := !resolve_pivots + cold.Lp.Simplex.pivots;
-              match cold.Lp.Simplex.status with
-              | Lp.Simplex.Optimal ->
-                  let jc = pick_int_var cold in
-                  if jc < 0 then begin
-                    ignore
-                      (consider_assignment
-                         ~warm_key:(to_key cold.Lp.Simplex.obj)
-                         cold.Lp.Simplex.x
-                       : float option);
-                    Search.Expand []
-                  end
-                  else expand_branch cold jc
-              | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded
-              | Lp.Simplex.Iteration_limit ->
-                  (* a solver artefact: the warm solve already proved
-                     the node integral-optimal, keep its closure *)
-                  Search.Expand []
-            end
           end
-          else expand_branch sol j
         end
   in
   let deadline =
@@ -365,7 +394,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
   (* Plateau polish: breadth-first sweep over the connected component
      of near-tied assignments reachable from the incumbent by single
      integer +-1 flips.  The search's enumeration is complete only up
-     to solver noise — a box whose (warm or cold) relaxation stops a
+     to solver noise — a box whose warm relaxation stops a
      few last bits short of its true optimum closes while still hiding
      a near-tied assignment, and *which* assignment is hidden depends
      on the branching order.  Strict hill-climbing is not enough: the
@@ -373,14 +402,18 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
      several flips away, so equal-value (within [tie_slack]) moves are
      taken too, with a dedup'd frontier to terminate.  Every strategy
      reaching any point of the plateau then explores all of it and
-     reports the same objective.  Capped: on models with very many
-     integers (which in this codebase also run under hard node
-     budgets, so the result is a [Limit] bound anyway) the sweep would
-     cost more cold solves than the search itself. *)
+     reports the same objective.  Neighbours are valued like any
+     assignment, from the root basis.  An enumerated box has no
+     unvisited neighbour.  Capped: on models with very many integers
+     (which in this codebase also run under hard node budgets, so the
+     result is a [Limit] bound anyway) the sweep would cost more solves
+     than the search itself, and it stops at the [time_limit] deadline
+     like the search. *)
   let polish_max_ints = 64 in
   let polish_max_visits = 2048 in
   if
     !have_incumbent
+    && (not enumerable)
     && Array.length ints > 0
     && Array.length ints <= polish_max_ints
   then begin
@@ -395,7 +428,11 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
     in
     push (Array.copy !best_x);
     let visits = ref 0 in
-    while (not (Queue.is_empty queue)) && !visits < polish_max_visits do
+    while
+      (not (Queue.is_empty queue))
+      && !visits < polish_max_visits
+      && (deadline = infinity || Unix.gettimeofday () < deadline)
+    do
       let x = Queue.pop queue in
       incr visits;
       Array.iter
@@ -406,7 +443,9 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
               if v >= root_lo.(j) && v <= root_hi.(j) then begin
                 let x' = Array.copy x in
                 x'.(j) <- v;
-                match consider_assignment ~warm_key:infinity x' with
+                match
+                  consider_assignment ~counter:m_polish ~warm_key:infinity x'
+                with
                 | Some key when key < !best_key +. tie_slack -> push x'
                 | Some _ | None -> ()
               end)
@@ -420,11 +459,13 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
     Search.Frontier.is_empty frontier
     || heap_key >= !best_key +. tie_slack -. options.gap_abs
   in
-  let proven_key = Float.min !best_key heap_key in
+  let proven_key = Float.min (Float.min !best_key heap_key) !failed_bound in
   let incumbent_obj = if !have_incumbent then of_key !best_key else nan in
   let pivots =
     (Lp.Simplex.session_stats session).Lp.Simplex.total_pivots
-    + !resolve_pivots
+    + (if Lazy.is_val canon then
+         (Lp.Simplex.session_stats (Lazy.force canon)).Lp.Simplex.total_pivots
+       else 0)
   in
   let result =
     if !unbounded then

@@ -7,6 +7,15 @@
     {!Search.Strategy}: the default picks the most fractional integer;
     [Dual_guided] weights candidates by their |dual| column sensitivity.
 
+    The optimum does not depend on the strategy: every integer
+    assignment the search meets is valued by a dual restart from the
+    root node's optimal basis ({!Lp.Simplex.restore}) with the
+    assignment pinned, and a plateau polish sweeps the near-tied
+    neighbours of the incumbent.  An integer box of at most four
+    assignments is enumerated that way instead of searched.  LP solves
+    are counted by purpose in the [milp.solves.node], [.rounding],
+    [.canonical], [.polish] and [.enumerate] metrics.
+
     Certification note: for a maximisation query, [bound] is always a
     sound upper bound on the true optimum, even when the search stops
     early on a node or time limit. *)

@@ -85,85 +85,8 @@ type config = {
   milp_options : Milp.options;
 }
 
-(* --- cross-run pool ---
-
-   A pool keeps compiled LP matrices alive across [run] calls, keyed
-   by the planner's cone signature.  Equal signatures guarantee
-   bit-identical models up to input variable bounds (see
-   [Cert.Planner.signature]); a pooled matrix is therefore solved
-   under the *current* task model's bounds, exactly the dedup-replay
-   mechanism, so answers are unchanged.  A [same_structure] check (all
-   bounds excepted) guards against cross-run signature collisions.
-
-   Simplex *sessions* are deliberately not retained between runs:
-   [solve_session] after a bound-change restart agrees with a cold
-   solve only up to solver tolerances, and a certifier answer computed
-   from a recycled basis can differ in its last bits from the one-shot
-   answer — which then snowballs (layer-k bounds feed layer-k+1
-   signatures and results).  Sessions are created fresh per run and
-   warm-started only *within* it, the exact solve sequence of an
-   unpooled run, so pooled answers stay bitwise-reproducible. *)
-
-type pool_entry = {
-  pe_model : Model.t;
-  pe_compiled : Lp.Simplex.compiled;
-}
-
-type pool = {
-  mutable pool_compiles : int;
-  mutable pool_hits : int;
-  pool_entries : (string, pool_entry) Hashtbl.t;
-}
-
-let create_pool () =
-  { pool_compiles = 0; pool_hits = 0; pool_entries = Hashtbl.create 64 }
-
 let m_runs = Obs.Metrics.counter "executor.runs"
 let m_units = Obs.Metrics.counter "executor.units"
-let m_pool_hits = Obs.Metrics.counter "executor.pool_hits"
-let m_pool_compiles = Obs.Metrics.counter "executor.pool_compiles"
-
-let pool_counters p = (p.pool_compiles, p.pool_hits)
-
-(* Keep runaway workloads bounded: a pool past this many distinct
-   cones is cleared rather than grown. *)
-let pool_cap = 512
-
-(* Structural bounds of [model], as fresh arrays. *)
-let model_bounds (model : Model.t) =
-  let n = Model.n_vars model in
-  (Array.init n (Model.var_lo model), Array.init n (Model.var_hi model))
-
-let all_vars model = List.init (Model.n_vars model) Fun.id
-
-(* Where a task's compiled matrix comes from. *)
-type task_source =
-  | Milp_task                          (* integer marks: no LP compile *)
-  | Fresh of Lp.Simplex.compiled       (* compiled from this very model *)
-  | Pooled of pool_entry               (* shared matrix from a prior run *)
-
-let compile_task pool (t : Spec.task) =
-  if t.Spec.integer then Milp_task
-  else
-    match pool with
-    | Some p when t.Spec.signature <> "" -> (
-        match Hashtbl.find_opt p.pool_entries t.Spec.signature with
-        | Some e
-          when Lp.Model.same_structure ~except:(all_vars t.Spec.model)
-                 e.pe_model t.Spec.model ->
-            p.pool_hits <- p.pool_hits + 1;
-            Obs.Metrics.add m_pool_hits 1;
-            Pooled e
-        | _ ->
-            if Hashtbl.length p.pool_entries >= pool_cap then
-              Hashtbl.reset p.pool_entries;
-            let cp = Lp.Simplex.compile t.Spec.model in
-            let e = { pe_model = t.Spec.model; pe_compiled = cp } in
-            p.pool_compiles <- p.pool_compiles + 1;
-            Obs.Metrics.add m_pool_compiles 1;
-            Hashtbl.replace p.pool_entries t.Spec.signature e;
-            Pooled e)
-    | _ -> Fresh (Lp.Simplex.compile t.Spec.model)
 
 type request = {
   query : Query.t;
@@ -194,7 +117,7 @@ let override_bounds (model : Model.t) overrides =
     overrides;
   (lo, hi)
 
-let run ?hook ?pool ?partial_stats config (plan : Spec.t) =
+let run ?hook ?partial_stats config (plan : Spec.t) =
   Obs.Trace.with_span "executor.run" @@ fun () ->
   Obs.Metrics.add m_runs 1;
   Obs.Metrics.add m_units (Array.length plan.Spec.units);
@@ -203,10 +126,15 @@ let run ?hook ?pool ?partial_stats config (plan : Spec.t) =
     Array.map (fun a -> (a, Spec.eval_affine a)) plan.Spec.affine
   in
   (* compile LP task matrices once, up front and sequentially: every
-     unit that shares a task shares the read-only compiled form, and a
-     [pool] carries the compiled matrices of signed cones (plus their
-     warm sessions, when running sequentially) across runs *)
-  let sources = Array.map (compile_task pool) plan.Spec.tasks in
+     unit that shares a task shares the read-only compiled form; MILP
+     tasks ([None]) compile per solve inside [Milp.solve] *)
+  let compiled =
+    Array.map
+      (fun (t : Spec.task) ->
+        if t.Spec.integer then None
+        else Some (Lp.Simplex.compile t.Spec.model))
+      plan.Spec.tasks
+  in
   (* column slices of the dual-sensitivity probe variables, extracted
      once per probed task (eagerly: workers share them read-only) *)
   let probe_cols =
@@ -229,21 +157,12 @@ let run ?hook ?pool ?partial_stats config (plan : Spec.t) =
       | Some e -> e
       | None ->
           let e =
-            match sources.(u.Spec.task_id) with
-            | Fresh cp ->
+            match compiled.(u.Spec.task_id) with
+            | Some cp ->
                 Engine.of_session stats ~name:task.Spec.label
                   ~model:task.Spec.model
                   (Lp.Simplex.create_session cp)
-            | Pooled pe ->
-                (* bounds come from the *current* model: the pooled
-                   matrix is bit-identical up to (overridden) variable
-                   bounds, so this answers exactly like a fresh
-                   encoding of this task *)
-                let lo, hi = model_bounds task.Spec.model in
-                Engine.of_session stats ~name:task.Spec.label
-                  ~model:task.Spec.model
-                  (Lp.Simplex.create_session ~lo ~hi pe.pe_compiled)
-            | Milp_task ->
+            | None ->
                 Engine.of_milp stats ~options:config.milp_options
                   task.Spec.model
           in
@@ -254,22 +173,13 @@ let run ?hook ?pool ?partial_stats config (plan : Spec.t) =
       (* a deduplicated replay: fresh engine over the shared matrix with
          the instance's input bounds, never a warm-started carry-over —
          results must be bitwise-identical to a fresh encoding *)
-      let replay cp =
-        let lo, hi = model_bounds task.Spec.model in
-        List.iter
-          (fun (v, (r : Spec.range)) ->
-            lo.(v) <- r.Spec.lo;
-            hi.(v) <- r.Spec.hi)
-          u.Spec.overrides;
-        Engine.of_session stats ~name:task.Spec.label ~model:task.Spec.model
-          (Lp.Simplex.create_session ~lo ~hi cp)
-      in
-      match sources.(u.Spec.task_id) with
-      | Fresh cp -> replay cp
-      | Pooled pe -> replay pe.pe_compiled
-      | Milp_task ->
-          let bounds = override_bounds task.Spec.model u.Spec.overrides in
-          Engine.of_milp stats ~options:config.milp_options ~bounds
+      let lo, hi = override_bounds task.Spec.model u.Spec.overrides in
+      match compiled.(u.Spec.task_id) with
+      | Some cp ->
+          Engine.of_session stats ~name:task.Spec.label ~model:task.Spec.model
+            (Lp.Simplex.create_session ~lo ~hi cp)
+      | None ->
+          Engine.of_milp stats ~options:config.milp_options ~bounds:(lo, hi)
             task.Spec.model
     end
   in

@@ -30,35 +30,6 @@ type config = {
   milp_options : Milp.options;
 }
 
-(** {1 Cross-run pools}
-
-    A pool keeps the compiled constraint matrices of {e signed} LP
-    tasks (cones with a non-empty {!Spec.task.signature}) alive across
-    [run] calls.  Because equal signatures guarantee models that are
-    bit-identical up to input variable bounds, a pooled matrix is
-    re-solved under the current task's own bounds — the same mechanism
-    as an in-plan dedup replay — so answers are unchanged.
-
-    Solver {e sessions} are never retained between runs: a warm solve
-    after a bound-change restart matches a cold solve only up to
-    solver tolerances, so recycling a basis across runs would make
-    answers depend on request history.  Each run creates its sessions
-    fresh and warm-starts only within the run — exactly the solve
-    sequence of an unpooled run, so pooled answers are
-    bitwise-reproducible. *)
-
-(** A pool is single-owner mutable state: use one per worker (the
-    certification daemon keeps one per worker domain), never share one
-    between concurrent [run] calls. *)
-
-type pool
-
-val create_pool : unit -> pool
-
-val pool_counters : pool -> int * int
-(** [(compiles, hits)]: matrices compiled into the pool, and tasks
-    served from a pooled matrix instead of a fresh compile. *)
-
 type request = {
   query : Query.t;
   label : string;                        (** owning task's label *)
@@ -85,22 +56,22 @@ type outcome = {
 
 val run :
   ?hook:(solve -> solve) ->
-  ?pool:pool ->
   ?partial_stats:Engine.stats ->
   config -> Spec.t -> outcome
 (** Execute a plan.  [hook] wraps the base per-query solve (for
     instrumentation, query interception in tests and experiments, or
     cooperative cancellation — the certification daemon's deadline
     checks raise from here); it runs inside worker domains, so it must
-    be thread-safe.  [pool] carries compiled matrices across runs (see
-    {!type:pool}).  [partial_stats], when given, accumulates every
+    be thread-safe.  [partial_stats], when given, accumulates every
     worker's counters even when the run raises (a cancellation hook,
     say): on success it ends up equal to the outcome's [stats] merged
     on top of its initial value, and on failure it holds whatever the
     workers completed before the exception.
 
     Execution contract, relied on for reproducibility:
-    - LP task matrices are compiled once and shared read-only;
+    - LP task matrices are compiled once per run and shared read-only;
+      nothing — matrix, basis or session — outlives the run, so a run's
+      answers do not depend on what ran before it;
     - a unit with empty [overrides] uses one persistent warm-started
       engine per worker per task (created on first use);
     - a unit with [overrides] gets a fresh cold-start engine over the

@@ -101,8 +101,6 @@ type state = {
   lp_warm : int Atomic.t;
   lp_pivots : int Atomic.t;
   milp_solves : int Atomic.t;
-  pool_compiles : int Atomic.t;
-  pool_hits : int Atomic.t;
   hist_all : Hist.t;       (* enqueue -> response, every certify *)
   hist_hit : Hist.t;       (* cache hits only *)
   hist_solve : Hist.t;     (* actual certifier solve time *)
@@ -130,8 +128,6 @@ let make_state cfg =
     lp_warm = Atomic.make 0;
     lp_pivots = Atomic.make 0;
     milp_solves = Atomic.make 0;
-    pool_compiles = Atomic.make 0;
-    pool_hits = Atomic.make 0;
     hist_all = Hist.create ();
     hist_hit = Hist.create ();
     hist_solve = Hist.create ();
@@ -242,7 +238,7 @@ let respond_job state job resp =
   clear_cancelled state job.j_conn job.j_id;
   job_done job.j_conn
 
-let handle_job state pool job =
+let handle_job state job =
   Obs.Trace.with_span "serve.request" @@ fun () ->
   let q = job.j_query in
   let deadline =
@@ -286,7 +282,7 @@ let handle_job state pool job =
             let t0 = Unix.gettimeofday () in
             let report =
               Cert.Certifier.certify_box
-                ~config:(certifier_config state q) ~pool ~solve_hook
+                ~config:(certifier_config state q) ~solve_hook
                 net ~lo:q.Wire.q_lo ~hi:q.Wire.q_hi ~delta:q.Wire.q_delta
             in
             Hist.add state.hist_solve (Unix.gettimeofday () -. t0);
@@ -315,18 +311,11 @@ let handle_job state pool job =
       respond_job state job (Wire.Error (Printexc.to_string e))
 
 let worker state =
-  let pool = Plan.Executor.create_pool () in
-  let prev = ref (0, 0) in
   let rec loop () =
     match Squeue.pop state.queue with
     | None -> ()
     | Some job ->
-        handle_job state pool job;
-        let compiles, hits = Plan.Executor.pool_counters pool in
-        let pc, ph = !prev in
-        ignore (Atomic.fetch_and_add state.pool_compiles (compiles - pc));
-        ignore (Atomic.fetch_and_add state.pool_hits (hits - ph));
-        prev := (compiles, hits);
+        handle_job state job;
         loop ()
   in
   loop ();
@@ -369,9 +358,6 @@ let stats_json state =
            ("lp_warm", i state.lp_warm);
            ("lp_pivots", i state.lp_pivots);
            ("milp", i state.milp_solves) ]);
-      ("pool",
-       Json.Obj
-         [ ("compiles", i state.pool_compiles); ("hits", i state.pool_hits) ]);
       ("latency",
        Json.Obj
          [ ("all", Hist.to_json state.hist_all);

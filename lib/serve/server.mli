@@ -12,11 +12,10 @@
       closed by a [Batch_done] summary once every item has answered;
     - {e worker domains} pop requests, answer them from the
       content-addressed result cache when possible, and otherwise run
-      {!Cert.Certifier.certify}, each worker keeping one
-      {!Plan.Executor.pool} alive for its whole life so compiled cone
-      matrices carry across requests (solver sessions stay per-request:
-      recycling a basis would let answers drift from the one-shot
-      certifier by solver-tolerance bits);
+      {!Cert.Certifier.certify} from scratch: nothing but the result
+      cache outlives a request, so a worker's memory does not grow with
+      the requests it has answered, and every answer is bitwise the
+      one-shot certifier's;
     - {e deadlines and cancellation} are cooperative: every LP/MILP
       bound query re-checks them via the certifier's solve hook, so an
       expired or cancelled request abandons its solve within one query;

@@ -460,6 +460,88 @@ let random_session_agrees =
          done;
          !ok))
 
+(* Property: a solve from a restored snapshot depends on the snapshot,
+   the bounds and the objective only.  A session that ran arbitrary
+   bound-change solves before restoring, one that restores right after
+   its snapshot, and a fresh session given the other's snapshot all
+   answer bitwise-identically — and agree with a cold solve. *)
+let restore_history_independent =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 2 6) (int_range 1 5) (int_range 0 1000000))
+  in
+  Test_seed.to_alcotest
+    (QCheck.Test.make ~count:120
+       ~name:"restored solves do not depend on history"
+       (QCheck.make gen)
+       (fun (n, n_constr, seed) ->
+         let rng = Random.State.make [| seed; 0x5a |] in
+         let rf lo hi = lo +. Random.State.float rng (hi -. lo) in
+         let m = Model.create () in
+         let vars =
+           Array.init n (fun _ -> Model.add_var ~lo:(-2.0) ~hi:2.0 m)
+         in
+         for _ = 1 to n_constr do
+           let row =
+             Array.to_list (Array.map (fun v -> (v, rf (-2.0) 2.0)) vars)
+           in
+           Model.add_constr m row Model.Le (rf 0.1 3.0)
+         done;
+         Model.set_objective m Model.Maximize
+           (Array.to_list (Array.map (fun v -> (v, rf (-2.0) 2.0)) vars));
+         let cp = Simplex.compile m in
+         let root_lo, root_hi = Simplex.default_bounds cp in
+         let rooted () =
+           let sn = Simplex.create_session cp in
+           ignore (Simplex.solve_session sn : Simplex.solution);
+           (sn, Simplex.snapshot sn)
+         in
+         let a, snap_a = rooted () and b, snap_b = rooted () in
+         (* arbitrary history on [a] *)
+         for _ = 1 to 1 + Random.State.int rng 6 do
+           let j = Random.State.int rng n in
+           let u = rf (-2.0) 2.0 and w = rf (-2.0) 2.0 in
+           Simplex.set_var_bounds a vars.(j) ~lo:(Float.min u w)
+             ~hi:(Float.max u w);
+           ignore (Simplex.solve_session a : Simplex.solution)
+         done;
+         (* the pinned box: root bounds with a few variables fixed *)
+         let lo = Array.copy root_lo and hi = Array.copy root_hi in
+         Array.iter
+           (fun v ->
+             if Random.State.bool rng then begin
+               let x = rf (-2.0) 2.0 in
+               lo.(v) <- x;
+               hi.(v) <- x
+             end)
+           vars;
+         let restored sn snap =
+           Simplex.restore sn snap;
+           Simplex.set_bounds sn ~lo ~hi;
+           Simplex.solve_session sn
+         in
+         let ra = restored a snap_a and rb = restored b snap_b in
+         let rc = restored (Simplex.create_session cp) snap_a in
+         let bits = Int64.bits_of_float in
+         let same (r : Simplex.solution) (r' : Simplex.solution) =
+           r.Simplex.status = r'.Simplex.status
+           && (r.Simplex.status <> Simplex.Optimal
+               || (bits r.Simplex.obj = bits r'.Simplex.obj
+                   && Array.for_all2
+                        (fun x y -> bits x = bits y)
+                        r.Simplex.x r'.Simplex.x))
+         in
+         let cold = Simplex.solve_compiled cp ~lo ~hi in
+         if not (same ra rb && same ra rc) then
+           QCheck.Test.fail_reportf "restored solves differ: %s %.17g / %s \
+                                     %.17g / %s %.17g"
+             (status_str ra.Simplex.status) ra.Simplex.obj
+             (status_str rb.Simplex.status) rb.Simplex.obj
+             (status_str rc.Simplex.status) rc.Simplex.obj;
+         ra.Simplex.status = cold.Simplex.status
+         && (ra.Simplex.status <> Simplex.Optimal
+             || feq ~eps:1e-6 ra.Simplex.obj cold.Simplex.obj)))
+
 (* --- sparse LU basis --- *)
 
 module Lu = Linalg.Lu
@@ -762,7 +844,8 @@ let suites =
       [ Alcotest.test_case "objective sweep" `Quick
           test_session_objective_sweep;
         Alcotest.test_case "bound changes" `Quick test_session_bound_changes;
-        random_session_agrees ] );
+        random_session_agrees;
+        restore_history_independent ] );
     ( "lp:basis",
       [ lu_roundtrip;
         Alcotest.test_case "singular rejection" `Quick test_lu_singular;

@@ -197,6 +197,79 @@ let random_mixed_milp =
          | Milp.Infeasible -> !best = neg_infinity
          | Milp.Unbounded | Milp.Limit | Milp.Lp_failure -> false))
 
+(* A box of at most four integer assignments is enumerated, not
+   searched: on random 2-binary models (the certifier's exact output
+   relation has this shape) the result is the max of the four pinned
+   LPs, bitwise the same under both branching rules, with one node and
+   no canonical re-solve. *)
+let test_two_binary_enumeration () =
+  let counter name = Option.value ~default:0.0 (Obs.Metrics.find name) in
+  for seed = 0 to 29 do
+    let rng = Random.State.make [| seed; 0xe4 |] in
+    let rf lo hi = lo +. Random.State.float rng (hi -. lo) in
+    let m = Model.create () in
+    let bins =
+      Array.init 2 (fun _ -> Model.add_var ~integer:true ~lo:0.0 ~hi:1.0 m)
+    in
+    let xs = Array.init 3 (fun _ -> Model.add_var ~lo:(-1.0) ~hi:1.0 m) in
+    for _ = 1 to 3 do
+      Model.add_constr m
+        (Array.to_list (Array.map (fun v -> (v, rf (-2.0) 2.0)) bins)
+        @ Array.to_list (Array.map (fun v -> (v, rf (-2.0) 2.0)) xs))
+        Model.Le (rf (-0.5) 2.0)
+    done;
+    Model.set_objective m Model.Maximize
+      (Array.to_list
+         (Array.map (fun v -> (v, rf (-2.0) 2.0)) (Array.append bins xs)));
+    let cp = Lp.Simplex.compile m in
+    let best = ref neg_infinity in
+    for mask = 0 to 3 do
+      let lo, hi = Lp.Simplex.default_bounds cp in
+      Array.iteri
+        (fun k b ->
+          let v = float_of_int ((mask lsr k) land 1) in
+          lo.(b) <- v;
+          hi.(b) <- v)
+        bins;
+      let s = Lp.Simplex.solve_compiled cp ~lo ~hi in
+      if s.Lp.Simplex.status = Lp.Simplex.Optimal then
+        best := Float.max !best s.Lp.Simplex.obj
+    done;
+    let solve branch =
+      let canonical0 = counter "milp.solves.canonical"
+      and enumerate0 = counter "milp.solves.enumerate" in
+      let r =
+        Milp.solve ~options:{ Milp.default_options with Milp.branch } m
+      in
+      let ran name n0 = int_of_float (counter name -. n0) in
+      Alcotest.(check int) "no canonical solves" 0
+        (ran "milp.solves.canonical" canonical0);
+      if r.Milp.status <> Milp.Infeasible || !best > neg_infinity then
+        Alcotest.(check int) "four enumerated solves" 4
+          (ran "milp.solves.enumerate" enumerate0);
+      Alcotest.(check int) "one node" 1 r.Milp.nodes;
+      r
+    in
+    let a = solve Search.Strategy.Most_fractional
+    and b = solve Search.Strategy.Dual_guided in
+    if !best = neg_infinity then begin
+      Alcotest.(check string) "infeasible" "infeasible"
+        (status_str a.Milp.status);
+      Alcotest.(check string) "infeasible" "infeasible"
+        (status_str b.Milp.status)
+    end
+    else begin
+      check_opt (Printf.sprintf "seed %d" seed) !best a;
+      if Float.abs (a.Milp.obj -. !best) > 1e-9 *. Float.max 1.0 !best then
+        Alcotest.failf "seed %d: %.17g is not the pinned max %.17g" seed
+          a.Milp.obj !best;
+      if Int64.bits_of_float a.Milp.obj <> Int64.bits_of_float b.Milp.obj
+      then
+        Alcotest.failf "seed %d: strategies differ: %.17g vs %.17g" seed
+          a.Milp.obj b.Milp.obj
+    end
+  done
+
 let suites =
   [ ( "milp:branch-and-bound",
       [ Alcotest.test_case "knapsack" `Quick test_knapsack;
@@ -210,5 +283,7 @@ let suites =
           test_node_limit_bound_sound;
         Alcotest.test_case "objective override" `Quick
           test_objective_override;
+        Alcotest.test_case "2-binary enumeration" `Quick
+          test_two_binary_enumeration;
         random_binary_milp;
         random_mixed_milp ] ) ]

@@ -223,10 +223,18 @@ let build_chain (seed, in_dim, hidden) =
   (Network.make (layers dims), rng)
 
 (* Central differences on a scalar function of one parameter array
-   entry; [skip] marks coordinates sitting on a kink of the piecewise
-   linear/smooth function, where both the subgradient and the centred
-   difference are unreliable. *)
-let fd_check ~name ~f ~analytic params =
+   entry.  [pattern] returns every branch decision behind one
+   evaluation.  Where it agrees at theta - h, theta and theta + h, no
+   kink lies in between (each decided quantity is affine in the
+   parameter once the earlier decisions are fixed, so it cannot change
+   sign and change back).  Between kinks both functions checked here
+   are at most quadratic in the parameter (the surrogate affine, the
+   MSE of a piecewise-linear output quadratic), where the centred
+   difference is exact up to rounding and must match the gradient.
+   Where the pattern differs the coordinate sits within h of a kink,
+   where the subgradient and the difference legitimately disagree, and
+   is skipped. *)
+let fd_check ~name ~f ~pattern ~analytic params =
   let h = 1e-6 in
   List.iter2
     (fun p g ->
@@ -234,16 +242,13 @@ let fd_check ~name ~f ~analytic params =
         (fun k orig ->
           let at v =
             p.(k) <- v;
-            let r = f () in
+            let r = (f (), pattern ()) in
             p.(k) <- orig;
             r
           in
-          let fp = at (orig +. h) and fm = at (orig -. h) in
-          let f0 = f () in
-          let curvature = Float.abs (fp +. fm -. (2.0 *. f0)) in
-          (* piecewise-linear in the parameter: away from a kink the
-             second difference vanishes; near one, skip *)
-          if curvature <= 1e-9 *. (1.0 +. Float.abs f0) then begin
+          let fp, pat_p = at (orig +. h) and fm, pat_m = at (orig -. h) in
+          let pat = pattern () in
+          if pat_p = pat && pat_m = pat then begin
             let fd = (fp -. fm) /. (2.0 *. h) in
             if Float.abs (g.(k) -. fd) > 1e-4 *. Float.max 1.0 (Float.abs fd)
             then
@@ -252,6 +257,57 @@ let fd_check ~name ~f ~analytic params =
           end)
         p)
     params analytic
+
+(* Three-way sign, the outcome of any comparison with zero. *)
+let sign v = compare v 0.0
+
+(* The ReLU activation pattern of a forward pass. *)
+let relu_pattern net x () =
+  let pres, _ = Network.forward_all net x in
+  List.concat
+    (List.init (Network.n_layers net) (fun i ->
+         if (Network.layer net i).Layer.relu then
+           Array.to_list (Array.map sign pres.(i))
+         else []))
+
+(* Every branch [Interval_prop.certify] takes: the sign of each
+   coefficient ([Interval.scale]), each ReLU's value and distance
+   endpoint signs and [Interval.relu_dist]'s max/min and meet
+   comparisons, and [Interval.abs_max] on the outputs. *)
+let surrogate_pattern net ~input ~delta () =
+  let b =
+    Cert.Bounds.create net ~input
+      ~input_dist:(Cert.Bounds.uniform_delta net delta)
+  in
+  Cert.Interval_prop.propagate net b;
+  let acc = ref [] in
+  let note vs = acc := List.rev_append (List.map sign vs) !acc in
+  for i = 0 to Network.n_layers net - 1 do
+    let layer = Network.layer net i in
+    for j = 0 to Layer.out_dim layer - 1 do
+      note
+        (List.map snd (Layer.linear_row layer j).Linalg.Sparse_row.coeffs);
+      if layer.Layer.relu then begin
+        let y = b.Cert.Bounds.y.(i).(j) and dy = b.Cert.Bounds.dy.(i).(j) in
+        let open Cert.Interval in
+        let u_lo = Float.min 0.0 dy.lo and u_hi = Float.max 0.0 dy.hi in
+        let c_lo, c_hi =
+          if y.hi <= 0.0 then
+            (Float.max 0.0 (y.lo +. dy.lo), Float.max 0.0 (y.hi +. dy.hi))
+          else (Float.max dy.lo (-.y.hi), Float.max dy.hi (-.y.lo))
+        in
+        note
+          [ y.lo; y.hi; dy.lo; dy.hi; y.lo +. dy.lo; y.hi +. dy.hi;
+            dy.lo +. y.hi; dy.hi +. y.lo; u_lo -. c_lo; u_hi -. c_hi;
+            Float.max u_lo c_lo -. Float.min u_hi c_hi ]
+      end
+    done
+  done;
+  Array.iter
+    (fun (iv : Cert.Interval.t) ->
+      note [ iv.lo; iv.hi; Float.abs iv.lo -. Float.abs iv.hi ])
+    (Cert.Bounds.output_dist b net);
+  !acc
 
 let grad_fd_prop =
   Test_seed.to_alcotest
@@ -272,7 +328,7 @@ let grad_fd_prop =
          for i = 0 to Network.n_layers net - 1 do
            fd_check
              ~name:(Printf.sprintf "layer %d" i)
-             ~f:loss ~analytic:grads.(i)
+             ~f:loss ~pattern:(relu_pattern net x) ~analytic:grads.(i)
              (Layer.param_arrays (Network.layer net i))
          done;
          true))
@@ -294,7 +350,8 @@ let robust_fd_net net rng =
   for i = 0 to Network.n_layers net - 1 do
     fd_check
       ~name:(Printf.sprintf "surrogate layer %d" i)
-      ~f:penalty ~analytic:grads.(i)
+      ~f:penalty ~pattern:(surrogate_pattern net ~input ~delta)
+      ~analytic:grads.(i)
       (Layer.param_arrays (Network.layer net i))
   done
 

@@ -577,12 +577,12 @@ let test_e2e_bitwise_and_cache () =
       let r2 = Serve.Client.certify c (certify_query ~net ~delta ()) in
       Alcotest.(check bool) "second cached" true r2.Wire.r_cached;
       check_bits "cached" oneshot r2.Wire.r_eps;
-      (* cache bypass still matches (pooled matrices, fresh sessions) *)
+      (* cache bypass: a second full solve still matches *)
       let r3 =
         Serve.Client.certify c (certify_query ~no_cache:true ~net ~delta ())
       in
       Alcotest.(check bool) "bypass not cached" false r3.Wire.r_cached;
-      check_bits "pooled" oneshot r3.Wire.r_eps;
+      check_bits "cache bypass" oneshot r3.Wire.r_eps;
       (* digest-only resubmission of a loaded network *)
       let digest = Serve.Client.load c (Nn.Io.to_string net) in
       let r4 =
