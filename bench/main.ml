@@ -448,105 +448,6 @@ let run_lp_bench () =
       cert_case "dnn2" dnn2 ~lo:0.0 ~hi:1.0 ~delta:0.001;
       cert_case "dnn3" dnn3 ~lo:0.0 ~hi:1.0 ~delta:0.001 ]
   in
-  (* Backward-symbolic pre-analysis: the same certification with
-     [symbolic = Sym_back], which answers structurally-no-op Dx
-     queries without touching the simplex.  Gates:
-     - certified eps bitwise identical to the plain run (the skips
-       must be free, not a different relaxation);
-     - a nonzero number of conclusive skips on each gated net;
-     - >= 30% fewer LP solves on the gated nets. *)
-  let sym_case ~exact_output_relation name net ~lo ~hi ~delta =
-    let input = Cert.Bounds.box_domain net ~lo ~hi in
-    let run symbolic =
-      let config =
-        { Cert.Certifier.default_config with symbolic; exact_output_relation }
-      in
-      Cert.Certifier.certify ~config net ~input ~delta
-    in
-    let off = run Cert.Certifier.Sym_off in
-    let back = run Cert.Certifier.Sym_back in
-    let eps_equal = off.Cert.Certifier.eps = back.Cert.Certifier.eps in
-    let saving =
-      if off.Cert.Certifier.lp_solves = 0 then 0.0
-      else
-        1.0
-        -. (float_of_int back.Cert.Certifier.lp_solves
-            /. float_of_int off.Cert.Certifier.lp_solves)
-    in
-    if not eps_equal then
-      gate_failures :=
-        Printf.sprintf "%s: symbolic=back changed the certified eps" name
-        :: !gate_failures;
-    Format.fprintf fmt
-      "%-8s symbolic=back: %d -> %d LP solves (%.0f%% fewer), %d \
-       conclusive, %d seeded, %d stable relus, eps %s@."
-      name off.Cert.Certifier.lp_solves back.Cert.Certifier.lp_solves
-      (100.0 *. saving)
-      back.Cert.Certifier.symbolic_conclusive
-      back.Cert.Certifier.symbolic_seeded
-      back.Cert.Certifier.symbolic_stable_relus
-      (if eps_equal then "unchanged" else "CHANGED");
-    Printf.sprintf
-      "    { \"name\": %S, \"exact_output_relation\": %b,\n\
-      \      \"lp_solves_off\": %d, \"lp_solves_back\": %d, \
-       \"lp_saving\": %.3f,\n\
-      \      \"symbolic_conclusive\": %d, \"symbolic_seeded\": %d,\n\
-      \      \"symbolic_stable_relus\": %d, \"eps_bitwise_equal\": %b }"
-      name exact_output_relation off.Cert.Certifier.lp_solves
-      back.Cert.Certifier.lp_solves saving
-      back.Cert.Certifier.symbolic_conclusive
-      back.Cert.Certifier.symbolic_seeded
-      back.Cert.Certifier.symbolic_stable_relus eps_equal
-  in
-  let sym_gate ~exact_output_relation name net ~lo ~hi ~delta =
-    let input = Cert.Bounds.box_domain net ~lo ~hi in
-    let run symbolic =
-      let config =
-        { Cert.Certifier.default_config with symbolic; exact_output_relation }
-      in
-      Cert.Certifier.certify ~config net ~input ~delta
-    in
-    let off = run Cert.Certifier.Sym_off in
-    let back = run Cert.Certifier.Sym_back in
-    if back.Cert.Certifier.symbolic_conclusive = 0 then
-      gate_failures :=
-        Printf.sprintf "%s: no conclusive symbolic skips" name
-        :: !gate_failures;
-    if
-      float_of_int back.Cert.Certifier.lp_solves
-      > 0.7 *. float_of_int off.Cert.Certifier.lp_solves
-    then
-      gate_failures :=
-        Printf.sprintf
-          "%s: symbolic=back saved only %d of %d LP solves (< 30%%)" name
-          (off.Cert.Certifier.lp_solves - back.Cert.Certifier.lp_solves)
-          off.Cert.Certifier.lp_solves
-        :: !gate_failures
-  in
-  let symbolics =
-    (* gated cases run without the exact output relation: with it on,
-       the planner refines the output row, which rightly disables the
-       skip (the Dx LP is then not a structural no-op) *)
-    let g3 =
-      sym_case ~exact_output_relation:false "dnn3" dnn3 ~lo:0.0 ~hi:1.0
-        ~delta:0.001
-    in
-    sym_gate ~exact_output_relation:false "dnn3" dnn3 ~lo:0.0 ~hi:1.0
-      ~delta:0.001;
-    let g4 =
-      sym_case ~exact_output_relation:false "dnn4" dnn4 ~lo:0.0 ~hi:1.0
-        ~delta:0.001
-    in
-    sym_gate ~exact_output_relation:false "dnn4" dnn4 ~lo:0.0 ~hi:1.0
-      ~delta:0.001;
-    (* default config: the skip declines, the run must stay bitwise
-       identical (parity only; no saving expected) *)
-    let gd =
-      sym_case ~exact_output_relation:true "dnn3-default" dnn3 ~lo:0.0
-        ~hi:1.0 ~delta:0.001
-    in
-    [ g3; g4; gd ]
-  in
   (* Stability hints feeding the exact engines: a net with a ReLU that
      interval propagation cannot resolve but the backward substitution
      proves active.  Hints must pin splits without moving the exact
@@ -824,7 +725,6 @@ let run_lp_bench () =
     \    \"dense_time_s\": %.6f, \"sparse_time_s\": %.6f, \
      \"speedup\": %.3f },\n\
     \  \"certifier\": [\n%s\n  ],\n\
-    \  \"symbolic\": [\n%s\n  ],\n\
     \  \"symbolic_hints\": %s,\n\
     \  \"branch\": [\n%s\n  ],\n\
     \  \"branch_exact\": %s,\n\
@@ -833,7 +733,6 @@ let run_lp_bench () =
     (String.concat ", " (List.map (Printf.sprintf "%S") gate_cases))
     !agg_dense !agg_sparse agg_speedup
     (String.concat ",\n" certs)
-    (String.concat ",\n" symbolics)
     sym_hints
     (String.concat ",\n" branches)
     branch_exact reluplex_branches;

@@ -40,9 +40,9 @@ let dims_conv : dims Arg.conv =
   in
   Arg.conv ~docv:"N[,M]" (parse, print)
 
-(* Integer converters with range checks: a bad [--domains 0] should be
-   a usage error at parse time, not a crash deep inside the executor's
-   chunking arithmetic. *)
+(* Numeric converters with range checks: a bad [--domains 0] or
+   [--delta=-1] should be a usage error at parse time, not a crash deep
+   inside the executor's chunking arithmetic or the interval code. *)
 let bounded_int ~what ~min : int Arg.conv =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -54,6 +54,15 @@ let bounded_int ~what ~min : int Arg.conv =
 
 let pos_int = bounded_int ~what:"must be at least 1" ~min:1
 let nonneg_int = bounded_int ~what:"must be non-negative" ~min:0
+
+let nonneg_float : float Arg.conv =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some v when v >= 0.0 -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "%g: must be non-negative" v))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
 let family_arg =
   let doc = "Model family: auto-mpg, digits or camera." in
@@ -120,13 +129,20 @@ let net_arg =
 
 let delta_arg =
   let doc = "Input perturbation bound (L-inf)." in
-  Arg.(value & opt float 0.001 & info [ "delta" ] ~doc)
+  Arg.(value & opt nonneg_float 0.001 & info [ "delta" ] ~doc)
 
-let lo_arg =
-  Arg.(value & opt float 0.0 & info [ "lo" ] ~doc:"Input domain lower bound.")
-
-let hi_arg =
-  Arg.(value & opt float 1.0 & info [ "hi" ] ~doc:"Input domain upper bound.")
+(* The input box [--lo, --hi]; an inverted box is a usage error. *)
+let box_arg =
+  let lo =
+    Arg.(value & opt float 0.0 & info [ "lo" ] ~doc:"Input domain lower bound.")
+  and hi =
+    Arg.(value & opt float 1.0 & info [ "hi" ] ~doc:"Input domain upper bound.")
+  in
+  let check lo hi =
+    if lo <= hi then `Ok (lo, hi)
+    else `Error (true, Printf.sprintf "--lo %g exceeds --hi %g" lo hi)
+  in
+  Term.(ret (const check $ lo $ hi))
 
 let branch_arg =
   let doc =
@@ -143,20 +159,6 @@ let branch_arg =
                  Search.Strategy.all))
            Search.Strategy.Most_fractional
        & info [ "branch" ] ~docv:"STRATEGY" ~doc)
-
-let symbolic_arg =
-  let doc =
-    "Symbolic pre-analysis before Algorithm 1: $(b,off) or $(b,back) \
-     (backward substitution; answers provably-no-op LP queries statically \
-     and seeds strictly tighter bounds, certified eps unchanged when it \
-     declines).  Bare $(b,--symbolic) means $(b,back)."
-  in
-  Arg.(value
-       & opt ~vopt:Cert.Certifier.Sym_back
-           (enum [ ("off", Cert.Certifier.Sym_off);
-                   ("back", Cert.Certifier.Sym_back) ])
-           Cert.Certifier.Sym_off
-       & info [ "symbolic" ] ~docv:"MODE" ~doc)
 
 let certify_cmd =
   let window =
@@ -208,8 +210,8 @@ let certify_cmd =
          & opt ~vopt:(Some "") (some string) None
          & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let run net_path delta lo hi window refine refine_frac domains no_dedup
-      symbolic branch meth trace =
+  let run net_path delta (lo, hi) window refine refine_frac domains no_dedup
+      branch meth trace =
     if trace <> None then Obs.Trace.set_enabled true;
     let net = Nn.Io.load net_path in
     let input = Cert.Bounds.box_domain net ~lo ~hi in
@@ -228,7 +230,7 @@ let certify_cmd =
           let config =
             { Cert.Certifier.default_config with
               Cert.Certifier.window; refine = refine_rule; domains;
-              dedup = not no_dedup; symbolic; branch }
+              dedup = not no_dedup; branch }
           in
           let r = Cert.Certifier.certify ~config net ~input ~delta in
           plan_stats := Some r;
@@ -266,16 +268,7 @@ let certify_cmd =
             (%d warm), %d MILP solves\n"
            r.Cert.Certifier.bound_queries r.Cert.Certifier.encoded_models
            r.Cert.Certifier.dedup_hits r.Cert.Certifier.lp_solves
-           r.Cert.Certifier.lp_warm_solves r.Cert.Certifier.milp_solves;
-         if r.Cert.Certifier.symbolic_conclusive > 0
-            || r.Cert.Certifier.symbolic_seeded > 0
-            || r.Cert.Certifier.symbolic_stable_relus > 0
-         then
-           Printf.printf
-             "symbolic: %d conclusive, %d seeded, %d stable relus\n"
-             r.Cert.Certifier.symbolic_conclusive
-             r.Cert.Certifier.symbolic_seeded
-             r.Cert.Certifier.symbolic_stable_relus
+           r.Cert.Certifier.lp_warm_solves r.Cert.Certifier.milp_solves
      | None -> ());
     Printf.printf "time: %.2fs\n" dt;
     match trace with
@@ -292,9 +285,9 @@ let certify_cmd =
       ~doc:"Certify the global robustness of a saved network."
   in
   Cmd.v info_
-    Term.(const run $ net_arg $ delta_arg $ lo_arg $ hi_arg
-          $ window $ refine $ refine_frac $ domains $ no_dedup $ symbolic_arg
-          $ branch_arg $ meth $ trace)
+    Term.(const run $ net_arg $ delta_arg $ box_arg
+          $ window $ refine $ refine_frac $ domains $ no_dedup $ branch_arg
+          $ meth $ trace)
 
 let attack_cmd =
   let samples =
@@ -302,7 +295,7 @@ let attack_cmd =
          & info [ "samples" ] ~doc:"Random starting points for PGD.")
   in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let run net_path delta lo hi samples seed =
+  let run net_path delta (lo, hi) samples seed =
     let net = Nn.Io.load net_path in
     let domain = Cert.Bounds.box_domain net ~lo ~hi in
     let rng = Random.State.make [| seed |] in
@@ -322,7 +315,7 @@ let attack_cmd =
       ~doc:"Under-approximate global robustness by PGD from random points."
   in
   Cmd.v info_
-    Term.(const run $ net_arg $ delta_arg $ lo_arg $ hi_arg $ samples $ seed)
+    Term.(const run $ net_arg $ delta_arg $ box_arg $ samples $ seed)
 
 let info_cmd =
   let run net_path =
@@ -359,7 +352,7 @@ let lint_cmd =
                              ("bad-interval", `Bad_interval) ])) None
          & info [ "seed-fault" ] ~doc)
   in
-  let run cache family id size image delta lo hi window samples fault =
+  let run cache family id size image delta (lo, hi) window samples fault =
     setup_cache cache;
     match build_trained family ~id ~size ~image with
     | Error msg -> `Error (true, msg)
@@ -391,8 +384,8 @@ let lint_cmd =
         let pconfig =
           { Cert.Planner.window; refine = Cert.Refine.No_refine;
             mode = Cert.Encode.Relaxed; exact_output_relation = true;
-            dedup = true; symbolic_shadow = None;
-            branch = Search.Strategy.Most_fractional; dual_sens = None }
+            dedup = true; branch = Search.Strategy.Most_fractional;
+            dual_sens = None }
         in
         let n = Nn.Network.n_layers net in
         for i = 0 to n - 1 do
@@ -461,7 +454,7 @@ let lint_cmd =
     Term.(
       ret
         (const run $ cache_arg $ family_arg $ id_arg $ size_arg $ image_arg
-         $ delta_arg $ lo_arg $ hi_arg $ window $ samples $ fault))
+         $ delta_arg $ box_arg $ window $ samples $ fault))
 
 (* --- serve / submit --- *)
 
@@ -634,8 +627,8 @@ let submit_cmd =
       r.Serve.Wire.r_lp_solves r.Serve.Wire.r_lp_warm
       r.Serve.Wire.r_milp_solves
   in
-  let run socket port net digest delta lo hi window refine refine_frac
-      symbolic branch no_cache deadline_ms load_n concurrency batch
+  let run socket port net digest delta (lo, hi) window refine refine_frac
+      branch no_cache deadline_ms load_n concurrency batch
       timeout_s stats ping shutdown =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
@@ -688,8 +681,8 @@ let submit_cmd =
             let query =
               { Serve.Wire.q_net; q_digest = digest; q_delta = delta;
                 q_lo = lo; q_hi = hi; q_window = window; q_refine;
-                q_symbolic = symbolic; q_branch = branch;
-                q_no_cache = no_cache; q_deadline_ms = deadline_ms }
+                q_branch = branch; q_no_cache = no_cache;
+                q_deadline_ms = deadline_ms }
             in
             (match load_n with
              | None -> with_conn (fun c -> print_result
@@ -823,8 +816,8 @@ let submit_cmd =
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ net $ digest $ delta_arg
-           $ lo_arg $ hi_arg $ window $ refine $ refine_frac $ symbolic_arg
-           $ branch_arg $ no_cache $ deadline_ms $ load_n $ concurrency
+           $ box_arg $ window $ refine $ refine_frac $ branch_arg $ no_cache
+           $ deadline_ms $ load_n $ concurrency
            $ batch $ timeout_s $ stats $ ping $ shutdown))
 
 (* --- shard: the router front process --- *)
@@ -1345,7 +1338,7 @@ let train_robust_cmd =
          & info [ "save" ] ~docv:"FILE"
              ~doc:"Save the robustly trained network to $(docv).")
   in
-  let run cache family id size image epochs batch_size lr lambda delta lo hi
+  let run cache family id size image epochs batch_size lr lambda delta (lo, hi)
       grid window seed acc_tol socket port workers json_out save =
     setup_cache cache;
     match build_trained family ~id ~size ~image with
@@ -1523,7 +1516,7 @@ let train_robust_cmd =
     Term.(
       ret
         (const run $ cache_arg $ family_arg $ id_arg $ size_arg $ image_arg
-         $ epochs $ batch_size $ lr $ lambda $ delta_arg $ lo_arg $ hi_arg
+         $ epochs $ batch_size $ lr $ lambda $ delta_arg $ box_arg
          $ grid $ window $ seed $ acc_tol $ socket_arg $ port_arg $ workers
          $ json_out $ save))
 

@@ -1,7 +1,5 @@
 type refine_rule = Refine.rule = No_refine | Count of int | Fraction of float
 
-type sym_mode = Sym_off | Sym_back
-
 type config = {
   window : int;
   refine : refine_rule;
@@ -10,7 +8,6 @@ type config = {
   mode : Encode.mode;
   exact_output_relation : bool;
   domains : int;
-  symbolic : sym_mode;
   dedup : bool;
   branch : Search.Strategy.t;
 }
@@ -18,7 +15,7 @@ type config = {
 let default_config =
   { window = 2; refine = No_refine; milp_options = Milp.default_options;
     margin = 1e-6; mode = Encode.Relaxed; exact_output_relation = true;
-    domains = 1; symbolic = Sym_off; dedup = true;
+    domains = 1; dedup = true;
     branch = Search.Strategy.Most_fractional }
 
 type report = {
@@ -31,18 +28,13 @@ type report = {
   bound_queries : int;
   encoded_models : int;
   dedup_hits : int;
-  symbolic_conclusive : int;
-  symbolic_seeded : int;
-  symbolic_stable_relus : int;
   runtime : float;
 }
 
 (* Tighten [current] with a (max-query upper, min-query lower) pair,
    falling back to [current] on query failure.  Endpoint improvements
    below the noise guard are indistinguishable from LP/MILP numerical
-   noise and are rejected; this is what makes the planner's
-   symbolic-conclusive skips bitwise neutral — a statically answered
-   no-op query folds to exactly what running the solver would have. *)
+   noise and are rejected. *)
 let refreshed_interval current ~lo_query ~hi_query =
   let g = Interval.noise_guard current in
   let lo =
@@ -61,8 +53,6 @@ let m_certifies = Obs.Metrics.counter "certifier.certifies"
 let m_bound_queries = Obs.Metrics.counter "certifier.bound_queries"
 let m_encoded_models = Obs.Metrics.counter "certifier.encoded_models"
 let m_dedup_hits = Obs.Metrics.counter "certifier.dedup_hits"
-let m_sym_conclusive = Obs.Metrics.counter "symbolic.conclusive"
-let m_sym_seeded = Obs.Metrics.counter "symbolic.seeded"
 
 let certify ?(config = default_config) ?solve_hook net ~input ~delta =
   Obs.Trace.with_span "certify" @@ fun () ->
@@ -70,25 +60,10 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
   let t0 = Unix.gettimeofday () in
   let stats = Plan.Engine.zero_stats () in
   let bound_queries = ref 0 and encoded_models = ref 0 and dedup_hits = ref 0 in
-  let sym_conclusive = ref 0 and sym_seeded = ref 0 in
   let bounds =
     Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
   in
   Interval_prop.propagate net bounds;
-  (* [Sym_back] analyses a shadow copy: the pipeline bounds stay bitwise
-     untouched and the analysis acts through the planner — conclusive
-     query skips and strictly tighter seeds only — so certified eps is
-     unchanged whenever the fast path declines. *)
-  let stable_relus = ref 0 in
-  let shadow =
-    match config.symbolic with
-    | Sym_off -> None
-    | Sym_back ->
-        let sh = Bounds.copy bounds in
-        let analysis = Symbolic_back.analyse net sh in
-        stable_relus := analysis.Symbolic_back.stable_relus;
-        Some sh
-  in
   (* cross-layer dual-sensitivity accumulator: layer i's solves inform
      the refinement selection of every later layer's cones.  Allocated
      only under the guided strategy, so the default path plans (and
@@ -102,8 +77,7 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
     { Planner.window = config.window; refine = config.refine;
       mode = config.mode;
       exact_output_relation = config.exact_output_relation;
-      dedup = config.dedup; symbolic_shadow = shadow;
-      branch = config.branch; dual_sens }
+      dedup = config.dedup; branch = config.branch; dual_sens }
   in
   let exec_config =
     { Plan.Executor.domains = config.domains;
@@ -121,20 +95,12 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
     bound_queries := !bound_queries + plan.Plan.n_queries;
     encoded_models := !encoded_models + plan.Plan.n_encodes;
     dedup_hits := !dedup_hits + plan.Plan.dedup_hits;
-    sym_conclusive := !sym_conclusive + plan.Plan.symbolic_conclusive;
-    sym_seeded := !sym_seeded + plan.Plan.symbolic_seeded;
     Obs.Metrics.add m_bound_queries plan.Plan.n_queries;
     Obs.Metrics.add m_encoded_models plan.Plan.n_encodes;
     Obs.Metrics.add m_dedup_hits plan.Plan.dedup_hits;
-    Obs.Metrics.add m_sym_conclusive plan.Plan.symbolic_conclusive;
-    Obs.Metrics.add m_sym_seeded plan.Plan.symbolic_seeded;
     Obs.Trace.count "bound_queries" plan.Plan.n_queries;
     Obs.Trace.count "encoded_models" plan.Plan.n_encodes;
     Obs.Trace.count "dedup_hits" plan.Plan.dedup_hits;
-    if plan.Plan.symbolic_conclusive > 0 then
-      Obs.Trace.count "symbolic_conclusive" plan.Plan.symbolic_conclusive;
-    if plan.Plan.symbolic_seeded > 0 then
-      Obs.Trace.count "symbolic_seeded" plan.Plan.symbolic_seeded;
     (* [partial_stats] (not the returned stats) feeds the report: a
        raising solve hook still accounts for the work already done *)
     let outcome =
@@ -224,9 +190,6 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
     bound_queries = !bound_queries;
     encoded_models = !encoded_models;
     dedup_hits = !dedup_hits;
-    symbolic_conclusive = !sym_conclusive;
-    symbolic_seeded = !sym_seeded;
-    symbolic_stable_relus = !stable_relus;
     runtime = Unix.gettimeofday () -. t0 }
 
 let certify_box ?config ?solve_hook net ~lo ~hi ~delta =

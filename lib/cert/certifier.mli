@@ -20,18 +20,6 @@ type refine_rule = Refine.rule =
   | Count of int        (** refine the top-[r] neurons per sub-problem *)
   | Fraction of float   (** refine this fraction of relaxable neurons *)
 
-type sym_mode =
-  | Sym_off
-  | Sym_back
-      (** backward-substituting pre-analysis
-          ({!Symbolic_back.analyse}) on a shadow copy of the bounds:
-          dx queries whose LP optimum provably equals the stored chord
-          transfer are answered with zero solves, and window-input
-          boxes the analysis strictly tightened seed the remaining
-          solves; certified eps is bitwise-unchanged whenever the fast
-          path declines (no conclusive skip fires spuriously and no
-          seed is attached) *)
-
 type config = {
   window : int;             (** sub-network depth [W] *)
   refine : refine_rule;
@@ -59,9 +47,6 @@ type config = {
           one-shot [domains = 1], and [scripts/check.sh] checks that
           [--domains 4] certifies the same eps as sequential on its
           lint net. *)
-  symbolic : sym_mode;
-      (** symbolic pre-analysis before the layer sweep (extension
-          beyond the paper); see {!sym_mode}. *)
   dedup : bool;
       (** encode structurally identical cones once (translated conv/pool
           windows with bit-equal interior intervals) and replay them
@@ -97,15 +82,6 @@ type report = {
                                 deduplication fired *)
   dedup_hits : int;         (** cones answered by replaying another cone's
                                 encoding *)
-  symbolic_conclusive : int;
-      (** bound queries answered by the symbolic pre-analysis alone
-          (neither encoded nor solved; not counted in
-          [bound_queries]) *)
-  symbolic_seeded : int;    (** variable-bound overrides seeded from
-                                strictly tighter symbolic intervals *)
-  symbolic_stable_relus : int;
-      (** ReLUs whose phase the backward analysis proved over the whole
-          input box ([Sym_back] only) *)
   runtime : float;          (** seconds *)
 }
 

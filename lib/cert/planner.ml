@@ -8,7 +8,6 @@ type config = {
   mode : Encode.mode;
   exact_output_relation : bool;
   dedup : bool;
-  symbolic_shadow : Bounds.t option;
   branch : Search.Strategy.t;
   dual_sens : (int * int, float) Hashtbl.t option;
 }
@@ -172,45 +171,13 @@ let audit_replay ~mode ~include_output_relu ~refined ~label bounds view rep =
           "deduplicated cone does not re-encode to the representative's \
            model structure" ]
 
-(* Symbolic seeding: when the backward analysis proved a window-input
-   interval strictly tighter than the stored one (beyond the solver
-   noise guard), start the LP from the tightened box via a bound
-   override.  Sub-guard differences are deliberately ignored — an
-   override always changes the executor's solve path (fresh replay
-   instead of the cached warm engine), so an uninformative seed would
-   perturb last-bit solver noise for nothing. *)
-let seeded_range ~improved stored shadow =
-  let g = Interval.noise_guard stored in
-  if
-    shadow.Interval.lo > stored.Interval.lo +. g
-    || shadow.Interval.hi < stored.Interval.hi -. g
-  then
-    match Interval.meet stored shadow with
-    | Some iv ->
-        incr improved;
-        plan_range iv
-    | None -> plan_range stored
-  else plan_range stored
-
-(* Value, distance and twin-value override ranges for window input
-   [id], seeded from the shadow bounds when strictly tighter. *)
-let seeded_input_ranges ~improved ~seed bounds view id =
-  let value = Encode.input_interval bounds view id in
-  let dist = Encode.input_dist_interval bounds view id in
-  match (seed : Bounds.t option) with
-  | None -> (plan_range value, plan_range dist)
-  | Some shadow ->
-      ( seeded_range ~improved value (Encode.input_interval shadow view id),
-        seeded_range ~improved dist
-          (Encode.input_dist_interval shadow view id) )
-
 (* Encode a cone — or replay a cached structurally identical one — and
    emit one unit of work per target.  [queries_per_target] builds each
    target's query batch against the representative encoding. *)
 let m_cones = Obs.Metrics.counter "planner.cones"
 let m_refined = Obs.Metrics.counter "planner.refined_neurons"
 
-let emit_cone builder cache ~dedup ~mode ~seed ~branch ~label
+let emit_cone builder cache ~dedup ~mode ~branch ~label
     ~include_output_relu ~refined bounds (view : Subnet.view)
     ~(queries_per_target :
         sign:string -> Encode.itne_enc -> Plan.query_spec array array) =
@@ -227,20 +194,21 @@ let emit_cone builder cache ~dedup ~mode ~seed ~branch ~label
       if Audit_core.Mode.enabled () then
         audit_replay ~mode ~include_output_relu ~refined ~label bounds view
           rep;
-      let improved = ref 0 in
+      (* the replay re-imposes this instance's own stored input
+         intervals on the representative's input variables *)
       let overrides =
         List.concat
           (Array.to_list
              (Array.mapi
                 (fun p (v, d, w) ->
                   let id = view.Subnet.input_active.(p) in
-                  let value, dist =
-                    seeded_input_ranges ~improved ~seed bounds view id
+                  let value = plan_range (Encode.input_interval bounds view id)
+                  and dist =
+                    plan_range (Encode.input_dist_interval bounds view id)
                   in
                   [ (v, value); (d, dist); (w, value) ])
                 rep.r_enc.Encode.in_vars))
       in
-      Plan.count_symbolic_seeded builder !improved;
       Array.iter
         (fun queries ->
           Plan.add_unit ~dedup:true builder ~task_id:rep.r_task ~overrides
@@ -273,33 +241,8 @@ let emit_cone builder cache ~dedup ~mode ~seed ~branch ~label
         Plan.add_task ~probes builder ~label ~signature:sign enc.Encode.model
       in
       if dedup then Hashtbl.replace cache sign { r_task = task_id; r_enc = enc };
-      (* a defining instance gets overrides only when a seed genuinely
-         tightens it: an empty list keeps the executor on its cached
-         warm-engine path, so an inert symbolic pass leaves the solve
-         sequence — and every certified bit — unchanged *)
-      let improved = ref 0 in
-      let overrides =
-        match seed with
-        | None -> []
-        | Some _ ->
-            let all =
-              List.concat
-                (Array.to_list
-                   (Array.mapi
-                      (fun p (v, d, w) ->
-                        let id = view.Subnet.input_active.(p) in
-                        let value, dist =
-                          seeded_input_ranges ~improved ~seed bounds view id
-                        in
-                        [ (v, value); (d, dist); (w, value) ])
-                      enc.Encode.in_vars))
-            in
-            if !improved > 0 then all else []
-      in
-      Plan.count_symbolic_seeded builder !improved;
       Array.iter
-        (fun queries ->
-          Plan.add_unit builder ~task_id ~overrides queries)
+        (fun queries -> Plan.add_unit builder ~task_id ~overrides:[] queries)
         (queries_per_target ~sign enc)
 
 (* Representative neuron for the instance target at position [t] of the
@@ -345,7 +288,7 @@ let plan_values config (bounds : Bounds.t) net ~layer:i =
             bounds ~candidates ~r
         in
         emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
-          ~seed:config.symbolic_shadow ~branch:config.branch
+          ~branch:config.branch
           ~label:(Printf.sprintf "itne-y:layer%d" i)
           ~include_output_relu:false ~refined bounds view
           ~queries_per_target:(fun ~sign enc ->
@@ -392,39 +335,21 @@ let plan_dx config (bounds : Bounds.t) net ~layer:i =
       let refined =
         if config.exact_output_relation then (i, j) :: refined else refined
       in
-      (* Symbolic-conclusive fast path.  With every relation in the
-         cone relaxed ([refined = []] also rules the target's own
-         relation out), the target's [dx] couples to the model through
-         the two chord rows in (dx, dy) alone, and the [dy] argument
-         attains its stored range inside the cone (the y/dy pass wrote
-         the cone's own optimum there).  The LP optimum is therefore
-         exactly the chord transfer already met into the store by the
-         symbolic/interval analysis: [max 0 d] up and [min 0 c] down,
-         clipped to the stored variable bounds.  Both queries are
-         answered statically — no encode, no solve; the noise guard in
-         the certifier's fold makes the skip bitwise indistinguishable
-         from running the solver. *)
-      if
-        config.symbolic_shadow <> None
-        && config.mode = Encode.Relaxed
-        && refined = []
-      then Plan.count_symbolic_conclusive builder 2
-      else
-        emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
-          ~seed:config.symbolic_shadow ~branch:config.branch
-          ~label:(Printf.sprintf "itne-x:layer%d:neuron%d" i j)
-          ~include_output_relu:true ~refined bounds view
-          ~queries_per_target:(fun ~sign enc ->
-            let nv = Encode.itne_vars enc i (rep_target enc ~t:0) in
-            match nv.Encode.dx with
-            | None -> [| [||] |]
-            | Some dxv ->
-                let mk dir =
-                  { Plan.q =
-                      Query.make ~cone:sign ~layer:i ~neuron:j Query.Dx dir;
-                    terms = [ (dxv, 1.0) ] }
-                in
-                [| [| mk Query.Hi; mk Query.Lo |] |])
+      emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
+        ~branch:config.branch
+        ~label:(Printf.sprintf "itne-x:layer%d:neuron%d" i j)
+        ~include_output_relu:true ~refined bounds view
+        ~queries_per_target:(fun ~sign enc ->
+          let nv = Encode.itne_vars enc i (rep_target enc ~t:0) in
+          match nv.Encode.dx with
+          | None -> [| [||] |]
+          | Some dxv ->
+              let mk dir =
+                { Plan.q =
+                    Query.make ~cone:sign ~layer:i ~neuron:j Query.Dx dir;
+                  terms = [ (dxv, 1.0) ] }
+              in
+              [| [| mk Query.Hi; mk Query.Lo |] |])
     end
   done;
   Plan.finish builder

@@ -28,17 +28,6 @@ type config = {
       (** encode the target's own distance relation exactly in the
           dx pass (adds integer variables) *)
   dedup : bool;  (** deduplicate structurally identical cones *)
-  symbolic_shadow : Bounds.t option;
-      (** bounds tightened by the backward symbolic pre-analysis
-          ({!Symbolic_back.analyse} on a {!Bounds.copy} shadow).  When
-          present: (a) dx queries whose LP optimum provably equals the
-          chord transfer already in the store are answered statically
-          ({!Plan.t.symbolic_conclusive}) — only when the whole cone is
-          relaxed, so the proof holds; (b) window-input intervals the
-          analysis tightened beyond the solver noise guard are seeded
-          into units as bound overrides
-          ({!Plan.t.symbolic_seeded}).  [None] reproduces the
-          unassisted plans bit for bit. *)
   branch : Search.Strategy.t;
       (** branching/refinement strategy.  Under [Dual_guided] the
           planner (a) weights {!Refine.select} by the accumulated

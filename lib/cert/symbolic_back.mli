@@ -43,9 +43,8 @@ type analysis = {
 val analyse : Nn.Network.t -> Bounds.t -> analysis
 (** Runs the forward pass ({!Symbolic.propagate}) and then the
     backward substitution, tightening every interval of the given
-    bounds in place by meet.  The certifier's [Sym_back] mode calls
-    this on a {!Bounds.copy} shadow so the solver pipeline's own
-    stored bounds stay bitwise untouched. *)
+    bounds in place by meet.  Callers that must keep a bound store
+    bitwise untouched run it on a {!Bounds.copy}. *)
 
 val stable_phases :
   Nn.Network.t -> input:Interval.t array -> delta:float ->

@@ -89,8 +89,7 @@ type propagation_row = {
   p_width : int;
   eps_interval : float;
   eps_symbolic : float;
-  eps_algo1_plain : float;
-  eps_algo1_symbolic : float;
+  eps_algo1 : float;
 }
 
 let propagation_sweep ?(widths = [ 4; 8; 16 ]) ?(delta = 0.02) () =
@@ -100,27 +99,21 @@ let propagation_sweep ?(widths = [ 4; 8; 16 ]) ?(delta = 0.02) () =
       let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
       let ibp = Cert.Interval_prop.certify net ~input ~delta in
       let sym = Cert.Symbolic.certify net ~input ~delta in
-      let algo config =
-        max_eps (Cert.Certifier.certify ~config net ~input ~delta)
-          .Cert.Certifier.eps
-      in
       { p_width = width;
         eps_interval = Array.fold_left Float.max 0.0 ibp;
         eps_symbolic = Array.fold_left Float.max 0.0 sym;
-        eps_algo1_plain = algo Cert.Certifier.default_config;
-        eps_algo1_symbolic =
-          algo
-            { Cert.Certifier.default_config with
-              Cert.Certifier.symbolic = Cert.Certifier.Sym_back } })
+        eps_algo1 =
+          max_eps (Cert.Certifier.certify net ~input ~delta).Cert.Certifier.eps
+      })
     widths
 
 let print_propagation fmt rows =
-  Format.fprintf fmt "%-7s %-12s %-12s %-14s %-14s@." "width" "interval"
-    "symbolic" "algo1" "algo1+symbolic";
+  Format.fprintf fmt "%-7s %-12s %-12s %-14s@." "width" "interval"
+    "symbolic" "algo1";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-7d %-12.5f %-12.5f %-14.5f %-14.5f@." r.p_width
-        r.eps_interval r.eps_symbolic r.eps_algo1_plain r.eps_algo1_symbolic)
+      Format.fprintf fmt "%-7d %-12.5f %-12.5f %-14.5f@." r.p_width
+        r.eps_interval r.eps_symbolic r.eps_algo1)
     rows
 
 let print_itne_vs_btne fmt rows =

@@ -32,14 +32,13 @@ type propagation_row = {
   p_width : int;
   eps_interval : float;
   eps_symbolic : float;
-  eps_algo1_plain : float;
-  eps_algo1_symbolic : float;
+  eps_algo1 : float;
 }
 
 val propagation_sweep :
   ?widths:int list -> ?delta:float -> unit -> propagation_row list
-(** E11: interval vs symbolic (affine) propagation, alone and as the
-    certifier's pre-pass, on random nets of growing width. *)
+(** E11: interval vs symbolic (affine) propagation against Algorithm 1
+    on random nets of growing width. *)
 
 val print_propagation : Format.formatter -> propagation_row list -> unit
 

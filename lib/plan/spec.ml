@@ -51,13 +51,11 @@ type t = {
   n_queries : int;
   n_encodes : int;
   dedup_hits : int;
-  symbolic_conclusive : int;
-  symbolic_seeded : int;
 }
 
 let empty =
   { affine = [||]; tasks = [||]; units = [||]; n_queries = 0; n_encodes = 0;
-    dedup_hits = 0; symbolic_conclusive = 0; symbolic_seeded = 0 }
+    dedup_hits = 0 }
 
 (* --- builder --- *)
 
@@ -68,20 +66,11 @@ type builder = {
   mutable b_units : unit_of_work list;
   mutable b_n_queries : int;
   mutable b_dedup_hits : int;
-  mutable b_symbolic_conclusive : int;
-  mutable b_symbolic_seeded : int;
 }
 
 let builder () =
   { b_affine = []; b_tasks = []; b_n_tasks = 0; b_units = [];
-    b_n_queries = 0; b_dedup_hits = 0; b_symbolic_conclusive = 0;
-    b_symbolic_seeded = 0 }
-
-let count_symbolic_conclusive b n =
-  b.b_symbolic_conclusive <- b.b_symbolic_conclusive + n
-
-let count_symbolic_seeded b n =
-  b.b_symbolic_seeded <- b.b_symbolic_seeded + n
+    b_n_queries = 0; b_dedup_hits = 0 }
 
 let add_affine b a = b.b_affine <- a :: b.b_affine
 
@@ -105,6 +94,4 @@ let finish b =
     units = Array.of_list (List.rev b.b_units);
     n_queries = b.b_n_queries;
     n_encodes = b.b_n_tasks;
-    dedup_hits = b.b_dedup_hits;
-    symbolic_conclusive = b.b_symbolic_conclusive;
-    symbolic_seeded = b.b_symbolic_seeded }
+    dedup_hits = b.b_dedup_hits }

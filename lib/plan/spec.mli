@@ -63,13 +63,6 @@ type t = {
   n_queries : int;     (** LP/MILP bound queries across all units *)
   n_encodes : int;     (** distinct models encoded ([= length tasks]) *)
   dedup_hits : int;    (** units replayed against another cone's model *)
-  symbolic_conclusive : int;
-      (** bound queries answered by the symbolic pre-analysis alone —
-          the planner proved the solver could not improve the stored
-          bound and emitted neither encode nor query *)
-  symbolic_seeded : int;
-      (** variable-bound overrides seeded from symbolic intervals
-          strictly tighter than the stored ones *)
 }
 
 val empty : t
@@ -95,13 +88,6 @@ val add_unit :
   query_spec array -> unit
 (** [dedup] marks the unit as a replay of an existing encoding (counted
     in {!t.dedup_hits}). *)
-
-val count_symbolic_conclusive : builder -> int -> unit
-(** Record [n] bound queries answered conclusively by the symbolic
-    pre-analysis (no task, no unit emitted for them). *)
-
-val count_symbolic_seeded : builder -> int -> unit
-(** Record [n] bound overrides seeded from symbolic intervals. *)
 
 val finish : builder -> t
 (** Items appear in insertion order. *)

@@ -31,13 +31,10 @@ let key ~digest (q : Wire.query) =
     | Cert.Refine.Count n -> Printf.sprintf "rc%d" n
     | Cert.Refine.Fraction f -> Printf.sprintf "rf%s" (bits f)
   in
-  Printf.sprintf "%s|%s|%s|%s|w%d|%s|s%d|b%s" digest (bits q.Wire.q_delta)
+  (* [s0] is the retired symbolic-mode segment, kept literally so
+     persisted entries still hit *)
+  Printf.sprintf "%s|%s|%s|%s|w%d|%s|s0|b%s" digest (bits q.Wire.q_delta)
     (bits q.Wire.q_lo) (bits q.Wire.q_hi) q.Wire.q_window refine
-    (* [s1] belonged to a retired symbolic mode; the surviving modes
-       keep their numbers so persisted entries still hit *)
-    (match q.Wire.q_symbolic with
-     | Cert.Certifier.Sym_off -> 0
-     | Cert.Certifier.Sym_back -> 2)
     (Search.Strategy.to_string q.Wire.q_branch)
 
 (* --- persistence ---

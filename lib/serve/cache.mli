@@ -2,8 +2,8 @@
 
     Keyed by everything that determines a certified answer: the network
     digest, the input box and delta (by float bit pattern), and the
-    result-relevant certifier knobs (window, refinement rule, symbolic
-    pre-pass).  Knobs that provably do {e not} change answers — worker
+    result-relevant certifier knobs (window, refinement rule, branching
+    rule).  Knobs that provably do {e not} change answers — worker
     domains, cone dedup — stay out of the key, so equivalent requests
     hit.
 

@@ -6,7 +6,6 @@ type query = {
   q_hi : float;
   q_window : int;
   q_refine : Cert.Refine.rule;
-  q_symbolic : Cert.Certifier.sym_mode;
   q_branch : Search.Strategy.t;
   q_no_cache : bool;
   q_deadline_ms : float option;
@@ -15,7 +14,6 @@ type query = {
 let default_query =
   { q_net = None; q_digest = None; q_delta = 1e-3; q_lo = 0.0; q_hi = 1.0;
     q_window = 2; q_refine = Cert.Refine.No_refine;
-    q_symbolic = Cert.Certifier.Sym_off;
     q_branch = Search.Strategy.Most_fractional;
     q_no_cache = false; q_deadline_ms = None }
 
@@ -68,9 +66,6 @@ let query_fields q =
         ("window", Json.Num (float_of_int q.q_window)) ];
       refine_fields q.q_refine;
       (* protocol extensions: each is absent at the historical default *)
-      (match q.q_symbolic with
-       | Cert.Certifier.Sym_off -> []
-       | Cert.Certifier.Sym_back -> [ ("symbolic_mode", Json.Str "back") ]);
       (if q.q_branch = Search.Strategy.Most_fractional then []
        else [ ("branch", Json.Str (Search.Strategy.to_string q.q_branch)) ]);
       (if q.q_no_cache then [ ("no_cache", Json.Bool true) ] else []);
@@ -104,9 +99,10 @@ let get ~what o = function
    that answers them — the one place old clients' names are mapped.
    [violation] always branched exactly like most-fractional;
    [dy-partition] used the dual-guided refinement weights and probes,
-   and every strategy certifies the same eps.  The forward symbolic
-   mode ([symbolic: true], [symbolic_mode: "fwd"]) maps to the backward
-   one, which never loosens a bound. *)
+   and every strategy certifies the same eps.  The retired symbolic
+   pre-pass fields ([symbolic: bool], [symbolic_mode: "off" | "back" |
+   "fwd"]) are accepted and ignored: every mode certified the same
+   bits. *)
 let legacy_branch = function
   | "violation" -> Some Search.Strategy.Most_fractional
   | "dy-partition" | "dy_partition" -> Some Search.Strategy.Dual_guided
@@ -135,23 +131,20 @@ let decode_query v =
   let q_net = Json.mem_str "net" v and q_digest = Json.mem_str "digest" v in
   if q_net = None && q_digest = None then
     failwith "Serve.Wire: certify: one of net or digest is required";
+  (match Json.mem_str "symbolic_mode" v with
+   | None | Some ("off" | "back" | "fwd") -> ()
+   | Some m ->
+       failwith
+         (Printf.sprintf "Serve.Wire: certify: unknown symbolic_mode %S" m));
+  let delta = num "delta" default_query.q_delta in
+  let lo = num "lo" default_query.q_lo and hi = num "hi" default_query.q_hi in
+  if not (delta >= 0.0) then
+    failwith "Serve.Wire: certify: delta must be non-negative";
+  if not (lo <= hi) then failwith "Serve.Wire: certify: lo must not exceed hi";
   { q_net; q_digest;
-    q_delta = num "delta" default_query.q_delta;
-    q_lo = num "lo" default_query.q_lo;
-    q_hi = num "hi" default_query.q_hi;
+    q_delta = delta; q_lo = lo; q_hi = hi;
     q_window = window;
     q_refine = refine;
-    q_symbolic =
-      (match Json.mem_str "symbolic_mode" v with
-       | Some "off" -> Cert.Certifier.Sym_off
-       | Some ("back" | "fwd") -> Cert.Certifier.Sym_back
-       | Some m ->
-           failwith
-             (Printf.sprintf "Serve.Wire: certify: unknown symbolic_mode %S" m)
-       | None ->
-           if Option.value ~default:false (Json.mem_bool "symbolic" v) then
-             Cert.Certifier.Sym_back
-           else Cert.Certifier.Sym_off);
     q_branch =
       (match Json.mem_str "branch" v with
        | None -> default_query.q_branch

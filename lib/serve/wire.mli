@@ -35,12 +35,6 @@ type query = {
   q_hi : float;
   q_window : int;
   q_refine : Cert.Refine.rule;
-  q_symbolic : Cert.Certifier.sym_mode;
-      (** on the wire: [Sym_back] is the [symbolic_mode: "back"]
-          extension, emitted only when on.  The retired forward mode
-          ([symbolic: true] or [symbolic_mode: "fwd"]) decodes as
-          [Sym_back]; [symbolic_mode] takes precedence over the boolean
-          when both are present *)
   q_branch : Search.Strategy.t;
       (** on the wire: the [branch] string field (a
           {!Search.Strategy.to_string} name), emitted only when
@@ -55,9 +49,8 @@ type query = {
 }
 
 val default_query : query
-(** [delta = 1e-3], box [\[0, 1\]], window 2, no refinement, no
-    symbolic pre-pass, most-fractional branching, cache on, no deadline,
-    no network. *)
+(** [delta = 1e-3], box [\[0, 1\]], window 2, no refinement,
+    most-fractional branching, cache on, no deadline, no network. *)
 
 type request =
   | Certify of query
@@ -104,7 +97,10 @@ val encode_request : id:int -> request -> string
 (** One line, no trailing newline. *)
 
 val decode_request : Json.t -> int * request
-(** Raises [Failure] on malformed or unknown requests. *)
+(** Raises [Failure] on malformed or unknown requests, including a
+    certify query with [delta < 0] or [lo > hi].  The retired symbolic
+    pre-pass fields ([symbolic: bool], [symbolic_mode: "off" | "back" |
+    "fwd"]) are accepted and ignored; any other [symbolic_mode] fails. *)
 
 val encode_response : id:int -> response -> string
 

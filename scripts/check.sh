@@ -63,24 +63,6 @@ if [ "$sparse_eps" != "$dense_eps" ]; then
   exit 1
 fi
 
-echo "== symbolic=back certify parity (sequential and --domains 4) =="
-plain_eps=$(dune exec -- grc certify \
-  --net _build/lint-artifacts/lint-ci.net --delta 0.001 --symbolic=off \
-  | grep '^output')
-back_eps=$(dune exec -- grc certify \
-  --net _build/lint-artifacts/lint-ci.net --delta 0.001 --symbolic=back \
-  | grep '^output')
-back_par_eps=$(dune exec -- grc certify \
-  --net _build/lint-artifacts/lint-ci.net --delta 0.001 --symbolic=back \
-  --domains 4 | grep '^output')
-if [ "$plain_eps" != "$back_eps" ] || [ "$plain_eps" != "$back_par_eps" ]; then
-  echo "backward-symbolic pre-analysis changed certified bounds:" >&2
-  echo "  off:           $plain_eps" >&2
-  echo "  back:          $back_eps" >&2
-  echo "  back/domains4: $back_par_eps" >&2
-  exit 1
-fi
-
 echo "== branch-strategy certify parity (sequential and --domains 4) =="
 # Every branch & bound strategy must certify the identical epsilon —
 # only the tree shape (node counts) may differ — sequentially and
@@ -138,11 +120,10 @@ test -s BENCH_obs.json
 # lp-bench carries its own gates: dense-vs-sparse objective agreement
 # within 1e-9 on every swept case, zero dense fallbacks, >= 5x
 # aggregate speedup of the sparse LU basis over the dense inverse on
-# the dnn3/dnn4/dnn5-scale sweeps, and the backward-symbolic gates
-# (>= 30% fewer LP solves on dnn3/dnn4 at bitwise-identical certified
-# eps, plus exact-engine stability hints that pin splits without
-# moving the optimum).  The branch-strategy gates ride along: certified
-# eps bitwise identical across all four strategies on the certifier,
+# the dnn3/dnn4/dnn5-scale sweeps, and backward-symbolic stability
+# hints that pin the exact engines' splits without moving the
+# optimum.  The branch-strategy gates ride along: certified eps
+# bitwise identical across both strategies on the certifier,
 # exact-BTNE and reluplex cases, and dual-guided exploring >= 20% fewer
 # B&B nodes than most-fractional on the exact-BTNE dnn3 tree.  It
 # exits nonzero if any gate fails.

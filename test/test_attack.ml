@@ -119,47 +119,6 @@ let test_global_under_max_samples () =
     (fun i -> Alcotest.(check bool) "sample index < 3" true (i < 3))
     r.Attack.Global_under.worst_sample
 
-let test_square_within_exact () =
-  let net = small_net () in
-  let x = [| 0.2; -0.1; 0.4 |] in
-  let delta = 0.04 in
-  let v =
-    Attack.Square.max_output_variation ~seed:9 net ~x ~delta ~j:0
-  in
-  Alcotest.(check bool) "nonneg" true (v >= 0.0);
-  let base = (Nn.Network.forward net x).(0) in
-  let r = Cert.Local.exact net ~x0:x ~delta in
-  let lo = r.Cert.Local.range.(0).Cert.Interval.lo in
-  let hi = r.Cert.Local.range.(0).Cert.Interval.hi in
-  let max_possible = Float.max (hi -. base) (base -. lo) in
-  Alcotest.(check bool) "square <= exact local" true
-    (v <= max_possible +. 1e-6)
-
-let test_square_respects_domain () =
-  let net = small_net () in
-  let domain = Array.make 3 (Cert.Interval.make 0.0 0.5) in
-  (* even from the corner with a huge delta, evaluation points are
-     clipped, so the result is finite and defined *)
-  let v =
-    Attack.Square.max_output_variation ~domain ~seed:2 net
-      ~x:[| 0.0; 0.5; 0.25 |] ~delta:1.0 ~j:1
-  in
-  Alcotest.(check bool) "finite" true (Float.is_finite v)
-
-let test_square_linear_reaches_fgsm () =
-  (* on a linear model the surface search should find the exact optimum
-     (= FGSM's) given enough iterations *)
-  let w = Linalg.Mat.of_arrays [| [| 1.5; -2.0 |] |] in
-  let net = Nn.Network.make [ Nn.Layer.dense ~weight:w ~bias:[| 0.0 |] () ] in
-  let delta = 0.1 in
-  let v =
-    Attack.Square.max_output_variation
-      ~config:{ Attack.Square.iterations = 500; p_init = 0.8 }
-      ~seed:4 net ~x:[| 0.0; 0.0 |] ~delta ~j:0
-  in
-  Alcotest.(check bool) "reaches optimum" true
-    (Float.abs (v -. (delta *. 3.5)) < 1e-9)
-
 let suites =
   [ ( "attack:fgsm",
       [ Alcotest.test_case "within ball" `Quick test_fgsm_within_ball;
@@ -171,13 +130,6 @@ let suites =
           test_pgd_within_ball;
         Alcotest.test_case "beats random search" `Quick
           test_pgd_beats_or_matches_random ] );
-    ( "attack:square",
-      [ Alcotest.test_case "within exact local" `Quick
-          test_square_within_exact;
-        Alcotest.test_case "respects domain" `Quick
-          test_square_respects_domain;
-        Alcotest.test_case "linear reaches optimum" `Quick
-          test_square_linear_reaches_fgsm ] );
     ( "attack:global-under",
       [ Alcotest.test_case "below exact global" `Quick
           test_global_under_below_exact;

@@ -368,37 +368,6 @@ let test_back_stable_hints () =
     (feq ~eps:1e-6 rplain.Cert.Reluplex_style.eps.(0)
        rhinted.Cert.Reluplex_style.eps.(0))
 
-let test_back_conclusive_parity () =
-  let rng = rng0 () in
-  let net = random_net ~rng ~dims:[ 3; 8; 6; 2 ] ~relu_last:false in
-  let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-  let delta = 0.03 in
-  let run ~exact_output_relation sym =
-    Cert.Certifier.certify
-      ~config:{ Cert.Certifier.default_config with
-                Cert.Certifier.exact_output_relation; symbolic = sym }
-      net ~input ~delta
-  in
-  (* pure LPR: every dx query is a chord-relaxed LP the shadow analysis
-     proves to be a structural no-op — answered with zero solves, and
-     the certified eps is bitwise identical *)
-  let off = run ~exact_output_relation:false Cert.Certifier.Sym_off in
-  let back = run ~exact_output_relation:false Cert.Certifier.Sym_back in
-  Alcotest.(check (array (float 0.0))) "bitwise eps (lpr)"
-    off.Cert.Certifier.eps back.Cert.Certifier.eps;
-  Alcotest.(check bool) "conclusive skips fired" true
-    (back.Cert.Certifier.symbolic_conclusive > 0);
-  Alcotest.(check bool) "fewer LP solves" true
-    (back.Cert.Certifier.lp_solves < off.Cert.Certifier.lp_solves);
-  (* default config: the exact output relation forces real MILPs, the
-     fast path declines everywhere, and eps stays bitwise identical *)
-  let off_d = run ~exact_output_relation:true Cert.Certifier.Sym_off in
-  let back_d = run ~exact_output_relation:true Cert.Certifier.Sym_back in
-  Alcotest.(check (array (float 0.0))) "bitwise eps (default)"
-    off_d.Cert.Certifier.eps back_d.Cert.Certifier.eps;
-  Alcotest.(check int) "no conclusive skips under exact output relation" 0
-    back_d.Cert.Certifier.symbolic_conclusive
-
 (* --- subnet cones --- *)
 
 let test_cone_full_window () =
@@ -833,9 +802,7 @@ let suites =
         back_tightness_chain_prop;
         back_sound_prop;
         Alcotest.test_case "stable hints: exact engines" `Quick
-          test_back_stable_hints;
-        Alcotest.test_case "conclusive skips: bitwise parity" `Quick
-          test_back_conclusive_parity ] );
+          test_back_stable_hints ] );
     ( "cert:subnet",
       [ Alcotest.test_case "full window" `Quick test_cone_full_window;
         Alcotest.test_case "window clamp" `Quick test_cone_window_clamp;

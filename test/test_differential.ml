@@ -145,60 +145,7 @@ let reluplex_vs_milp_prop =
                  false))
              rel.Cert.Reluplex_style.eps milp.Cert.Exact.eps))
 
-(* --- (d) backward-symbolic fast path is conservative --- *)
-
-(* Sym_back only ever (a) answers a query without the LP when the plan
-   proves the solve is a structural no-op, or (b) seeds a strictly
-   tighter starting interval.  When it does neither, the certificate
-   must be bitwise identical to a plain run; when it does, it may only
-   tighten.  Any other difference means the shadow analysis leaked into
-   the solver state. *)
-
-let symbolic_back_gate_prop =
-  Test_seed.to_alcotest
-    (QCheck.Test.make ~count:10
-       ~name:"symbolic=back never loosens; bitwise equal when it declines"
-       (QCheck.make (net_gen ~max_width:4 ~hidden:2))
-       (fun spec ->
-         let net = build_net spec in
-         let delta = 0.05 in
-         let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-         let run symbolic =
-           let config = { Cert.Certifier.default_config with symbolic } in
-           Cert.Certifier.certify ~config net ~input ~delta
-         in
-         let off = run Cert.Certifier.Sym_off in
-         let back = run Cert.Certifier.Sym_back in
-         let declined =
-           back.Cert.Certifier.symbolic_conclusive = 0
-           && back.Cert.Certifier.symbolic_seeded = 0
-         in
-         if declined then
-           Array.for_all2
-             (fun a b ->
-               if a = b then true
-               else (
-                 Printf.eprintf
-                   "fast path declined but eps changed: off %.17g, back \
-                    %.17g\n\
-                    %!"
-                   a b;
-                 false))
-             off.Cert.Certifier.eps back.Cert.Certifier.eps
-         else
-           Array.for_all2
-             (fun a b ->
-               if b <= a +. 1e-9 then true
-               else (
-                 Printf.eprintf
-                   "symbolic=back loosened the certificate: off %.17g, back \
-                    %.17g\n\
-                    %!"
-                   a b;
-                 false))
-             off.Cert.Certifier.eps back.Cert.Certifier.eps))
-
-(* --- (e) certifier-in-the-loop training keeps the ordering each epoch --- *)
+(* --- (d) certifier-in-the-loop training keeps the ordering each epoch --- *)
 
 (* Every epoch of the robust training loop must sit inside the chain
    PGD lower bound <= symbolic-back <= interval surrogate: the penalty
@@ -263,7 +210,7 @@ let test_train_robust_chain () =
   Alcotest.(check int) "epoch records" 4 (List.length records);
   Alcotest.(check int) "hook fired per epoch" 4 !epochs_seen
 
-(* --- (f) robust training's weight trajectory is pinned bitwise --- *)
+(* --- (e) robust training's weight trajectory is pinned bitwise --- *)
 
 (* SGD and MSE keep libm's pow/exp out of the weights, so the digest
    below depends only on IEEE arithmetic: any change to the interval
@@ -295,7 +242,7 @@ let test_train_robust_trajectory_pin () =
   Alcotest.(check string) "final weights digest"
     "87f20400312b97edcc6ba63981ebeb1a" (Nn.Network.digest net)
 
-(* --- (g) trained weights re-certify bitwise after a file round trip --- *)
+(* --- (f) trained weights re-certify bitwise after a file round trip --- *)
 
 let test_post_train_recertify_bitwise () =
   let rng = Random.State.make [| 77 |] in
@@ -339,7 +286,7 @@ let test_post_train_recertify_bitwise () =
 let suites =
   [ ( "differential",
       [ attack_below_certified_prop; relaxed_vs_exact_prop;
-        reluplex_vs_milp_prop; symbolic_back_gate_prop;
+        reluplex_vs_milp_prop;
         Alcotest.test_case "train-robust epoch ordering chain" `Slow
           test_train_robust_chain;
         Alcotest.test_case "train-robust trajectory pin" `Quick

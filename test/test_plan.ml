@@ -4,8 +4,7 @@
 let pconfig =
   { Cert.Planner.window = 2; refine = Cert.Refine.No_refine;
     mode = Cert.Encode.Relaxed; exact_output_relation = true; dedup = true;
-    symbolic_shadow = None; branch = Search.Strategy.Most_fractional;
-    dual_sens = None }
+    branch = Search.Strategy.Most_fractional; dual_sens = None }
 
 let random_net ~rng ~relu ~dims =
   let rec build = function

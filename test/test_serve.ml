@@ -83,7 +83,6 @@ let sample_query =
   { Wire.q_net = Some "grc-net 1\nlayers 0\n"; q_digest = None;
     q_delta = 0.25; q_lo = -1.0; q_hi = 1.0; q_window = 3;
     q_refine = Cert.Refine.Count 4;
-    q_symbolic = Cert.Certifier.Sym_back;
     q_branch = Search.Strategy.Dual_guided; q_no_cache = true;
     q_deadline_ms = Some 125.5 }
 
@@ -177,10 +176,13 @@ let test_wire_rejects () =
       | exception Failure _ -> ())
     [ "{\"op\":\"nope\",\"id\":1}"; "{\"id\":1}";
       "{\"op\":\"certify\",\"id\":1,\"window\":0,\"net\":\"x\"}";
-      "{\"op\":\"certify\",\"id\":1}" ]
+      "{\"op\":\"certify\",\"id\":1}";
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"delta\":-0.001}";
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"lo\":1,\"hi\":0}" ]
 
 (* Names of removed options decode as the surviving value that answers
-   them, so old clients keep working. *)
+   them, so old clients keep working; the retired symbolic fields are
+   ignored, down to the cache key. *)
 let test_wire_legacy_names () =
   let decode field =
     let line =
@@ -198,11 +200,15 @@ let test_wire_legacy_names () =
         (Search.Strategy.to_string (decode field).Wire.q_branch))
     [ ("\"branch\":\"violation\"", Search.Strategy.Most_fractional);
       ("\"branch\":\"dy-partition\"", Search.Strategy.Dual_guided) ];
+  let key q = Serve.Cache.key ~digest:"d" q in
+  let plain = key (decode "\"delta\":0.001") in
   List.iter
-    (fun field ->
-      Alcotest.(check bool) field true
-        ((decode field).Wire.q_symbolic = Cert.Certifier.Sym_back))
-    [ "\"symbolic\":true"; "\"symbolic_mode\":\"fwd\"" ]
+    (fun field -> Alcotest.(check string) field plain (key (decode field)))
+    [ "\"symbolic\":true"; "\"symbolic_mode\":\"off\"";
+      "\"symbolic_mode\":\"back\""; "\"symbolic_mode\":\"fwd\"" ];
+  match decode "\"symbolic_mode\":\"sideways\"" with
+  | _ -> Alcotest.fail "unknown symbolic_mode accepted"
+  | exception Failure _ -> ()
 
 (* --- codec fuzzing: hostile bytes must fail cleanly --- *)
 
@@ -426,8 +432,7 @@ let test_cache_key_discriminates () =
       ("window", { q0 with Wire.q_window = 3 });
       ("refine", { q0 with Wire.q_refine = Cert.Refine.Count 1 });
       ("refine frac",
-       { q0 with Wire.q_refine = Cert.Refine.Fraction 0.5 });
-      ("symbolic", { q0 with Wire.q_symbolic = Cert.Certifier.Sym_back }) ];
+       { q0 with Wire.q_refine = Cert.Refine.Fraction 0.5 }) ];
   if Serve.Cache.key ~digest:"other" q0 = base then
     Alcotest.fail "digest did not change the key";
   (* no-cache and deadlines do not change the answer: same key *)
@@ -436,23 +441,16 @@ let test_cache_key_discriminates () =
   Alcotest.(check string) "deadline irrelevant" base
     (k { q0 with Wire.q_deadline_ms = Some 5.0 })
 
-(* Key spellings of the surviving symbolic modes and strategies are
-   persisted on disk: they must not move, or old cache files stop
-   hitting. *)
+(* Key spellings of the surviving strategies are persisted on disk: they
+   must not move, or old cache files stop hitting. *)
 let test_cache_key_stable () =
   let prefix = "d|4562254508917369340|0|4607182418800017408|w2|r0|" in
   List.iter
-    (fun (sym, branch, suffix) ->
+    (fun (branch, suffix) ->
       Alcotest.(check string) suffix (prefix ^ suffix)
-        (Serve.Cache.key ~digest:"d"
-           { q0 with Wire.q_symbolic = sym; q_branch = branch }))
-    [ (Cert.Certifier.Sym_off, Search.Strategy.Most_fractional,
-       "s0|bmost-fractional");
-      (Cert.Certifier.Sym_off, Search.Strategy.Dual_guided, "s0|bdual-guided");
-      (Cert.Certifier.Sym_back, Search.Strategy.Most_fractional,
-       "s2|bmost-fractional");
-      (Cert.Certifier.Sym_back, Search.Strategy.Dual_guided,
-       "s2|bdual-guided") ]
+        (Serve.Cache.key ~digest:"d" { q0 with Wire.q_branch = branch }))
+    [ (Search.Strategy.Most_fractional, "s0|bmost-fractional");
+      (Search.Strategy.Dual_guided, "s0|bdual-guided") ]
 
 let test_cache_persistence () =
   let path = Filename.temp_file "grc-cache" ".txt" in
