@@ -209,16 +209,12 @@ let run_micro () =
 
 (* LP warm-start benchmark: the certifier's per-neuron min/max sweep
    solved cold (a fresh basis per query — the pre-session behaviour)
-   vs through one persistent session, each sweep run against both the
-   sparse LU basis (the default) and the dense-inverse reference
-   representation, plus end-to-end certifier stats.  Emits
+   vs through one persistent session, with FTRAN/BTRAN and LU
+   factorisation accounting, plus end-to-end certifier stats.  Emits
    machine-readable BENCH_lp.json next to the textual report.
 
-   Gates (exit nonzero on violation):
-   - sparse and dense objectives agree to 1e-9 on every query;
-   - no silent dense fallbacks on any benchmarked net;
-   - aggregate >= 5x dense-vs-sparse wall-time speedup on the
-     dnn3/dnn4-scale sweeps. *)
+   Gate (exit nonzero on violation): the LU rejects no basis in any
+   sweep on any benchmarked net. *)
 let run_lp_bench () =
   header "lp-bench: warm-started simplex (session) vs cold solves";
   let c_ftrans = Obs.Metrics.counter "simplex.ftrans" in
@@ -226,10 +222,8 @@ let run_lp_bench () =
   let c_lu_factors = Obs.Metrics.counter "simplex.lu_factors" in
   let c_etas = Obs.Metrics.counter "simplex.eta_updates" in
   let c_refactors = Obs.Metrics.counter "lp:refactor" in
-  let c_dense_fb = Obs.Metrics.counter "simplex.dense_fallbacks" in
+  let c_rejections = Obs.Metrics.counter "simplex.lu_rejections" in
   let gate_failures = ref [] in
-  let gate_cases = [ "dnn3"; "dnn4"; "dnn5" ] in
-  let agg_dense = ref 0.0 and agg_sparse = ref 0.0 in
   let sweep_case name net ~lo ~hi ~delta =
     let input = Cert.Bounds.box_domain net ~lo ~hi in
     let bounds =
@@ -258,58 +252,38 @@ let run_lp_bench () =
     in
     let cp = Lp.Simplex.compile enc.Cert.Encode.model in
     let lo_b, hi_b = Lp.Simplex.default_bounds cp in
-    (* one cold sweep + one warm session sweep under [kind] *)
-    let run_rep kind =
-      let saved = !Lp.Simplex.basis_kind in
-      Lp.Simplex.basis_kind := kind;
-      let t0 = Unix.gettimeofday () in
-      let cold_pivots = ref 0 in
-      let cold_objs =
-        List.map
-          (fun objective ->
-            let sol =
-              Lp.Simplex.solve_compiled ~objective cp ~lo:lo_b ~hi:hi_b
-            in
-            cold_pivots := !cold_pivots + sol.Lp.Simplex.pivots;
-            (sol.Lp.Simplex.status, sol.Lp.Simplex.obj))
-          queries
-      in
-      let cold_time = Unix.gettimeofday () -. t0 in
-      let t0 = Unix.gettimeofday () in
-      let session = Lp.Simplex.create_session cp in
-      let warm_objs =
-        List.map
-          (fun objective ->
-            let sol = Lp.Simplex.solve_session ~objective session in
-            (sol.Lp.Simplex.status, sol.Lp.Simplex.obj))
-          queries
-      in
-      let warm_time = Unix.gettimeofday () -. t0 in
-      Lp.Simplex.basis_kind := saved;
-      (cold_objs, cold_time, !cold_pivots, warm_objs, warm_time,
-       Lp.Simplex.session_stats session)
-    in
-    let max_pair_diff a b =
-      List.fold_left2
-        (fun acc (s1, o1) (s2, o2) ->
-          match (s1, s2) with
-          | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
-              Float.max acc (Float.abs (o1 -. o2))
-          | _ -> if s1 = s2 then acc else infinity)
-        0.0 a b
-    in
-    (* sparse run, with kernel and factorisation accounting *)
     let ftrans0 = Obs.Metrics.get c_ftrans
     and btrans0 = Obs.Metrics.get c_btrans
     and lu0 = Obs.Metrics.get c_lu_factors
     and etas0 = Obs.Metrics.get c_etas
     and refs0 = Obs.Metrics.get c_refactors
-    and fb0 = Obs.Metrics.get c_dense_fb in
+    and rej0 = Obs.Metrics.get c_rejections in
     Lp.Simplex.time_kernels := true;
     Lp.Simplex.reset_kernel_times ();
-    let cold_objs, cold_time, cold_pivots, warm_objs, warm_time, st =
-      run_rep Lp.Simplex.Sparse_lu
+    (* one cold sweep, then one warm session sweep *)
+    let t0 = Unix.gettimeofday () in
+    let cold_pivots = ref 0 in
+    let cold_objs =
+      List.map
+        (fun objective ->
+          let sol = Lp.Simplex.solve_compiled ~objective cp ~lo:lo_b ~hi:hi_b in
+          cold_pivots := !cold_pivots + sol.Lp.Simplex.pivots;
+          (sol.Lp.Simplex.status, sol.Lp.Simplex.obj))
+        queries
     in
+    let cold_time = Unix.gettimeofday () -. t0 in
+    let cold_pivots = !cold_pivots in
+    let t0 = Unix.gettimeofday () in
+    let session = Lp.Simplex.create_session cp in
+    let warm_objs =
+      List.map
+        (fun objective ->
+          let sol = Lp.Simplex.solve_session ~objective session in
+          (sol.Lp.Simplex.status, sol.Lp.Simplex.obj))
+        queries
+    in
+    let warm_time = Unix.gettimeofday () -. t0 in
+    let st = Lp.Simplex.session_stats session in
     let ftran_s, btran_s = Lp.Simplex.kernel_times () in
     Lp.Simplex.time_kernels := false;
     let ftrans = Obs.Metrics.get c_ftrans - ftrans0
@@ -317,33 +291,21 @@ let run_lp_bench () =
     and lu_factors = Obs.Metrics.get c_lu_factors - lu0
     and eta_updates = Obs.Metrics.get c_etas - etas0
     and refactors = Obs.Metrics.get c_refactors - refs0
-    and sweep_dense_fb = Obs.Metrics.get c_dense_fb - fb0 in
-    (* dense-inverse reference run of the identical sweeps *)
-    let d_cold_objs, d_cold_time, _, d_warm_objs, d_warm_time, _ =
-      run_rep Lp.Simplex.Dense_inverse
-    in
+    and rejections = Obs.Metrics.get c_rejections - rej0 in
     (* the sweeps must agree query by query *)
-    let max_diff = max_pair_diff cold_objs warm_objs in
-    let dv_diff =
-      Float.max
-        (max_pair_diff d_cold_objs cold_objs)
-        (max_pair_diff d_warm_objs warm_objs)
+    let max_diff =
+      List.fold_left2
+        (fun acc (s1, o1) (s2, o2) ->
+          match (s1, s2) with
+          | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
+              Float.max acc (Float.abs (o1 -. o2))
+          | _ -> if s1 = s2 then acc else infinity)
+        0.0 cold_objs warm_objs
     in
-    let dense_total = d_cold_time +. d_warm_time in
-    let sparse_total = cold_time +. warm_time in
-    if List.mem name gate_cases then begin
-      agg_dense := !agg_dense +. dense_total;
-      agg_sparse := !agg_sparse +. sparse_total
-    end;
-    if dv_diff > 1e-9 then
+    if rejections <> 0 then
       gate_failures :=
-        Printf.sprintf "%s: dense vs sparse objectives differ by %g" name
-          dv_diff
-        :: !gate_failures;
-    if sweep_dense_fb <> 0 then
-      gate_failures :=
-        Printf.sprintf "%s: %d silent dense fallback(s) in the sparse sweep"
-          name sweep_dense_fb
+        Printf.sprintf "%s: the LU rejected %d basis(es) in the sweeps" name
+          rejections
         :: !gate_failures;
     Format.fprintf fmt
       "%-8s %4d queries: cold %.4fs / %6d pivots; warm %.4fs / %6d pivots \
@@ -353,12 +315,8 @@ let run_lp_bench () =
       st.Lp.Simplex.dual_restarts st.Lp.Simplex.fallbacks
       (cold_time /. warm_time) max_diff;
     Format.fprintf fmt
-    "         dense %.4fs vs sparse %.4fs: %.2fx dense-vs-sparse speedup; \
-       %d etas, %d refactors, %d LU factors, %d dense fallbacks; \
-       max |dense-sparse| %.2g@."
-      dense_total sparse_total
-      (dense_total /. sparse_total)
-      eta_updates refactors lu_factors sweep_dense_fb dv_diff;
+      "         %d etas, %d refactors, %d LU factors, %d LU rejections@."
+      eta_updates refactors lu_factors rejections;
     Printf.sprintf
       "    { \"name\": %S, \"queries\": %d,\n\
       \      \"cold\": { \"time_s\": %.6f, \"solves\": %d, \"pivots\": %d },\n\
@@ -367,22 +325,17 @@ let run_lp_bench () =
       \                 \"warm_solves\": %d, \"dual_restarts\": %d,\n\
       \                 \"fallbacks\": %d, \"pivots\": %d },\n\
       \      \"speedup\": %.3f, \"max_abs_obj_diff\": %.3g,\n\
-      \      \"dense\": { \"cold_time_s\": %.6f, \"warm_time_s\": %.6f },\n\
-      \      \"dense_vs_sparse\": { \"speedup\": %.3f, \
-       \"max_abs_obj_diff\": %.3g },\n\
       \      \"kernels\": { \"ftrans\": %d, \"btrans\": %d,\n\
       \                    \"ftran_time_s\": %.6f, \"btran_time_s\": %.6f \
        },\n\
       \      \"basis\": { \"lu_factors\": %d, \"refactors\": %d,\n\
-      \                  \"eta_updates\": %d, \"dense_fallbacks\": %d } }"
+      \                  \"eta_updates\": %d, \"lu_rejections\": %d } }"
       name (List.length queries) cold_time (List.length queries)
       cold_pivots warm_time st.Lp.Simplex.solves st.Lp.Simplex.cold_solves
       st.Lp.Simplex.warm_solves st.Lp.Simplex.dual_restarts
       st.Lp.Simplex.fallbacks st.Lp.Simplex.total_pivots
-      (cold_time /. warm_time) max_diff d_cold_time d_warm_time
-      (dense_total /. sparse_total)
-      dv_diff ftrans btrans ftran_s btran_s lu_factors refactors
-      eta_updates sweep_dense_fb
+      (cold_time /. warm_time) max_diff ftrans btrans ftran_s btran_s
+      lu_factors refactors eta_updates rejections
   in
   let cert_case name net ~lo ~hi ~delta =
     let r = Cert.Certifier.certify_box net ~lo ~hi ~delta in
@@ -431,18 +384,6 @@ let run_lp_bench () =
     let s_dnn5 = sweep_case "dnn5" dnn5 ~lo:0.0 ~hi:1.0 ~delta:0.001 in
     [ s_fig4; s_dnn2; s_dnn3; s_dnn4; s_dnn5 ]
   in
-  let agg_speedup = !agg_dense /. !agg_sparse in
-  Format.fprintf fmt
-    "dense-vs-sparse aggregate (%s): dense %.4fs / sparse %.4fs = %.2fx \
-     speedup@."
-    (String.concat "+" gate_cases)
-    !agg_dense !agg_sparse agg_speedup;
-  if agg_speedup < 5.0 then
-    gate_failures :=
-      Printf.sprintf
-        "aggregate dense-vs-sparse speedup %.2fx < 5x on %s" agg_speedup
-        (String.concat "+" gate_cases)
-      :: !gate_failures;
   let certs =
     [ cert_case "fig4" fig4 ~lo:(-1.0) ~hi:1.0 ~delta:0.1;
       cert_case "dnn2" dnn2 ~lo:0.0 ~hi:1.0 ~delta:0.001;
@@ -721,17 +662,12 @@ let run_lp_bench () =
   let oc = open_out "BENCH_lp.json" in
   Printf.fprintf oc
     "{\n  \"sweeps\": [\n%s\n  ],\n\
-    \  \"dense_vs_sparse_aggregate\": { \"cases\": [%s],\n\
-    \    \"dense_time_s\": %.6f, \"sparse_time_s\": %.6f, \
-     \"speedup\": %.3f },\n\
     \  \"certifier\": [\n%s\n  ],\n\
     \  \"symbolic_hints\": %s,\n\
     \  \"branch\": [\n%s\n  ],\n\
     \  \"branch_exact\": %s,\n\
     \  \"branch_reluplex\": %s\n}\n"
     (String.concat ",\n" sweeps)
-    (String.concat ", " (List.map (Printf.sprintf "%S") gate_cases))
-    !agg_dense !agg_sparse agg_speedup
     (String.concat ",\n" certs)
     sym_hints
     (String.concat ",\n" branches)

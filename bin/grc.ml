@@ -55,14 +55,25 @@ let bounded_int ~what ~min : int Arg.conv =
 let pos_int = bounded_int ~what:"must be at least 1" ~min:1
 let nonneg_int = bounded_int ~what:"must be non-negative" ~min:0
 
-let nonneg_float : float Arg.conv =
+(* Likewise for floats; none of these accepts [inf] or [nan], which the
+   interval code would only reject later with an internal error. *)
+let bounded_float ~what ok : float Arg.conv =
   let parse s =
     match float_of_string_opt (String.trim s) with
-    | Some v when v >= 0.0 -> Ok v
-    | Some v -> Error (`Msg (Printf.sprintf "%g: must be non-negative" v))
+    | Some v when ok v -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "%g: %s" v what))
     | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
   in
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
+let finite_float = bounded_float ~what:"must be finite" Float.is_finite
+
+let nonneg_float =
+  bounded_float ~what:"must be finite and non-negative" (fun v ->
+      Float.is_finite v && v >= 0.0)
+
+let unit_float =
+  bounded_float ~what:"must lie in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)
 
 let family_arg =
   let doc = "Model family: auto-mpg, digits or camera." in
@@ -134,9 +145,11 @@ let delta_arg =
 (* The input box [--lo, --hi]; an inverted box is a usage error. *)
 let box_arg =
   let lo =
-    Arg.(value & opt float 0.0 & info [ "lo" ] ~doc:"Input domain lower bound.")
+    Arg.(value & opt finite_float 0.0
+         & info [ "lo" ] ~doc:"Input domain lower bound.")
   and hi =
-    Arg.(value & opt float 1.0 & info [ "hi" ] ~doc:"Input domain upper bound.")
+    Arg.(value & opt finite_float 1.0
+         & info [ "hi" ] ~doc:"Input domain upper bound.")
   in
   let check lo hi =
     if lo <= hi then `Ok (lo, hi)
@@ -169,7 +182,7 @@ let certify_cmd =
          & info [ "refine"; "r" ] ~doc:"Neurons refined per sub-problem.")
   in
   let refine_frac =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some unit_float) None
          & info [ "refine-frac" ]
              ~doc:"Fraction of relaxable neurons refined (overrides --refine).")
   in
@@ -566,7 +579,7 @@ let submit_cmd =
          & info [ "refine"; "r" ] ~doc:"Neurons refined per sub-problem.")
   in
   let refine_frac =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some unit_float) None
          & info [ "refine-frac" ]
              ~doc:"Fraction of relaxable neurons refined (overrides \
                    --refine).")

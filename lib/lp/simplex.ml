@@ -46,36 +46,22 @@ let m_btrans = Obs.Metrics.counter "simplex.btrans"
 let m_lu_factors = Obs.Metrics.counter "simplex.lu_factors"
 let m_eta_updates = Obs.Metrics.counter "simplex.eta_updates"
 let m_refactors = Obs.Metrics.counter "lp:refactor"
-let m_dense_fallbacks = Obs.Metrics.counter "simplex.dense_fallbacks"
+let m_lu_rejections = Obs.Metrics.counter "simplex.lu_rejections"
 
 let feas_tol = 1e-7
 let opt_tol = 1e-7
 let pivot_tol = 1e-9
 
-(* Cadences for the dense reference path only; the sparse LU basis
-   refactorises adaptively (see [basis_stale]). *)
-let refactor_period = 100
-let session_refactor_solves = 16
-
-(* --- basis representation ----------------------------------------- *)
-
-type basis_kind = Dense_inverse | Sparse_lu
-
-let basis_kind =
-  ref
-    (match Sys.getenv_opt "GRC_LP_BASIS" with
-     | Some "dense" -> Dense_inverse
-     | _ -> Sparse_lu)
-
-type basis_config = {
-  mutable eta_max : int;
-  mutable eta_growth : float;
-  mutable stab_tol : float;
-  mutable session_solves_cap : int;
-}
-
-let basis_config =
-  { eta_max = 0; eta_growth = 2.0; stab_tol = 1e-7; session_solves_cap = 256 }
+(* Adaptive refactorisation of the LU basis (see [basis_stale]):
+   refactorise once the eta file holds [eta_cap m] terms or more than
+   [eta_growth] times the factor nonzeros, or after an eta update whose
+   relative pivot fell below [stab_tol]; a warm session also
+   refactorises at least every [session_solves_cap] solves, bounding
+   drift of the incrementally maintained basic values. *)
+let eta_cap m = min 64 (max 4 (m / 2))
+let eta_growth = 2.0
+let stab_tol = 1e-7
+let session_solves_cap = 256
 
 (* Opt-in FTRAN/BTRAN wall-time accounting for the bench harness; the
    accumulators are plain refs, so only meaningful single-domain. *)
@@ -161,18 +147,11 @@ type vstat = At_lower | At_upper | Free_zero | Basic
 (* Mutable solver state.  Variables are indexed 0..nt-1 where
    [0, n)        structural,
    [n, n+m)      slacks,
-   [n+m, nt)     artificials (phase 1 only; fixed to 0 afterwards). *)
-(* The basis factorisation behind FTRAN/BTRAN: either the sparse LU of
-   [Linalg.Lu] with its eta file (the default) or the historical dense
-   explicit inverse, kept selectable as a reference for benchmarking
-   and as the counted fallback when the LU rejects a basis. *)
-type brep =
-  | Bdense of float array array  (* m x m dense B^-1 *)
-  | Bsparse of Linalg.Lu.t
-
+   [n+m, nt)     artificials (phase 1 only; fixed to 0 afterwards).
+   The basis is held as a sparse LU factorisation with its eta file
+   ([Linalg.Lu]), behind FTRAN/BTRAN. *)
 type state = {
   cp : compiled;
-  kind : basis_kind;          (* which representation refactor rebuilds *)
   nt : int;
   all_cols : (int array * float array) array;
   lo : float array;
@@ -181,7 +160,7 @@ type state = {
   value : float array;        (* nonbasic values; basics live in xb *)
   basis : int array;          (* length m, var in each row *)
   pos : int array;            (* var -> basic row, or -1 *)
-  mutable brep : brep;
+  mutable lu : Linalg.Lu.t;
   xb : float array;           (* basic variable values *)
   y : float array;            (* scratch: entering column in basis coords *)
   pi : float array;           (* scratch: simplex multipliers *)
@@ -190,25 +169,24 @@ type state = {
   mutable pivots : int;
   mutable refactors : int;         (* non-initial refactorisations *)
   mutable eta_updates : int;       (* eta terms pushed *)
-  mutable dense_fallbacks : int;   (* LU factorisation failures *)
+  mutable lu_rejections : int;     (* bases the LU declined *)
 }
+
+(* A state of [cp] over [all_cols] and [basis], not yet factorised: its
+   LU is that of the empty basis until [refactor ~initial:true] runs
+   (and stays so when the model has no rows). *)
+let make_state cp ~nt ~all_cols ~lo ~hi ~stat ~value ~basis ~pos =
+  let m = cp.m in
+  { cp; nt; all_cols; lo; hi; stat; value; basis; pos;
+    lu = Option.get (Linalg.Lu.factor ~m:0 [||]);
+    xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
+    cb = Array.make m 0.0; rho = Array.make m 0.0;
+    pivots = 0; refactors = 0; eta_updates = 0; lu_rejections = 0 }
 
 let ftran st col =
   let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
-  (match st.brep with
-   | Bsparse lu ->
-       let idx, vals = col in
-       Linalg.Lu.ftran_pair lu idx vals st.y
-   | Bdense binv ->
-       let m = st.cp.m in
-       Array.fill st.y 0 m 0.0;
-       let idx, vals = col in
-       for k = 0 to Array.length idx - 1 do
-         let r = idx.(k) and v = vals.(k) in
-         for i = 0 to m - 1 do
-           st.y.(i) <- st.y.(i) +. (binv.(i).(r) *. v)
-         done
-       done);
+  let idx, vals = col in
+  Linalg.Lu.ftran_pair st.lu idx vals st.y;
   Obs.Metrics.add m_ftrans 1;
   if !time_kernels then
     ftran_seconds := !ftran_seconds +. (Obs.Clock.now () -. t0)
@@ -216,89 +194,43 @@ let ftran st col =
 (* pi = cB^T B^-1 for the given full cost vector *)
 let compute_pi st cost =
   let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
-  let m = st.cp.m in
-  (match st.brep with
-   | Bsparse lu ->
-       for i = 0 to m - 1 do
-         st.cb.(i) <- cost.(st.basis.(i))
-       done;
-       Linalg.Lu.btran_dense lu st.cb st.pi
-   | Bdense binv ->
-       Array.fill st.pi 0 m 0.0;
-       for i = 0 to m - 1 do
-         let cb = cost.(st.basis.(i)) in
-         if cb <> 0.0 then begin
-           let row = binv.(i) in
-           for k = 0 to m - 1 do
-             st.pi.(k) <- st.pi.(k) +. (cb *. row.(k))
-           done
-         end
-       done);
+  for i = 0 to st.cp.m - 1 do
+    st.cb.(i) <- cost.(st.basis.(i))
+  done;
+  Linalg.Lu.btran_dense st.lu st.cb st.pi;
   Obs.Metrics.add m_btrans 1;
   if !time_kernels then
     btran_seconds := !btran_seconds +. (Obs.Clock.now () -. t0)
 
-(* Row [r] of B^-1, for the dual-simplex pricing row.  The returned
-   array is a view (dense) or the [rho] scratch (sparse): valid until
-   the next kernel call on [st]. *)
+(* Row [r] of B^-1, for the dual-simplex pricing row, in the [rho]
+   scratch: valid until the next kernel call on [st]. *)
 let basis_row st r =
-  match st.brep with
-  | Bdense binv -> binv.(r)
-  | Bsparse lu ->
-      let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
-      Linalg.Lu.btran_unit lu r st.rho;
-      Obs.Metrics.add m_btrans 1;
-      if !time_kernels then
-        btran_seconds := !btran_seconds +. (Obs.Clock.now () -. t0);
-      st.rho
+  let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
+  Linalg.Lu.btran_unit st.lu r st.rho;
+  Obs.Metrics.add m_btrans 1;
+  if !time_kernels then
+    btran_seconds := !btran_seconds +. (Obs.Clock.now () -. t0);
+  st.rho
 
-(* Fold a pivot on basic row [r] into the representation; [st.y] must
-   hold the FTRAN of the entering column (the ratio-test vector). *)
+(* Fold a pivot on basic row [r] into the factorisation as an eta
+   term; [st.y] must hold the FTRAN of the entering column (the
+   ratio-test vector). *)
 let basis_replace st r =
-  (match st.brep with
-   | Bsparse lu ->
-       let quality = Linalg.Lu.push_eta lu ~r ~y:st.y in
-       st.eta_updates <- st.eta_updates + 1;
-       Obs.Metrics.add m_eta_updates 1;
-       if quality < basis_config.stab_tol then Linalg.Lu.flag_unstable lu
-   | Bdense binv ->
-       let m = st.cp.m in
-       let yr = st.y.(r) in
-       let inv_r = binv.(r) in
-       let pr = 1.0 /. yr in
-       for k = 0 to m - 1 do
-         inv_r.(k) <- inv_r.(k) *. pr
-       done;
-       for i = 0 to m - 1 do
-         if i <> r then begin
-           let f = st.y.(i) in
-           if f <> 0.0 then begin
-             let row = binv.(i) in
-             for k = 0 to m - 1 do
-               row.(k) <- row.(k) -. (f *. inv_r.(k))
-             done
-           end
-         end
-       done);
+  let quality = Linalg.Lu.push_eta st.lu ~r ~y:st.y in
+  st.eta_updates <- st.eta_updates + 1;
+  Obs.Metrics.add m_eta_updates 1;
+  if quality < stab_tol then Linalg.Lu.flag_unstable st.lu;
   st.pivots <- st.pivots + 1
 
-let eta_cap m =
-  if basis_config.eta_max > 0 then basis_config.eta_max
-  else min 64 (max 4 (m / 2))
-
-(* Is the representation due for a refactorisation?  The dense inverse
-   keeps its historical fixed pivot cadence; the LU triggers on the
+(* Is the factorisation due for a refactorisation?  It is on the
    stability flag, eta-file length, or eta fill outgrowing the factors
    themselves. *)
 let basis_stale st =
-  match st.brep with
-  | Bdense _ -> st.pivots > 0 && st.pivots mod refactor_period = 0
-  | Bsparse lu ->
-      Linalg.Lu.unstable lu
-      || Linalg.Lu.eta_count lu >= eta_cap st.cp.m
-      || float_of_int (Linalg.Lu.eta_nnz lu)
-         >= basis_config.eta_growth
-            *. float_of_int (Linalg.Lu.lu_nnz lu + st.cp.m)
+  let lu = st.lu in
+  Linalg.Lu.unstable lu
+  || Linalg.Lu.eta_count lu >= eta_cap st.cp.m
+  || float_of_int (Linalg.Lu.eta_nnz lu)
+     >= eta_growth *. float_of_int (Linalg.Lu.lu_nnz lu + st.cp.m)
 
 let reduced_cost st cost j =
   let idx, vals = st.all_cols.(j) in
@@ -308,61 +240,8 @@ let reduced_cost st cost j =
   done;
   !acc
 
-(* Dense Gauss-Jordan inversion of the current basis with partial
-   pivoting: the reference representation, and the counted fallback
-   when the sparse LU rejects a basis.  Returns [None] on a singular
-   basis. *)
-let dense_invert st =
-  let m = st.cp.m in
-  (* assemble B and identity side by side; eliminate in place *)
-  let bmat = Array.make_matrix m m 0.0 in
-  for col = 0 to m - 1 do
-    let idx, vals = st.all_cols.(st.basis.(col)) in
-    for k = 0 to Array.length idx - 1 do
-      bmat.(idx.(k)).(col) <- vals.(k)
-    done
-  done;
-  let inv = Array.init m (fun i ->
-      Array.init m (fun j -> if i = j then 1.0 else 0.0)) in
-  let singular = ref false in
-  (for col = 0 to m - 1 do
-     if not !singular then begin
-       (* partial pivot *)
-       let piv = ref col in
-       for i = col + 1 to m - 1 do
-         if Float.abs bmat.(i).(col) > Float.abs bmat.(!piv).(col) then
-           piv := i
-       done;
-       if Float.abs bmat.(!piv).(col) < 1e-12 then singular := true
-       else begin
-         if !piv <> col then begin
-           let t = bmat.(col) in bmat.(col) <- bmat.(!piv); bmat.(!piv) <- t;
-           let t = inv.(col) in inv.(col) <- inv.(!piv); inv.(!piv) <- t
-         end;
-         let d = 1.0 /. bmat.(col).(col) in
-         for k = 0 to m - 1 do
-           bmat.(col).(k) <- bmat.(col).(k) *. d;
-           inv.(col).(k) <- inv.(col).(k) *. d
-         done;
-         for i = 0 to m - 1 do
-           if i <> col then begin
-             let f = bmat.(i).(col) in
-             if f <> 0.0 then begin
-               for k = 0 to m - 1 do
-                 bmat.(i).(k) <- bmat.(i).(k) -. (f *. bmat.(col).(k));
-                 inv.(i).(k) <- inv.(i).(k) -. (f *. inv.(col).(k))
-               done
-             end
-           end
-         done
-       end
-     end
-   done);
-  if !singular then None else Some inv
-
-(* xb = B^-1 (b - N x_N), against the freshly rebuilt representation. *)
+(* xb = B^-1 (b - N x_N), against the freshly rebuilt factorisation. *)
 let recompute_xb st =
-  let m = st.cp.m in
   let r = Array.copy st.cp.b in
   for j = 0 to st.nt - 1 do
     if st.stat.(j) <> Basic && st.value.(j) <> 0.0 then begin
@@ -372,22 +251,13 @@ let recompute_xb st =
       done
     end
   done;
-  match st.brep with
-  | Bsparse lu -> Linalg.Lu.ftran_dense lu r st.xb
-  | Bdense binv ->
-      for i = 0 to m - 1 do
-        let acc = ref 0.0 in
-        let row = binv.(i) in
-        for k = 0 to m - 1 do
-          acc := !acc +. (row.(k) *. r.(k))
-        done;
-        st.xb.(i) <- !acc
-      done
+  Linalg.Lu.ftran_dense st.lu r st.xb
 
-(* Rebuild the basis representation from scratch and recompute basic
-   values.  Returns false if the basis is singular.  Under [Sparse_lu]
-   a failed LU factorisation falls back to the dense inverse — counted,
-   never silent ([dense_fallbacks], "simplex.dense_fallbacks"). *)
+(* Factorise the basis afresh and recompute basic values.  Returns
+   false, counted ([lu_rejections], "simplex.lu_rejections"), when the
+   LU declines the basis as singular to working precision; the caller
+   then abandons the solve, or the state if this was its first
+   factorisation. *)
 let refactor ?(initial = false) st =
   let m = st.cp.m in
   if m = 0 then true
@@ -397,34 +267,18 @@ let refactor ?(initial = false) st =
       Obs.Metrics.add m_refactors 1;
       if Obs.Trace.enabled () then Obs.Trace.count "refactor" 1
     end;
-    let rep =
-      match st.kind with
-      | Sparse_lu -> (
-          match
-            Linalg.Lu.factor ~m
-              (Array.init m (fun i -> st.all_cols.(st.basis.(i))))
-          with
-          | Some lu ->
-              Obs.Metrics.add m_lu_factors 1;
-              Some (Bsparse lu)
-          | None -> (
-              match dense_invert st with
-              | Some inv ->
-                  st.dense_fallbacks <- st.dense_fallbacks + 1;
-                  Obs.Metrics.add m_dense_fallbacks 1;
-                  Some (Bdense inv)
-              | None -> None))
-      | Dense_inverse -> (
-          match dense_invert st with
-          | Some inv -> Some (Bdense inv)
-          | None -> None)
-    in
-    match rep with
-    | None -> false
-    | Some rep ->
-        st.brep <- rep;
+    match
+      Linalg.Lu.factor ~m (Array.init m (fun i -> st.all_cols.(st.basis.(i))))
+    with
+    | Some lu ->
+        Obs.Metrics.add m_lu_factors 1;
+        st.lu <- lu;
         recompute_xb st;
         true
+    | None ->
+        st.lu_rejections <- st.lu_rejections + 1;
+        Obs.Metrics.add m_lu_rejections 1;
+        false
   end
 
 (* One phase of bounded-variable simplex, minimising [cost].  Returns
@@ -435,10 +289,12 @@ let run_phase st cost max_iter =
   let result = ref None in
   let bland_threshold = max 2000 (20 * (m + st.nt)) in
   while !result = None do
-    if !iter >= max_iter then result := Some `Iteration_limit
+    (* a basis the LU rejects ends the solve, as the iteration limit
+       does; every caller already answers that status soundly *)
+    if !iter >= max_iter || (basis_stale st && not (refactor st)) then
+      result := Some `Iteration_limit
     else begin
       incr iter;
-      if basis_stale st then ignore (refactor st);
       compute_pi st cost;
       (* --- pricing --- *)
       let use_bland = !iter > bland_threshold in
@@ -546,10 +402,10 @@ let run_dual st cost max_iter =
     let iter = ref 0 in
     let result = ref None in
     while !result = None do
-      if !iter >= max_iter then result := Some `Iteration_limit
+      if !iter >= max_iter || (basis_stale st && not (refactor st)) then
+        result := Some `Iteration_limit
       else begin
         incr iter;
-        if basis_stale st then ignore (refactor st);
         (* --- leaving variable: most violated basic --- *)
         let r = ref (-1) and worst = ref feas_tol in
         for i = 0 to m - 1 do
@@ -732,12 +588,8 @@ let build_state cp ~lo ~hi =
   let pos = Array.make nt (-1) in
   Array.iteri (fun i j -> pos.(j) <- i; stat_full.(j) <- Basic) basis;
   let st =
-    { cp; kind = !basis_kind; nt; all_cols; lo = lo_full; hi = hi_full;
-      stat = stat_full; value = value_full; basis; pos;
-      brep = Bdense [||];  (* placeholder; refactor installs the real one *)
-      xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
-      cb = Array.make m 0.0; rho = Array.make m 0.0;
-      pivots = 0; refactors = 0; eta_updates = 0; dense_fallbacks = 0 }
+    make_state cp ~nt ~all_cols ~lo:lo_full ~hi:hi_full ~stat:stat_full
+      ~value:value_full ~basis ~pos
   in
   if refactor ~initial:true st then Some (st, n_art) else None
 
@@ -747,9 +599,8 @@ let solve_on_state st ~n_art ~prm ~max_iter =
   let n = cp.n and nt = st.nt in
   let nt0 = n + cp.m in
   let cost_full = Array.make nt 0.0 in
-  let finish_infeasible () =
-    { status = Infeasible; obj = nan; x = extract_x st; pivots = st.pivots;
-      duals = [||] }
+  let finish status =
+    { status; obj = nan; x = extract_x st; pivots = st.pivots; duals = [||] }
   in
   let phase2 () =
     Array.fill cost_full 0 nt 0.0;
@@ -760,19 +611,18 @@ let solve_on_state st ~n_art ~prm ~max_iter =
           run_phase st cost_full max_iter)
     with
     | `Optimal ->
-        ignore (refactor st);
-        let raw = objective_value st cost_full +.
-                  (if prm.pnegate then -.prm.pconst else prm.pconst) in
-        let obj = if prm.pnegate then -.raw else raw in
-        compute_pi st cost_full;
-        { status = Optimal; obj; x = extract_x st; pivots = st.pivots;
-          duals = Array.copy st.pi }
-    | `Unbounded ->
-        { status = Unbounded; obj = nan; x = extract_x st; pivots = st.pivots;
-          duals = [||] }
-    | `Iteration_limit ->
-        { status = Iteration_limit; obj = nan; x = extract_x st;
-          pivots = st.pivots; duals = [||] }
+        (* the optimum is read from a fresh factorisation *)
+        if refactor st then begin
+          let raw = objective_value st cost_full +.
+                    (if prm.pnegate then -.prm.pconst else prm.pconst) in
+          let obj = if prm.pnegate then -.raw else raw in
+          compute_pi st cost_full;
+          { status = Optimal; obj; x = extract_x st; pivots = st.pivots;
+            duals = Array.copy st.pi }
+        end
+        else finish Iteration_limit
+    | `Unbounded -> finish Unbounded
+    | `Iteration_limit -> finish Iteration_limit
   in
   if n_art = 0 then phase2 ()
   else begin
@@ -787,13 +637,11 @@ let solve_on_state st ~n_art ~prm ~max_iter =
     | `Unbounded ->
         (* phase-1 objective is bounded below by 0: numerically impossible,
            report infeasible conservatively *)
-        finish_infeasible ()
-    | `Iteration_limit ->
-        { status = Iteration_limit; obj = nan; x = extract_x st;
-          pivots = st.pivots; duals = [||] }
+        finish Infeasible
+    | `Iteration_limit -> finish Iteration_limit
     | `Optimal ->
         let infeas = objective_value st cost_full in
-        if infeas > 1e-6 then finish_infeasible ()
+        if infeas > 1e-6 then finish Infeasible
         else begin
           (* pin artificials to zero for phase 2 *)
           for k = 0 to n_art - 1 do
@@ -810,11 +658,11 @@ let default_max_iter cp = 20000 + (60 * (cp.m + cp.n))
 
 let solve_compiled_inner ?max_iter ?objective cp ~lo ~hi =
   let prm = params_of_objective cp objective in
-  let m = cp.m and n = cp.n in
+  let n = cp.n in
   if Array.length lo <> n || Array.length hi <> n then
     invalid_arg "Simplex.solve_compiled: bounds length mismatch";
   let max_iter =
-    match max_iter with Some k -> k | None -> 20000 + (60 * (m + n))
+    match max_iter with Some k -> k | None -> default_max_iter cp
   in
   let fail_bounds = ref false in
   Array.iteri (fun j l -> if l > hi.(j) then fail_bounds := true) lo;
@@ -855,14 +703,13 @@ type session_stats = {
   mutable audit_mismatches : int;
   mutable refactors : int;
   mutable eta_updates : int;
-  mutable dense_fallbacks : int;
+  mutable lu_rejections : int;
 }
 
 (* A basis snapshot: everything but the bounds and the factorisation.
    [b_cols] keeps the artificial columns of the state's phase 1 (pinned
    at zero since), so a snapshot can name one of them as basic. *)
 type saved = {
-  b_kind : basis_kind;
   b_cols : (int array * float array) array;
   b_basis : int array;
   b_stat : vstat array;
@@ -904,7 +751,7 @@ let create_session ?lo ?hi cp =
     stats = { solves = 0; cold_solves = 0; warm_solves = 0;
               dual_restarts = 0; fallbacks = 0; total_pivots = 0;
               audit_mismatches = 0; refactors = 0; eta_updates = 0;
-              dense_fallbacks = 0 } }
+              lu_rejections = 0 } }
 
 let session_stats sn = sn.stats
 
@@ -973,9 +820,9 @@ let snapshot sn =
   | None, None -> None
   | None, Some st ->
       Some
-        { b_kind = st.kind; b_cols = st.all_cols;
-          b_basis = Array.copy st.basis; b_stat = Array.copy st.stat;
-          b_last_c = sn.last_c; b_dual_ok = sn.dual_ok }
+        { b_cols = st.all_cols; b_basis = Array.copy st.basis;
+          b_stat = Array.copy st.stat; b_last_c = sn.last_c;
+          b_dual_ok = sn.dual_ok }
 
 (* The retained state is dropped at once, so bound changes before the
    next solve cost nothing; that solve rebuilds the state from the
@@ -990,7 +837,7 @@ let restore sn b =
    bounds: nonbasic values from the status flags, a fresh factorisation
    and basic values recomputed from scratch — no eta file or
    incrementally updated value survives from any earlier solve.  A
-   singular basis leaves no state (the solve then runs cold). *)
+   basis the LU rejects leaves no state (the solve then runs cold). *)
 let install sn b =
   let cp = sn.scp in
   let n = cp.n and m = cp.m in
@@ -1012,11 +859,7 @@ let install sn b =
   let pos = Array.make nt (-1) in
   Array.iteri (fun i j -> pos.(j) <- i) basis;
   let st =
-    { cp; kind = b.b_kind; nt; all_cols = b.b_cols; lo; hi; stat; value;
-      basis; pos; brep = Bdense [||];
-      xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
-      cb = Array.make m 0.0; rho = Array.make m 0.0;
-      pivots = 0; refactors = 0; eta_updates = 0; dense_fallbacks = 0 }
+    make_state cp ~nt ~all_cols:b.b_cols ~lo ~hi ~stat ~value ~basis ~pos
   in
   sn.solves_since_refactor <- 0;
   sn.restored <- true;
@@ -1025,6 +868,7 @@ let install sn b =
     sn.dual_ok <- b.b_dual_ok;
     sn.last_c <- b.b_last_c
   end
+  else sn.stats.lu_rejections <- sn.stats.lu_rejections + 1
 
 let array_eq a b =
   Array.length a = Array.length b
@@ -1097,8 +941,8 @@ let solve_session_inner ?max_iter ?objective sn =
           sn.stats.total_pivots <- sn.stats.total_pivots + st.pivots;
           sn.stats.refactors <- sn.stats.refactors + st.refactors;
           sn.stats.eta_updates <- sn.stats.eta_updates + st.eta_updates;
-          sn.stats.dense_fallbacks <-
-            sn.stats.dense_fallbacks + st.dense_fallbacks;
+          sn.stats.lu_rejections <-
+            sn.stats.lu_rejections + st.lu_rejections;
           (match res.status with
            | Optimal ->
                sn.sstate <- Some st;
@@ -1118,66 +962,60 @@ let solve_session_inner ?max_iter ?objective sn =
         Array.blit prm.pc 0 cost_full 0 n;
         let pivots0 = st.pivots in
         let refactors0 = st.refactors and etas0 = st.eta_updates in
-        let dense_fb0 = st.dense_fallbacks in
+        let rejections0 = st.lu_rejections in
         let charge () =
           sn.stats.total_pivots <-
             sn.stats.total_pivots + (st.pivots - pivots0);
           sn.stats.refactors <- sn.stats.refactors + (st.refactors - refactors0);
           sn.stats.eta_updates <-
             sn.stats.eta_updates + (st.eta_updates - etas0);
-          sn.stats.dense_fallbacks <-
-            sn.stats.dense_fallbacks + (st.dense_fallbacks - dense_fb0)
+          sn.stats.lu_rejections <-
+            sn.stats.lu_rejections + (st.lu_rejections - rejections0)
+        in
+        let limit () =
+          charge ();
+          sn.sstate <- None;
+          sn.dual_ok <- false;
+          sn.last_c <- None;
+          { status = Iteration_limit; obj = nan; x = extract_x st;
+            pivots = st.pivots - pivots0; duals = [||] }
         in
         let primal_finish () =
           match run_phase st cost_full max_iter with
           | `Optimal ->
-              sn.dual_ok <- true;
-              sn.last_c <- Some (Array.copy prm.pc);
               sn.solves_since_refactor <- sn.solves_since_refactor + 1;
-              (* Dense path: fixed per-solve cadence.  Sparse path: the
-                 adaptive staleness triggers, plus a generous safety cap
-                 bounding drift of the incrementally maintained xb.  A
-                 restored solve always ends on a fresh factorisation,
+              (* The adaptive staleness triggers, plus a generous safety
+                 cap bounding drift of the incrementally maintained xb.
+                 A restored solve always ends on a fresh factorisation,
                  as a cold solve does, so its value is read from the
                  final basis alone, not from the pivots that led there
                  (an incremental xb can leave 1e-19 where a cold solve
                  reads an exact 0, and a sign decided there moves the
                  certifier's later encodings). *)
               let due =
-                sn.restored
-                ||
-                match st.brep with
-                | Bdense _ ->
-                    sn.solves_since_refactor >= session_refactor_solves
-                | Bsparse _ ->
-                    basis_stale st
-                    || sn.solves_since_refactor
-                       >= basis_config.session_solves_cap
+                sn.restored || basis_stale st
+                || sn.solves_since_refactor >= session_solves_cap
               in
-              if due then begin
-                ignore (refactor st);
-                sn.solves_since_refactor <- 0
-              end;
-              let raw = objective_value st cost_full +.
-                        (if prm.pnegate then -.prm.pconst else prm.pconst) in
-              let obj = if prm.pnegate then -.raw else raw in
-              compute_pi st cost_full;
-              charge ();
-              { status = Optimal; obj; x = extract_x st;
-                pivots = st.pivots - pivots0; duals = Array.copy st.pi }
+              if due && not (refactor st) then limit ()
+              else begin
+                if due then sn.solves_since_refactor <- 0;
+                sn.dual_ok <- true;
+                sn.last_c <- Some (Array.copy prm.pc);
+                let raw = objective_value st cost_full +.
+                          (if prm.pnegate then -.prm.pconst else prm.pconst) in
+                let obj = if prm.pnegate then -.raw else raw in
+                compute_pi st cost_full;
+                charge ();
+                { status = Optimal; obj; x = extract_x st;
+                  pivots = st.pivots - pivots0; duals = Array.copy st.pi }
+              end
           | `Unbounded ->
               sn.dual_ok <- false;
               sn.last_c <- None;
               charge ();
               { status = Unbounded; obj = nan; x = extract_x st;
                 pivots = st.pivots - pivots0; duals = [||] }
-          | `Iteration_limit ->
-              charge ();
-              sn.sstate <- None;
-              sn.dual_ok <- false;
-              sn.last_c <- None;
-              { status = Iteration_limit; obj = nan; x = extract_x st;
-                pivots = st.pivots - pivots0; duals = [||] }
+          | `Iteration_limit -> limit ()
         in
         (* primal feasibility of the retained basis under current bounds *)
         let feas = ref true in

@@ -4,12 +4,13 @@
     ({!Linalg.Lu}): FTRAN/BTRAN triangular solves against sparse
     right-hand sides, an eta-file update per pivot, and adaptive
     refactorisation triggered by eta-file growth and a numerical
-    stability estimate ({!basis_config}).  Dantzig pricing with a
-    Bland's-rule fallback and bound-flip pivots.  The historical dense
-    explicit inverse survives as a selectable reference representation
-    ({!basis_kind}) and as the counted fallback when the LU declines a
-    basis.  Designed for the moderate-size, mostly-finitely-bounded,
-    very sparse LPs produced by robustness certification.
+    stability estimate.  Dantzig pricing with a Bland's-rule fallback
+    and bound-flip pivots.  The LU is the only basis representation: a
+    basis it rejects as singular to working precision ends the solve
+    with [Iteration_limit] (counted as [session_stats.lu_rejections]
+    and the ["simplex.lu_rejections"] metric).  Designed for the
+    moderate-size, mostly-finitely-bounded, very sparse LPs produced by
+    robustness certification.
 
     Besides one-shot solves, the module offers persistent {!session}s
     that keep the optimal basis factorised between solves: an
@@ -42,43 +43,6 @@ type solution = {
           Consumed by the independent certificate checker
           ([Audit_core.Certificate]). *)
 }
-
-(** {1 Basis representation}
-
-    Process-wide knobs, read when a solver state is built; existing
-    states keep the representation they started with. *)
-
-type basis_kind =
-  | Dense_inverse  (** explicit dense B^-1, O(m^2) per pivot *)
-  | Sparse_lu      (** sparse LU + eta file, O(nnz) per pivot *)
-
-val basis_kind : basis_kind ref
-(** Representation for new solver states.  Defaults to [Sparse_lu];
-    initialised from the [GRC_LP_BASIS] environment variable
-    (["dense"] selects the reference dense inverse — used by the bench
-    harness and check.sh to measure and cross-check the two paths). *)
-
-type basis_config = {
-  mutable eta_max : int;
-      (** refactorise once this many eta terms accumulate; [0] (the
-          default) means adaptive: [min 64 (max 4 (m/2))] *)
-  mutable eta_growth : float;
-      (** refactorise when the eta file holds more than this multiple
-          of the LU factor nonzeros (default 2.0) *)
-  mutable stab_tol : float;
-      (** relative pivot magnitude below which an eta update marks the
-          factorisation unstable, forcing a refactorisation before the
-          next pivot (default 1e-7) *)
-  mutable session_solves_cap : int;
-      (** safety net: a warm session refactorises at least every this
-          many solves even if no adaptive trigger fired, bounding drift
-          of the incrementally maintained basic values (default 256) *)
-}
-
-val basis_config : basis_config
-(** Live adaptive-refactorisation thresholds (sparse path only; the
-    dense reference path keeps its historical fixed cadences).  Mutate
-    before solving to tune. *)
 
 val time_kernels : bool ref
 (** When on, FTRAN/BTRAN wall time is accumulated into
@@ -140,7 +104,9 @@ val solve_compiled :
       before phase 2 — again skipping phase 1 and the O(m³) refactor.
 
     Any numerically suspect warm start falls back to a cold solve
-    automatically, so results never depend on the solve history.  A
+    automatically, so results never depend on the solve history (a
+    basis the LU rejects at a warm optimum ends that solve with
+    [Iteration_limit] instead).  A
     session is single-threaded; create one per domain worker (the
     underlying [compiled] may be shared freely). *)
 
@@ -194,7 +160,7 @@ val restore : session -> basis -> unit
     follow the flags, the LU is factorised afresh (no eta file is
     shared) and basic values are recomputed, then the usual dual
     restart and phase 2 run.  The session's bounds are left alone.  A
-    singular basis, an empty snapshot or a numerically suspect restart
+    basis the LU rejects, an empty snapshot or a numerically suspect restart
     falls back to a cold solve.  [basis] must come from a session over
     the same [compiled]. *)
 
@@ -211,10 +177,12 @@ type session_stats = {
       (** basis refactorisations beyond the initial build (also counted
           process-wide as the "lp:refactor" metric and as a ["refactor"]
           count on trace spans) *)
-  mutable eta_updates : int;     (** eta terms pushed (sparse basis) *)
-  mutable dense_fallbacks : int;
-      (** LU factorisation failures that fell back to the dense
-          inverse; 0 on every benchmarked net (asserted by lp-bench) *)
+  mutable eta_updates : int;     (** eta terms pushed *)
+  mutable lu_rejections : int;
+      (** bases the LU rejected as singular, each ending its solve with
+          [Iteration_limit] (a restored basis falls back to a cold
+          solve instead); 0 on every benchmarked net (asserted by
+          lp-bench) *)
 }
 
 val session_stats : session -> session_stats

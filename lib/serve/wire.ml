@@ -117,9 +117,15 @@ let decode_query v =
   let refine =
     match (Json.member "refine" v, Json.member "refine_frac" v) with
     | Some j, _ ->
-        Cert.Refine.Count (get ~what:"refine" "certify" (Json.to_int j))
+        let r = get ~what:"refine" "certify" (Json.to_int j) in
+        if r < 0 then
+          failwith "Serve.Wire: certify: refine must be non-negative";
+        Cert.Refine.Count r
     | None, Some j ->
-        Cert.Refine.Fraction (get ~what:"refine_frac" "certify" (Json.to_num j))
+        let f = get ~what:"refine_frac" "certify" (Json.to_num j) in
+        if not (f >= 0.0 && f <= 1.0) then
+          failwith "Serve.Wire: certify: refine_frac must lie in [0, 1]";
+        Cert.Refine.Fraction f
     | None, None -> Cert.Refine.No_refine
   in
   let window =

@@ -178,7 +178,10 @@ let test_wire_rejects () =
       "{\"op\":\"certify\",\"id\":1,\"window\":0,\"net\":\"x\"}";
       "{\"op\":\"certify\",\"id\":1}";
       "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"delta\":-0.001}";
-      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"lo\":1,\"hi\":0}" ]
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"lo\":1,\"hi\":0}";
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine_frac\":7}";
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine_frac\":-0.5}";
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine\":-3}" ]
 
 (* Names of removed options decode as the surviving value that answers
    them, so old clients keep working; the retired symbolic fields are
