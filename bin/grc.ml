@@ -72,6 +72,10 @@ let nonneg_float =
   bounded_float ~what:"must be finite and non-negative" (fun v ->
       Float.is_finite v && v >= 0.0)
 
+let pos_float =
+  bounded_float ~what:"must be finite and positive" (fun v ->
+      Float.is_finite v && v > 0.0)
+
 let unit_float =
   bounded_float ~what:"must lie in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)
 
@@ -589,7 +593,7 @@ let submit_cmd =
          & info [ "no-cache" ] ~doc:"Bypass the daemon's result cache.")
   in
   let deadline_ms =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some pos_float) None
          & info [ "deadline-ms" ]
              ~doc:"Per-request deadline; expired requests answer with an \
                    error.")
@@ -613,7 +617,7 @@ let submit_cmd =
                    the batch wall time divided by its size.")
   in
   let timeout_s =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some pos_float) None
          & info [ "timeout-s" ]
              ~doc:"Socket read timeout; a wedged daemon fails the request \
                    instead of hanging it.")
@@ -983,7 +987,7 @@ let sweep_cmd =
          & info [ "batch" ] ~doc:"Grid cells sent per batch request.")
   in
   let timeout_s =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some pos_float) None
          & info [ "timeout-s" ]
              ~doc:"Socket read timeout; a wedged service fails the sweep \
                    instead of hanging it.")

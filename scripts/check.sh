@@ -55,6 +55,19 @@ if echo "$inf_err" | grep -q 'internal error'; then
   exit 1
 fi
 
+# So must a non-positive socket timeout, rejected before any daemon is
+# contacted (nothing listens on this socket).
+echo "== grc sweep --timeout-s 0 must fail cleanly =="
+if to_err=$(dune exec -- grc sweep --socket _build/grc-none.sock \
+    --timeout-s 0 --deltas 0.001 --digest 0 2>&1); then
+  echo "--timeout-s 0 was accepted" >&2
+  exit 1
+fi
+if ! echo "$to_err" | grep -q -- '--timeout-s'; then
+  echo "--timeout-s 0 did not fail as a usage error: $to_err" >&2
+  exit 1
+fi
+
 echo "== audited certification sweep (GRC_AUDIT=1 grc certify) =="
 GRC_AUDIT=1 dune exec -- grc certify \
   --net _build/lint-artifacts/lint-ci.net --delta 0.001
@@ -113,27 +126,72 @@ dune exec -- grc certify \
 dune exec -- grc trace-check _build/trace-par-ci.json \
   --require certify --require executor.worker --require simplex.solve
 
-echo "== obs-bench (disabled-tracing overhead gate; writes BENCH_obs.json) =="
-dune exec bench/main.exe -- obs-bench
-test -s BENCH_obs.json
-
-# lp-bench carries its own gates: the sparse LU basis rejects no basis
-# in the cold and warm sweeps of any benchmarked net, and
-# backward-symbolic stability hints pin the exact engines' splits
-# without moving the optimum.  The branch-strategy gates ride along:
-# certified eps bitwise identical across both strategies on the
-# certifier, exact-BTNE and reluplex cases, and dual-guided exploring
-# >= 20% fewer B&B nodes than most-fractional on the exact-BTNE dnn3
-# tree.  It exits nonzero if any gate fails.
-echo "== lp-bench (LU, stability-hint and branch gates; writes BENCH_lp.json) =="
-dune exec bench/main.exe -- lp-bench
-test -s BENCH_lp.json
-
-echo "== certification daemon smoke test =="
 # Everything is already built; run the binary directly.  A backgrounded
 # `dune exec` and a foreground one race for the dune lock, and the loser
 # silently falls back to PATH resolution and dies.
 grc=_build/default/bin/grc.exe
+
+# wait_for SOCKET WHAT: poll a daemon or router until it answers a ping.
+wait_for() {
+  i=0
+  until "$grc" submit --socket "$1" --ping >/dev/null 2>&1; do
+    i=$((i + 1))
+    if [ "$i" -ge 50 ]; then
+      echo "$2 did not come up" >&2
+      exit 1
+    fi
+    sleep 0.2
+  done
+}
+
+# sweep_matches_oneshot NET TSV: every cell of a grc sweep table must
+# print the eps one-shot grc certify prints for it.
+sweep_matches_oneshot() {
+  while IFS="$(printf '\t')" read -r delta lo hi shard degraded cached eps; do
+    case "$delta" in \#*) continue ;; esac
+    want=$("$grc" certify --net "$1" --delta "$delta" --lo "$lo" --hi "$hi" \
+      | sed -n 's/^output [0-9]*: eps <= //p' | tr '\n' ',' | sed 's/,$//')
+    if [ "$eps" != "$want" ]; then
+      echo "sweep cell (delta=$delta lo=$lo hi=$hi) drifted from one-shot:" >&2
+      echo "  sweep:    $eps" >&2
+      echo "  one-shot: $want" >&2
+      exit 1
+    fi
+  done <"$2"
+  grep -qv '^#' "$2" || {
+    echo "sweep produced no cells" >&2
+    exit 1
+  }
+}
+
+echo "== train-robust smoke (tiny net, 3 epochs, certifier in the loop) =="
+# Three robust epochs on a tiny auto-mpg net through the in-process
+# certification daemon: the final certified eps must not exceed the
+# initial one, and the unchanged-net re-check after training must be
+# answered from the result cache.
+tr_out=$("$grc" train-robust --family auto-mpg --id lint-ci --size 4,4 \
+  --artifacts _build/lint-artifacts --epochs 3 --batch-size 16 \
+  --lambda 0.01 --delta 0.05 --json _build/train-robust-ci.json)
+echo "$tr_out"
+eps0=$(echo "$tr_out" | sed -n 's/^initial eps //p')
+eps1=$(echo "$tr_out" | sed -n 's/^final eps //p')
+if [ -z "$eps0" ] || [ -z "$eps1" ]; then
+  echo "train-robust did not report initial/final eps" >&2
+  exit 1
+fi
+if ! awk -v a="$eps1" -v b="$eps0" 'BEGIN { exit !(a <= b) }'; then
+  echo "robust training increased certified eps: $eps0 -> $eps1" >&2
+  exit 1
+fi
+hits=$(echo "$tr_out" | sed -n 's|^recheck cache hits \([0-9]*\)/.*|\1|p')
+cells=$(echo "$tr_out" | sed -n 's|^recheck cache hits [0-9]*/||p')
+if [ -z "$hits" ] || [ "$hits" -eq 0 ] || [ "$hits" != "$cells" ]; then
+  echo "unchanged-net re-check missed the cache ($hits/$cells hits)" >&2
+  exit 1
+fi
+test -s _build/train-robust-ci.json
+
+echo "== certification daemon smoke test =="
 sock="_build/grc-ci.sock"
 cachef="_build/grc-ci-cache.txt"
 rm -f "$sock" "$cachef"
@@ -143,15 +201,7 @@ cleanup_serve() {
   kill "$serve_pid" 2>/dev/null || true
 }
 trap cleanup_serve EXIT
-i=0
-until "$grc" submit --socket "$sock" --ping >/dev/null 2>&1; do
-  i=$((i + 1))
-  if [ "$i" -ge 50 ]; then
-    echo "daemon did not come up" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
+wait_for "$sock" daemon
 first=$("$grc" submit --socket "$sock" \
   --net _build/lint-artifacts/lint-ci.net --delta 0.001)
 echo "$first" | grep -q 'cached: false' || {
@@ -202,49 +252,17 @@ cleanup_shards() {
   [ -n "$router_pid" ] && kill "$router_pid" 2>/dev/null || true
 }
 trap cleanup_shards EXIT
-for sock_i in "$s0" "$s1"; do
-  i=0
-  until "$grc" submit --socket "$sock_i" --ping >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -ge 50 ]; then
-      echo "shard daemon $sock_i did not come up" >&2
-      exit 1
-    fi
-    sleep 0.2
-  done
-done
+wait_for "$s0" "shard daemon $s0"
+wait_for "$s1" "shard daemon $s1"
 "$grc" shard --socket "$front" --backend "$s0" --backend "$s1" &
 router_pid=$!
-i=0
-until "$grc" submit --socket "$front" --ping >/dev/null 2>&1; do
-  i=$((i + 1))
-  if [ "$i" -ge 50 ]; then
-    echo "shard router did not come up" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
+wait_for "$front" "shard router"
 # a sweep through the router must be bitwise one-shot certify, cell by cell
 "$grc" sweep --socket "$front" --timeout-s 120 \
   --net _build/lint-artifacts/lint-ci.net \
   --deltas 0.001,0.002 --regions 0:0.5,0:1 \
   --json _build/sweep-ci.json >_build/sweep-ci.tsv
-while IFS="$(printf '\t')" read -r delta lo hi shard degraded cached eps; do
-  case "$delta" in \#*) continue ;; esac
-  want=$("$grc" certify --net _build/lint-artifacts/lint-ci.net \
-    --delta "$delta" --lo "$lo" --hi "$hi" \
-    | sed -n 's/^output [0-9]*: eps <= //p' | tr '\n' ',' | sed 's/,$//')
-  if [ "$eps" != "$want" ]; then
-    echo "sweep cell (delta=$delta lo=$lo hi=$hi) drifted from one-shot:" >&2
-    echo "  sweep:    $eps" >&2
-    echo "  one-shot: $want" >&2
-    exit 1
-  fi
-done <_build/sweep-ci.tsv
-grep -qv '^#' _build/sweep-ci.tsv || {
-  echo "sweep produced no cells" >&2
-  exit 1
-}
+sweep_matches_oneshot _build/lint-artifacts/lint-ci.net _build/sweep-ci.tsv
 # both shards must have taken cells (column 4 of the data rows)
 shards_used=$(awk -F'\t' '!/^#/ { print $4 }' _build/sweep-ci.tsv \
   | sort -u | tr '\n' ' ')
@@ -302,36 +320,61 @@ fi
 wait "$d0_pid"
 trap - EXIT
 
-echo "== train-robust smoke (tiny net, 3 epochs, certifier in the loop) =="
-# Three robust epochs on a tiny auto-mpg net through the in-process
-# certification daemon: the final certified eps must not exceed the
-# initial one, and the unchanged-net re-check after training must be
-# answered from the result cache.
-tr_out=$("$grc" train-robust --family auto-mpg --id lint-ci --size 4,4 \
-  --artifacts _build/lint-artifacts --epochs 3 --batch-size 16 \
-  --lambda 0.01 --delta 0.05 --json _build/train-robust-ci.json)
-echo "$tr_out"
-eps0=$(echo "$tr_out" | sed -n 's/^initial eps //p')
-eps1=$(echo "$tr_out" | sed -n 's/^final eps //p')
-if [ -z "$eps0" ] || [ -z "$eps1" ]; then
-  echo "train-robust did not report initial/final eps" >&2
+echo "== 2-shard router: throughput scaling (dnn3 grid, gate >= 1.60x) =="
+# The same 16-cell dnn3 grid, cache bypassed, swept through a router in
+# front of one and then two `grc serve --workers 1` processes.  grc
+# sweep loads the net before it starts its clock, so the ratio of the
+# two wall times is the throughput the second shard adds.  The gate
+# needs a second core to scale onto; on one core it only reports.
+"$grc" train --family auto-mpg --id dnn3 --size 8,8 \
+  --artifacts _build/lint-artifacts >/dev/null
+scale_front="_build/grc-scale.sock"
+scale_pids=""
+cleanup_scale() {
+  [ -n "$scale_pids" ] && kill $scale_pids 2>/dev/null || true
+}
+trap cleanup_scale EXIT
+for k in 1 2; do
+  backends=""
+  for j in $(seq "$k"); do
+    sock_j="_build/grc-scale$j.sock"
+    rm -f "$sock_j"
+    "$grc" serve --socket "$sock_j" --workers 1 &
+    scale_pids="$scale_pids $!"
+    wait_for "$sock_j" "scaling daemon $sock_j"
+    backends="$backends --backend $sock_j"
+  done
+  rm -f "$scale_front"
+  "$grc" shard --socket "$scale_front" $backends &
+  scale_pids="$scale_pids $!"
+  wait_for "$scale_front" "scaling router"
+  "$grc" sweep --socket "$scale_front" --timeout-s 120 --no-cache \
+    --net _build/lint-artifacts/dnn3.net \
+    --deltas 0.001,0.0015,0.002,0.0025 \
+    --regions 0:0.5,0.25:0.75,0.5:1,0:1 \
+    --json "_build/scale$k.json" >"_build/scale$k.tsv"
+  kill -TERM $scale_pids
+  wait $scale_pids 2>/dev/null || true
+  scale_pids=""
+done
+trap - EXIT
+sweep_matches_oneshot _build/lint-artifacts/dnn3.net _build/scale1.tsv
+# the JSON tables carry exact float bits: both sweeps must agree bitwise
+if [ "$(grep -o '"eps":\[[^]]*\]' _build/scale1.json)" \
+  != "$(grep -o '"eps":\[[^]]*\]' _build/scale2.json)" ]; then
+  echo "the 2-shard sweep drifted from the 1-shard sweep" >&2
   exit 1
 fi
-if ! awk -v a="$eps1" -v b="$eps0" 'BEGIN { exit !(a <= b) }'; then
-  echo "robust training increased certified eps: $eps0 -> $eps1" >&2
+wall1=$(sed -n 's/.*"wall_s":\([0-9.eE+-]*\).*/\1/p' _build/scale1.json)
+wall2=$(sed -n 's/.*"wall_s":\([0-9.eE+-]*\).*/\1/p' _build/scale2.json)
+cores=$(nproc)
+speedup=$(awk -v a="$wall1" -v b="$wall2" 'BEGIN { printf "%.2f", a / b }')
+echo "1 shard ${wall1}s, 2 shards ${wall2}s: ${speedup}x ($cores cores)"
+if [ "$cores" -ge 2 ] \
+  && ! awk -v a="$wall1" -v b="$wall2" 'BEGIN { exit !(a / b >= 1.6) }'; then
+  echo "2-shard throughput speedup ${speedup}x < 1.60x" >&2
   exit 1
 fi
-hits=$(echo "$tr_out" | sed -n 's|^recheck cache hits \([0-9]*\)/.*|\1|p')
-cells=$(echo "$tr_out" | sed -n 's|^recheck cache hits [0-9]*/||p')
-if [ -z "$hits" ] || [ "$hits" -eq 0 ] || [ "$hits" != "$cells" ]; then
-  echo "unchanged-net re-check missed the cache ($hits/$cells hits)" >&2
-  exit 1
-fi
-test -s _build/train-robust-ci.json
-
-echo "== serve-bench (daemon vs one-shot + shard scaling; writes BENCH_serve.json) =="
-dune exec bench/main.exe -- serve-bench
-test -s BENCH_serve.json
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt check =="

@@ -1,15 +1,7 @@
 (* Tests for the experiment layer: model training quality, Table I
    plumbing, Fig. 4 regression and ablation structure. *)
 
-let with_tmp_cache f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grc-test-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let saved = !Exp.Models.cache_dir in
-  Exp.Models.cache_dir := dir;
-  Fun.protect ~finally:(fun () -> Exp.Models.cache_dir := saved) f
+let with_tmp_cache = Test_nets.with_tmp_cache
 
 let test_auto_mpg_trains () =
   with_tmp_cache (fun () ->

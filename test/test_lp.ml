@@ -461,6 +461,57 @@ let random_session_agrees =
          done;
          !ok && (Simplex.session_stats sn).Simplex.lu_rejections = 0))
 
+(* The certifier's query pattern on real encodings: the min and max of
+   every neuron's value and distance variable over the full-window
+   relaxed ITNE encoding of Fig. 4 and Table I's DNN-2..5, solved cold
+   and through one session.  The sparse LU must reject no basis. *)
+let test_lu_no_rejections_on_encodings () =
+  let rejections = Obs.Metrics.counter "simplex.lu_rejections" in
+  let sweep (name, net, lo, hi, delta) =
+    let input = Cert.Bounds.box_domain net ~lo ~hi in
+    let bounds =
+      Cert.Bounds.create net ~input
+        ~input_dist:(Cert.Bounds.uniform_delta net delta)
+    in
+    Cert.Interval_prop.propagate net bounds;
+    let n = Nn.Network.n_layers net in
+    let view =
+      Cert.Subnet.cone net ~last:(n - 1)
+        ~targets:(Array.init (Nn.Network.output_dim net) Fun.id) ~window:n
+    in
+    let enc = Cert.Encode.itne ~mode:Cert.Encode.Relaxed ~bounds view in
+    let objectives =
+      Hashtbl.fold
+        (fun _ (nv : Cert.Encode.neuron_vars) acc ->
+          List.concat_map
+            (fun v ->
+              [ (Model.Maximize, [ (v, 1.0) ]);
+                (Model.Minimize, [ (v, 1.0) ]) ])
+            [ nv.Cert.Encode.y; nv.Cert.Encode.dy ]
+          @ acc)
+        enc.Cert.Encode.vars []
+    in
+    let cp = Simplex.compile enc.Cert.Encode.model in
+    let lo_b, hi_b = Simplex.default_bounds cp in
+    let before = Obs.Metrics.get rejections in
+    List.iter
+      (fun objective ->
+        ignore (Simplex.solve_compiled ~objective cp ~lo:lo_b ~hi:hi_b))
+      objectives;
+    let session = Simplex.create_session cp in
+    List.iter
+      (fun objective -> ignore (Simplex.solve_session ~objective session))
+      objectives;
+    Alcotest.(check int) (name ^ ": LU rejections") 0
+      (Obs.Metrics.get rejections - before)
+  in
+  List.iter sweep
+    [ ("fig4", Exp.Fig4.example_network (), -1.0, 1.0, 0.1);
+      ("dnn2", Test_nets.dnn2 (), 0.0, 1.0, 0.001);
+      ("dnn3", Test_nets.dnn3 (), 0.0, 1.0, 0.001);
+      ("dnn4", Test_nets.dnn4 (), 0.0, 1.0, 0.001);
+      ("dnn5", Test_nets.dnn5 (), 0.0, 1.0, 0.001) ]
+
 (* Property: a solve from a restored snapshot depends on the snapshot,
    the bounds and the objective only.  A session that ran arbitrary
    bound-change solves before restoring, one that restores right after
@@ -767,7 +818,9 @@ let suites =
           test_session_objective_sweep;
         Alcotest.test_case "bound changes" `Quick test_session_bound_changes;
         random_session_agrees;
-        restore_history_independent ] );
+        restore_history_independent;
+        Alcotest.test_case "no LU rejections on encodings" `Slow
+          test_lu_no_rejections_on_encodings ] );
     ( "lp:basis",
       [ lu_roundtrip;
         Alcotest.test_case "singular rejection" `Quick test_lu_singular;

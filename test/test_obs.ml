@@ -192,6 +192,66 @@ let test_span_tree_text () =
       Alcotest.(check bool) "indented leaf" true (has "  t.leaf");
       Alcotest.(check bool) "counter rendered" true (has "[n=7]"))
 
+(* What the always-compiled-in instrumentation costs with tracing off.
+   A direct difference of two certify timings cannot resolve a
+   sub-percent effect over solver noise, so the per-call cost of a
+   disabled [with_span] over the bare closure (best of 5 rounds of 2M
+   calls) is multiplied into the events one traced certification of
+   Table I's DNN-3 executes, over the best of 5 disabled certifies.
+   The tax must stay at or below 5%. *)
+let test_disabled_tracing_tax () =
+  let time_s f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  let iters = 2_000_000 in
+  let sink = ref 0 in
+  let bare () = incr sink in
+  (* interleaved rounds, minima kept: robust to one-off scheduler noise *)
+  let best_bare = ref infinity and best_span = ref infinity in
+  for _ = 1 to 5 do
+    best_bare :=
+      Float.min !best_bare
+        (time_s (fun () -> for _ = 1 to iters do bare () done));
+    best_span :=
+      Float.min !best_span
+        (time_s (fun () ->
+             for _ = 1 to iters do
+               Obs.Trace.with_span "test.noop" bare
+             done))
+  done;
+  ignore (Sys.opaque_identity !sink);
+  let per_call_s =
+    Float.max 0.0 ((!best_span -. !best_bare) /. float_of_int iters)
+  in
+  let net = Test_nets.dnn3 () in
+  let certify () =
+    ignore (Cert.Certifier.certify_box net ~lo:0.0 ~hi:1.0 ~delta:0.001)
+  in
+  let events =
+    with_tracing (fun () ->
+        certify ();
+        let rec n_events (s : Obs.Trace.span) =
+          1
+          + List.length s.Obs.Trace.sp_counters
+          + List.fold_left (fun acc c -> acc + n_events c) 0
+              s.Obs.Trace.sp_children
+        in
+        List.fold_left
+          (fun acc r -> acc + n_events r)
+          0 (Obs.Trace.roots ()))
+  in
+  let certify_s =
+    List.fold_left Float.min infinity
+      (List.init 5 (fun _ -> time_s certify))
+  in
+  let tax = float_of_int events *. per_call_s /. certify_s in
+  Printf.printf "%.1fns/call x %d events / %.3fms certify = %.4f%%\n"
+    (per_call_s *. 1e9) events (certify_s *. 1e3) (tax *. 100.0);
+  if tax > 0.05 then
+    Alcotest.failf "disabled-tracing tax %.2f%% exceeds 5%%" (tax *. 100.0)
+
 let suites =
   [ ( "obs",
       [ Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
@@ -210,4 +270,6 @@ let suites =
           test_spans_worker_domains;
         Alcotest.test_case "chrome json parses" `Quick
           test_chrome_json_parses;
-        Alcotest.test_case "span tree text" `Quick test_span_tree_text ] ) ]
+        Alcotest.test_case "span tree text" `Quick test_span_tree_text;
+        Alcotest.test_case "disabled tracing tax" `Quick
+          test_disabled_tracing_tax ] ) ]

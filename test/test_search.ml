@@ -392,10 +392,7 @@ let strategies_agree ~get_eps ~name results =
           let e0 = get_eps r0 and e = get_eps r in
           Array.iteri
             (fun j e0j ->
-              if
-                Int64.bits_of_float e0j <> Int64.bits_of_float e.(j)
-                && not (feq ~eps:1e-9 e0j e.(j))
-              then
+              if Int64.bits_of_float e0j <> Int64.bits_of_float e.(j) then
                 Alcotest.failf "%s: output %d: %s gives %.17g, %s %.17g"
                   name j (Strategy.to_string s0) e0j (Strategy.to_string s)
                   e.(j))
@@ -446,6 +443,51 @@ let test_reluplex_strategy_parity () =
     ~get_eps:(fun (r : Cert.Reluplex_style.result) ->
       r.Cert.Reluplex_style.eps)
     results
+
+(* The whole-network exact MILP on Table I's DNN-3: one deep tree per
+   output, where the branching order matters.  Both strategies must
+   reach the bitwise-same exact eps, and the dual-guided rule's early
+   incumbents must prune at least 20% of the most-fractional tree. *)
+let test_exact_dnn3_strategies () =
+  let net = Test_nets.dnn3 () in
+  let input = Cert.Bounds.box_domain net ~lo:0.0 ~hi:0.35 in
+  let results =
+    List.map
+      (fun s ->
+        (s, Cert.Exact.global_btne ~branch:s net ~input ~delta:0.001))
+      Strategy.all
+  in
+  strategies_agree ~name:"exact btne dnn3"
+    ~get_eps:(fun (r : Cert.Exact.result) -> r.Cert.Exact.eps)
+    results;
+  let nodes s = (List.assoc s results).Cert.Exact.nodes in
+  let mf = nodes Strategy.Most_fractional
+  and dg = nodes Strategy.Dual_guided in
+  Printf.printf "nodes: most-fractional %d, dual-guided %d\n" mf dg;
+  if float_of_int dg > 0.8 *. float_of_int mf then
+    Alcotest.failf "dual-guided explored %d nodes vs most-fractional %d" dg mf
+
+(* The certifier's default configuration on Table I's DNN-3 and DNN-4,
+   whose per-query MILPs are small enough that both strategies visit
+   complete trees: eps must still be bitwise equal. *)
+let test_certifier_default_strategies () =
+  List.iter
+    (fun (name, net) ->
+      let input = Cert.Bounds.box_domain net ~lo:0.0 ~hi:1.0 in
+      let results =
+        List.map
+          (fun s ->
+            let config =
+              { Cert.Certifier.default_config with Cert.Certifier.branch = s }
+            in
+            (s, Cert.Certifier.certify ~config net ~input ~delta:0.001))
+          Strategy.all
+      in
+      strategies_agree ~name
+        ~get_eps:(fun (r : Cert.Certifier.report) -> r.Cert.Certifier.eps)
+        results)
+    [ ("certify dnn3", Test_nets.dnn3 ());
+      ("certify dnn4", Test_nets.dnn4 ()) ]
 
 let test_reluplex_budget_slices () =
   (* a starved budget must mark outputs incomplete rather than lie *)
@@ -527,6 +569,9 @@ let suites =
     ( "search:strategy-parity",
       [ Alcotest.test_case "exact btne" `Slow test_exact_strategy_parity;
         Alcotest.test_case "reluplex" `Slow test_reluplex_strategy_parity;
+        Alcotest.test_case "exact btne dnn3" `Slow test_exact_dnn3_strategies;
+        Alcotest.test_case "certifier default dnn3 dnn4" `Quick
+          test_certifier_default_strategies;
         Alcotest.test_case "reluplex budget slices" `Quick
           test_reluplex_budget_slices;
         certifier_strategy_parity ] ) ]
