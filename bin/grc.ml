@@ -392,7 +392,7 @@ let lint_cmd =
         push (Audit.Encoding.intervals bounds);
         push (Audit.Encoding.bounds_soundness ~samples net bounds);
         (* symbolic pre-analyses: tightness chain, nonempty meet with
-           the certified bounds, sampled soundness, phase consistency *)
+           the certified bounds, sampled soundness *)
         push
           (Audit.Symbolic_check.check ~samples ~certified:bounds net ~input
              ~delta);
@@ -400,9 +400,8 @@ let lint_cmd =
            counter consistency, variable ranges, replay overrides *)
         let pconfig =
           { Cert.Planner.window; refine = Cert.Refine.No_refine;
-            mode = Cert.Encode.Relaxed; exact_output_relation = true;
-            dedup = true; branch = Search.Strategy.Most_fractional;
-            dual_sens = None }
+            mode = Cert.Encode.Relaxed; dedup = true;
+            branch = Search.Strategy.Most_fractional; dual_sens = None }
         in
         let n = Nn.Network.n_layers net in
         for i = 0 to n - 1 do
@@ -919,7 +918,10 @@ let floats_conv : float list Arg.conv =
       | [] -> Ok (List.rev acc)
       | p :: rest -> (
           match float_of_string_opt (String.trim p) with
-          | Some v -> go (v :: acc) rest
+          | Some v when Float.is_finite v && v >= 0.0 -> go (v :: acc) rest
+          | Some v ->
+              Error
+                (`Msg (Printf.sprintf "%g: must be finite and non-negative" v))
           | None -> Error (`Msg (Printf.sprintf "%S is not a number" p)))
     in
     match go [] parts with
@@ -1310,10 +1312,11 @@ let train_robust_cmd =
     Arg.(value & opt pos_int 16 & info [ "batch-size" ] ~doc:"Batch size.")
   in
   let lr =
-    Arg.(value & opt float 1e-4 & info [ "lr" ] ~doc:"Adam learning rate.")
+    Arg.(value & opt pos_float 1e-4 & info [ "lr" ]
+           ~doc:"Adam learning rate.")
   in
   let lambda =
-    Arg.(value & opt float 1e-3
+    Arg.(value & opt nonneg_float 1e-3
          & info [ "lambda" ]
              ~doc:"Weight of the differentiable robustness surrogate in the \
                    training loss (0 recovers plain training).")
@@ -1333,7 +1336,7 @@ let train_robust_cmd =
     Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Shuffling seed.")
   in
   let acc_tol =
-    Arg.(value & opt float 0.1
+    Arg.(value & opt nonneg_float 0.1
          & info [ "acc-tol" ]
              ~doc:"Regression accuracy tolerance: a prediction within this \
                    of the target counts as accurate.")

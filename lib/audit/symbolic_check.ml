@@ -37,7 +37,7 @@ let check ?(name = "symbolic") ?(samples = 32) ?(tol = 1e-6) ?certified net
   let b_fwd = Bounds.copy b_ip in
   Cert.Symbolic.propagate net b_fwd;
   let b_back = Bounds.copy b_ip in
-  ignore (Cert.Symbolic_back.analyse net b_back);
+  Cert.Symbolic_back.analyse net b_back;
   (* 1. well-formedness of every symbolic interval *)
   List.iter
     (fun (label, b) ->
@@ -181,25 +181,4 @@ let check ?(name = "symbolic") ?(samples = 32) ?(tol = 1e-6) ?certified net
   for _ = 1 to Int.max 0 (samples - 3) do
     mk (fun _ -> next ()) (fun _ -> next ())
   done;
-  (* 5. the stability table's phases must hold on the sampled pairs by
-     construction of the backward y intervals; check the table is
-     consistent with them *)
-  let analysis, b_tight = Cert.Symbolic_back.stable_phases net ~input ~delta in
-  Hashtbl.iter
-    (fun (i, j) phase ->
-      let iv : I.t = b_tight.Bounds.y.(i).(j) in
-      let ok =
-        match phase with
-        | Cert.Encode.Ph_active -> iv.I.lo >= 0.0
-        | Cert.Encode.Ph_inactive -> iv.I.hi <= 0.0
-      in
-      if not ok then
-        add
-          (Diag.make Diag.Error ~pass ~code:"phase-mismatch"
-             ~loc:(Diag.loc ~neuron:(i, j) ~var:"y" name)
-             (Printf.sprintf
-                "stability table claims a fixed phase but the y interval %s \
-                 straddles 0"
-                (I.to_string iv))))
-    analysis.Cert.Symbolic_back.stable;
   List.rev !diags

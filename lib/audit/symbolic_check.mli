@@ -1,7 +1,7 @@
 (** Lint pass for the symbolic pre-analyses ({!Cert.Symbolic} forward,
     {!Cert.Symbolic_back} backward).
 
-    Five checks, all returning diagnostics and never raising:
+    Four checks, all returning diagnostics and never raising:
 
     - every interval either pass produces is well-formed;
     - the tightness chain holds per neuron and quantity: backward
@@ -17,9 +17,7 @@
       incomparable relaxations);
     - sampled soundness: deterministic concrete twin pairs forwarded
       through the real network must land inside the backward intervals
-      (the tightest claim made);
-    - the stability table's phases agree with the backward [y]
-      intervals they were derived from.
+      (the tightest claim made).
 
     Unsound findings are [Error]-severity; [grc lint] fails on any. *)
 

@@ -6,7 +6,6 @@ type config = {
   milp_options : Milp.options;
   margin : float;
   mode : Encode.mode;
-  exact_output_relation : bool;
   domains : int;
   dedup : bool;
   branch : Search.Strategy.t;
@@ -14,8 +13,7 @@ type config = {
 
 let default_config =
   { window = 2; refine = No_refine; milp_options = Milp.default_options;
-    margin = 1e-6; mode = Encode.Relaxed; exact_output_relation = true;
-    domains = 1; dedup = true;
+    margin = 1e-6; mode = Encode.Relaxed; domains = 1; dedup = true;
     branch = Search.Strategy.Most_fractional }
 
 type report = {
@@ -75,9 +73,7 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
   in
   let pconfig =
     { Planner.window = config.window; refine = config.refine;
-      mode = config.mode;
-      exact_output_relation = config.exact_output_relation;
-      dedup = config.dedup; branch = config.branch; dual_sens }
+      mode = config.mode; dedup = config.dedup; branch = config.branch; dual_sens }
   in
   let exec_config =
     { Plan.Executor.domains = config.domains;

@@ -29,11 +29,6 @@ type config = {
   mode : Encode.mode;       (** [Relaxed]: LPR (the paper's Algorithm 1);
                                 [Exact]: pure ITNE network decomposition
                                 with exact sub-MILPs *)
-  exact_output_relation : bool;
-      (** encode the target neuron's own distance relation exactly in
-          the LpRelaxX sub-problem (a 2-binary MILP); strictly tighter
-          than the pure chord relaxation at negligible cost.  Disable to
-          reproduce the paper's pure-LPR behaviour. *)
   domains : int;
       (** fan the independent per-neuron sub-problems of each layer out
           over this many OCaml domains (the paper's future-work

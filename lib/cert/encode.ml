@@ -8,8 +8,6 @@ type neuron_vars = {
   dy : Model.var;
   x : Model.var option;
   dx : Model.var option;
-  z : Model.var option;
-  zhat : Model.var option;
 }
 
 type itne_enc = {
@@ -37,19 +35,12 @@ let add_affine_constraint model y_var row prev_var =
   in
   Model.add_constr model terms Model.Eq row.Sparse_row.const
 
-(* Copy-1 ReLU relation between [y] and [x], with y in [iv].  Returns
-   the indicator binary when the Exact straddling branch created one, so
-   callers can hand it to a solver that fixes statically-known phases. *)
+(* Copy-1 ReLU relation between [y] and [x], with y in [iv]. *)
 let add_relu_relation model ~mode ~(iv : Interval.t) ~y ~x =
   let a = iv.Interval.lo and b = iv.Interval.hi in
-  if b <= 0.0 then begin
-    Model.add_constr model [ (x, 1.0) ] Model.Eq 0.0;
-    None
-  end
-  else if a >= 0.0 then begin
-    Model.add_constr model [ (x, 1.0); (y, -1.0) ] Model.Eq 0.0;
-    None
-  end
+  if b <= 0.0 then Model.add_constr model [ (x, 1.0) ] Model.Eq 0.0
+  else if a >= 0.0 then
+    Model.add_constr model [ (x, 1.0); (y, -1.0) ] Model.Eq 0.0
   else begin
     require_finite "ReLU pre-activation" iv;
     Model.add_constr model [ (x, 1.0); (y, -1.0) ] Model.Ge 0.0;
@@ -60,33 +51,25 @@ let add_relu_relation model ~mode ~(iv : Interval.t) ~y ~x =
         (* x <= y - a (1 - z)  and  x <= b z *)
         Model.add_constr model [ (x, 1.0); (y, -1.0); (z, -.a) ] Model.Le
           (-.a);
-        Model.add_constr model [ (x, 1.0); (z, -.b) ] Model.Le 0.0;
-        Some z
+        Model.add_constr model [ (x, 1.0); (z, -.b) ] Model.Le 0.0
     | Relaxed ->
         (* x <= b (y - a) / (b - a) *)
         Model.add_constr model
           [ (x, b -. a); (y, -.b) ]
-          Model.Le (-.b *. a);
-        None
+          Model.Le (-.b *. a)
   end
 
-(* Distance relation dx = relu(y + dy) - relu(y), Eq. 5/6 of the paper.
-   Returns the second copy's indicator binary when Exact mode created
-   one for the straddling relu(y + dy). *)
+(* Distance relation dx = relu(y + dy) - relu(y), Eq. 5/6 of the paper. *)
 let add_dist_relation model ~mode ~(y_iv : Interval.t)
     ~(dy_iv : Interval.t) ~y ~dy ~x ~dx =
   let a = y_iv.Interval.lo and b = y_iv.Interval.hi in
   let c = dy_iv.Interval.lo and d = dy_iv.Interval.hi in
-  if b <= 0.0 && b +. d <= 0.0 then begin
+  if b <= 0.0 && b +. d <= 0.0 then
     (* both copies certainly inactive *)
-    Model.add_constr model [ (dx, 1.0) ] Model.Eq 0.0;
-    None
-  end
-  else if a >= 0.0 && a +. c >= 0.0 then begin
+    Model.add_constr model [ (dx, 1.0) ] Model.Eq 0.0
+  else if a >= 0.0 && a +. c >= 0.0 then
     (* both copies certainly active *)
-    Model.add_constr model [ (dx, 1.0); (dy, -1.0) ] Model.Eq 0.0;
-    None
-  end
+    Model.add_constr model [ (dx, 1.0); (dy, -1.0) ] Model.Eq 0.0
   else
     match mode with
     | Exact ->
@@ -99,12 +82,9 @@ let add_dist_relation model ~mode ~(y_iv : Interval.t)
         Model.add_constr model [ (yhat, 1.0); (y, -1.0); (dy, -1.0) ]
           Model.Eq 0.0;
         let xhat = var_of_interval model (Interval.relu yhat_iv) in
-        let zhat =
-          add_relu_relation model ~mode:Exact ~iv:yhat_iv ~y:yhat ~x:xhat
-        in
+        add_relu_relation model ~mode:Exact ~iv:yhat_iv ~y:yhat ~x:xhat;
         Model.add_constr model [ (dx, 1.0); (xhat, -1.0); (x, 1.0) ]
-          Model.Eq 0.0;
-        zhat
+          Model.Eq 0.0
     | Relaxed ->
         require_finite "ReLU distance" dy_iv;
         let l = Float.min 0.0 c and u = Float.max 0.0 d in
@@ -115,8 +95,7 @@ let add_dist_relation model ~mode ~(y_iv : Interval.t)
           Model.add_constr model [ (dx, u -. l); (dy, l) ] Model.Ge (l *. u);
           Model.add_constr model [ (dx, u -. l); (dy, -.u) ] Model.Le
             (-.u *. l)
-        end;
-        None
+        end
 
 let interval_clip_relu_dist ~y_iv ~dy_iv stored =
   (* best cheap enclosure for the dx variable's own bounds *)
@@ -197,7 +176,7 @@ let itne ?(refined = []) ?(include_output_relu = false) ~mode
         let encode_relu =
           layer.Nn.Layer.relu && ((not is_last) || include_output_relu)
         in
-        let x, dx, z, zhat =
+        let x, dx =
           if encode_relu then begin
             let x_iv =
               match
@@ -214,16 +193,14 @@ let itne ?(refined = []) ?(include_output_relu = false) ~mode
             let neuron_mode =
               if Hashtbl.mem refined_set (abs, j) then Exact else mode
             in
-            let z = add_relu_relation model ~mode:neuron_mode ~iv:y_iv ~y ~x in
-            let zhat =
-              add_dist_relation model ~mode:neuron_mode ~y_iv ~dy_iv ~y ~dy ~x
-                ~dx
-            in
-            (Some x, Some dx, z, zhat)
+            add_relu_relation model ~mode:neuron_mode ~iv:y_iv ~y ~x;
+            add_dist_relation model ~mode:neuron_mode ~y_iv ~dy_iv ~y ~dy ~x
+              ~dx;
+            (Some x, Some dx)
           end
-          else (None, None, None, None)
+          else (None, None)
         in
-        Hashtbl.replace vars (abs, j) { y; dy; x; dx; z; zhat })
+        Hashtbl.replace vars (abs, j) { y; dy; x; dx })
       view.Subnet.active.(k)
   done;
   { model; view; vars; in_vars }
@@ -257,8 +234,7 @@ type btne_enc = {
 }
 
 (* Encode one explicit copy of the view into [model]; [input_var id]
-   supplies the window input variables.  [phases] optionally fixes
-   individual ReLUs for case-splitting solvers.
+   supplies the window input variables.
 
    [splits]: encode each ambiguous relaxed ReLU in the splittable form
    [x - y - s = 0, s in [0, -a]] (plus the usual chord cut), recording
@@ -268,7 +244,7 @@ type btne_enc = {
    ([s = 0] for active, [x = 0, y <= 0] for inactive), which lets a
    case-splitting solver reuse one compiled matrix (and one warm solver
    session) for the entire split tree instead of re-encoding per node. *)
-let encode_copy ?phases ?splits model view ~(bounds : Bounds.t) ~mode
+let encode_copy ?splits model view ~(bounds : Bounds.t) ~mode
     ~input_var ~table =
   let depth = Subnet.depth view in
   for k = 0 to depth - 1 do
@@ -296,38 +272,22 @@ let encode_copy ?phases ?splits model view ~(bounds : Bounds.t) ~mode
               | None -> bounds.Bounds.x.(abs).(j)
             in
             let x = var_of_interval model x_iv in
-            let fixed =
-              match phases with
-              | None -> None
-              | Some table -> Hashtbl.find_opt table (abs, j)
-            in
-            (match fixed with
-             | Some Ph_active ->
-                 Model.add_constr model [ (x, 1.0); (y, -1.0) ] Model.Eq 0.0;
-                 Model.add_constr model [ (y, 1.0) ] Model.Ge 0.0
-             | Some Ph_inactive ->
-                 Model.add_constr model [ (x, 1.0) ] Model.Eq 0.0;
-                 Model.add_constr model [ (y, 1.0) ] Model.Le 0.0
-             | None ->
-                 let a = y_iv.Interval.lo and b = y_iv.Interval.hi in
-                 (match splits with
-                  | Some split_table
-                    when mode = Relaxed && a < 0.0 && b > 0.0 ->
-                      require_finite "ReLU pre-activation" y_iv;
-                      let s = Model.add_var ~lo:0.0 ~hi:(-.a) model in
-                      Model.add_constr model
-                        [ (x, 1.0); (y, -1.0); (s, -1.0) ]
-                        Model.Eq 0.0;
-                      Model.add_constr model [ (x, 1.0) ] Model.Ge 0.0;
-                      Model.add_constr model
-                        [ (x, b -. a); (y, -.b) ]
-                        Model.Le (-.b *. a);
-                      Hashtbl.replace split_table (abs, j)
-                        { sp_y = y; sp_x = x; sp_slack = s; sp_y_iv = y_iv;
-                          sp_x_iv = x_iv; sp_slack_hi = -.a }
-                  | _ ->
-                      ignore
-                        (add_relu_relation model ~mode ~iv:y_iv ~y ~x)));
+            let a = y_iv.Interval.lo and b = y_iv.Interval.hi in
+            (match splits with
+             | Some split_table when mode = Relaxed && a < 0.0 && b > 0.0 ->
+                 require_finite "ReLU pre-activation" y_iv;
+                 let s = Model.add_var ~lo:0.0 ~hi:(-.a) model in
+                 Model.add_constr model
+                   [ (x, 1.0); (y, -1.0); (s, -1.0) ]
+                   Model.Eq 0.0;
+                 Model.add_constr model [ (x, 1.0) ] Model.Ge 0.0;
+                 Model.add_constr model
+                   [ (x, b -. a); (y, -.b) ]
+                   Model.Le (-.b *. a);
+                 Hashtbl.replace split_table (abs, j)
+                   { sp_y = y; sp_x = x; sp_slack = s; sp_y_iv = y_iv;
+                     sp_x_iv = x_iv; sp_slack_hi = -.a }
+             | _ -> add_relu_relation model ~mode ~iv:y_iv ~y ~x);
             Some x
           end
           else None
@@ -336,7 +296,7 @@ let encode_copy ?phases ?splits model view ~(bounds : Bounds.t) ~mode
       view.Subnet.active.(k)
   done
 
-let btne ?phases_a ?phases_b ?(split_relus = false) ~link_input_dist ~mode
+let btne ?(split_relus = false) ~link_input_dist ~mode
     ~(bounds : Bounds.t) (view : Subnet.view) =
   let model = Model.create () in
   let copy_a = Hashtbl.create 64 and copy_b = Hashtbl.create 64 in
@@ -356,9 +316,9 @@ let btne ?phases_a ?phases_b ?(split_relus = false) ~link_input_dist ~mode
           0.0
       end)
     view.Subnet.input_active;
-  encode_copy ?phases:phases_a ?splits:(splits split_a) model view ~bounds
+  encode_copy ?splits:(splits split_a) model view ~bounds
     ~mode ~input_var:(Hashtbl.find in_a) ~table:copy_a;
-  encode_copy ?phases:phases_b ?splits:(splits split_b) model view ~bounds
+  encode_copy ?splits:(splits split_b) model view ~bounds
     ~mode ~input_var:(Hashtbl.find in_b) ~table:copy_b;
   let assoc table =
     Hashtbl.fold (fun id v acc -> (id, v) :: acc) table []

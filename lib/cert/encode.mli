@@ -30,13 +30,6 @@ type neuron_vars = {
   dy : Lp.Model.var;
   x : Lp.Model.var option;   (** present iff the neuron's ReLU was encoded *)
   dx : Lp.Model.var option;
-  z : Lp.Model.var option;
-      (** copy-1 ReLU indicator binary: present iff the neuron was
-          encoded exactly and its [y] interval straddles 0.  A solver
-          holding a static phase proof can fix it ([1] active, [0]
-          inactive) instead of branching. *)
-  zhat : Lp.Model.var option;
-      (** same for the implicit second copy's ReLU, [relu(y + dy)] *)
 }
 
 type itne_enc = {
@@ -70,8 +63,8 @@ val itne_vars : itne_enc -> int -> int -> neuron_vars
 type copy_vars = { cy : Lp.Model.var; cx : Lp.Model.var option }
 
 type phase = Ph_active | Ph_inactive
-(** A ReLU whose phase has been fixed by case splitting: [Ph_active]
-    adds [x = y, y >= 0]; [Ph_inactive] adds [x = 0, y <= 0]. *)
+(** A ReLU phase a case-splitting solver fixes on a {!relu_split}:
+    [Ph_active] means [x = y, y >= 0]; [Ph_inactive] [x = 0, y <= 0]. *)
 
 type relu_split = {
   sp_y : Lp.Model.var;
@@ -100,8 +93,6 @@ type btne_enc = {
 }
 
 val btne :
-  ?phases_a:(int * int, phase) Hashtbl.t ->
-  ?phases_b:(int * int, phase) Hashtbl.t ->
   ?split_relus:bool ->
   link_input_dist:bool -> mode:mode -> bounds:Bounds.t -> Subnet.view ->
   btne_enc

@@ -6,7 +6,6 @@ type config = {
   window : int;
   refine : Refine.rule;
   mode : Encode.mode;
-  exact_output_relation : bool;
   dedup : bool;
   branch : Search.Strategy.t;
   dual_sens : (int * int, float) Hashtbl.t option;
@@ -332,9 +331,7 @@ let plan_dx config (bounds : Bounds.t) net ~layer:i =
         Refine.select ~strategy:config.branch ?sens:config.dual_sens bounds
           ~candidates ~r
       in
-      let refined =
-        if config.exact_output_relation then (i, j) :: refined else refined
-      in
+      let refined = (i, j) :: refined in
       emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
         ~branch:config.branch
         ~label:(Printf.sprintf "itne-x:layer%d:neuron%d" i j)

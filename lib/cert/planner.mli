@@ -24,9 +24,6 @@ type config = {
   window : int;
   refine : Refine.rule;
   mode : Encode.mode;
-  exact_output_relation : bool;
-      (** encode the target's own distance relation exactly in the
-          dx pass (adds integer variables) *)
   dedup : bool;  (** deduplicate structurally identical cones *)
   branch : Search.Strategy.t;
       (** branching/refinement strategy.  Under [Dual_guided] the
@@ -76,6 +73,8 @@ val plan_values : config -> Bounds.t -> Nn.Network.t -> layer:int -> Plan.t
 
 val plan_dx : config -> Bounds.t -> Nn.Network.t -> layer:int -> Plan.t
 (** The dx pass of a ReLU layer (LpRelaxX), for targets whose chord
-    score is positive, with queries in the order [dx.hi; dx.lo].  Call
-    after the layer's y/dy results and the interval ReLU transfer have
+    score is positive, with queries in the order [dx.hi; dx.lo].  The
+    target's own distance relation is always encoded exactly (a
+    2-binary MILP): strictly tighter than the pure chord relaxation at
+    negligible cost.  Call after the layer's y/dy results and the interval ReLU transfer have
     been applied to [bounds]. *)

@@ -6,7 +6,6 @@ type result = {
   exact : bool;
   nodes : int;
   pivots : int;
-  skipped_splits : int;
   completed : bool array;
   runtime : float;
 }
@@ -31,11 +30,6 @@ let phase_delta (sp : Encode.relu_split) = function
          Float.min 0.0 sp.Encode.sp_y_iv.Interval.hi);
         (sp.Encode.sp_x, 0.0, 0.0) ]
 
-let apply_phase session (sp : Encode.relu_split) phase =
-  List.iter
-    (fun (v, lo, hi) -> Lp.Simplex.set_var_bounds session v ~lo ~hi)
-    (phase_delta sp phase)
-
 (* What a tree edge did: fixed a ReLU copy's phase.  Phase edges feed
    the per-node [dynamic] table (keys that must not be branched on
    again below this node). *)
@@ -49,12 +43,9 @@ type edge = Root | Phase of bool * (int * int)
    from [session]'s retained basis — a dual-simplex restart instead of
    a cold two-phase solve per node.  [eval_true xa xb] evaluates the
    objective on a real forward pass, providing feasible incumbents for
-   pruning.  [fixed] holds the split keys that must never be branched
-   on — statically proven phases, their bounds already applied to
-   [session] and hence part of the cursor's root snapshot.  Returns
-   (exact_max_or_upper_bound, completed). *)
-let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
-    ~strategy ~columns ~max_nodes ~search_stats ~terms ~eval_true =
+   pruning.  Returns (exact_max_or_upper_bound, completed). *)
+let maximise net bounds (enc : Encode.btne_enc) session stats ~strategy
+    ~columns ~max_nodes ~search_stats ~terms ~eval_true =
   let input_dim = Nn.Network.input_dim net in
   let best = ref neg_infinity in
   let mk_input assoc (sol : Lp.Simplex.solution) =
@@ -64,17 +55,15 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
     List.iter (fun (id, v) -> x.(id) <- sol.Lp.Simplex.x.(v)) assoc;
     x
   in
-  (* the cursor's root bounds are the session's current bounds — i.e.
-     with the caller's static phase fixes already in place *)
   let root_lo, root_hi = Lp.Simplex.session_bounds session in
   let set v ~lo ~hi = Lp.Simplex.set_var_bounds session v ~lo ~hi in
   let root = Search.Node.root Root in
   let cursor = Search.Cursor.create ~set ~root_lo ~root_hi root in
   let frontier = Search.Frontier.dfs () in
   Search.Frontier.push frontier root;
-  (* split keys fixed on the path to the current node (as opposed to
-     [fixed], the static ones); rebuilt from the node's edge tags at
-     each visit — O(depth), same as the cursor move *)
+  (* split keys fixed on the path to the current node; rebuilt from the
+     node's edge tags at each visit — O(depth), same as the cursor
+     move *)
   let dynamic = Hashtbl.create 16 in
   let sync_dynamic node =
     Hashtbl.reset dynamic;
@@ -126,10 +115,7 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
             let scan in_a table =
               Hashtbl.iter
                 (fun key (sp : Encode.relu_split) ->
-                  if
-                    (not (Hashtbl.mem fixed (in_a, key)))
-                    && not (Hashtbl.mem dynamic (in_a, key))
-                  then begin
+                  if not (Hashtbl.mem dynamic (in_a, key)) then begin
                     let yv = sol.Lp.Simplex.x.(sp.Encode.sp_y) in
                     let xval = sol.Lp.Simplex.x.(sp.Encode.sp_x) in
                     let v = Float.abs (xval -. Float.max 0.0 yv) in
@@ -177,9 +163,7 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
         { Search.max_nodes = nodes0 + max_nodes; deadline = infinity }
       ~stats:search_stats ~frontier ~visit ()
   in
-  (* leave the session at the root bounds for the next call: its static
-     phase fixes are part of the root snapshot, so this restores
-     exactly the caller's pre-search state *)
+  (* leave the session at the root bounds for the next call *)
   Search.Cursor.goto cursor root;
   let completed =
     match stop with
@@ -188,30 +172,12 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~fixed
   in
   (!best, completed)
 
-let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
-    ?(branch = Search.Strategy.Most_fractional) net ~input ~delta =
+let global ?(max_nodes = 200_000) ?(branch = Search.Strategy.Most_fractional)
+    net ~input ~delta =
   let t0 = Unix.gettimeofday () in
-  let bounds =
-    if presolve then begin
-      (* tightened per-neuron ranges sharpen the triangle relaxations,
-         shrinking the split tree (see Exact.prepare) *)
-      let config =
-        { Certifier.default_config with Certifier.margin = 0.0 }
-      in
-      (Certifier.certify ~config net ~input ~delta).Certifier.bounds
-    end
-    else begin
-      let bounds =
-        Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
-      in
-      Interval_prop.propagate net bounds;
-      bounds
-    end
-  in
-  let n = Nn.Network.n_layers net in
-  let out_dim = Nn.Network.output_dim net in
-  let targets = Array.init out_dim Fun.id in
-  let view = Subnet.cone net ~last:(n - 1) ~targets ~window:n in
+  (* tightened per-neuron ranges sharpen the triangle relaxations,
+     shrinking the split tree *)
+  let bounds, view, out_dim = Exact.prepare net ~input ~delta in
   (* one splittable encoding, compiled once; one solver session serves
      every node of every output's split tree *)
   let enc =
@@ -221,25 +187,6 @@ let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
   let session =
     Lp.Simplex.create_session (Lp.Simplex.compile enc.Encode.model)
   in
-  (* which split keys are statically phase-fixed, per copy; applied once
-     here and fixed for every node of every output's split tree *)
-  let fixed = Hashtbl.create 16 in
-  let skipped = ref 0 in
-  (match stable with
-   | None -> ()
-   | Some table ->
-       Hashtbl.iter
-         (fun key phase ->
-           List.iter
-             (fun (in_a, splits) ->
-               match Hashtbl.find_opt splits key with
-               | None -> ()
-               | Some sp ->
-                   apply_phase session sp phase;
-                   Hashtbl.replace fixed (in_a, key) ();
-                   incr skipped)
-             [ (true, enc.Encode.split_a); (false, enc.Encode.split_b) ])
-         table);
   let stats = Plan.Engine.zero_stats () in
   let search_stats = Search.zero_stats () in
   (* |dual|-weighted column sensitivities of the slack variables, for
@@ -274,12 +221,12 @@ let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
           sign *. (fb.(j) -. fa.(j))
         in
         let hi, ok1 =
-          maximise net bounds enc session stats ~fixed ~strategy:branch
+          maximise net bounds enc session stats ~strategy:branch
             ~columns ~max_nodes:slice ~search_stats ~terms:(terms 1.0)
             ~eval_true:(eval_true 1.0)
         in
         let neg_lo, ok2 =
-          maximise net bounds enc session stats ~fixed ~strategy:branch
+          maximise net bounds enc session stats ~strategy:branch
             ~columns ~max_nodes:slice ~search_stats ~terms:(terms (-1.0))
             ~eval_true:(eval_true (-1.0))
         in
@@ -300,6 +247,5 @@ let global ?(max_nodes = 200_000) ?(presolve = true) ?stable
     exact = !all_exact;
     nodes = search_stats.Search.nodes;
     pivots = stats.Plan.Engine.lp_pivots;
-    skipped_splits = !skipped;
     completed;
     runtime = Unix.gettimeofday () -. t0 }

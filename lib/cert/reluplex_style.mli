@@ -19,9 +19,6 @@ type result = {
   exact : bool;        (** every output's search completed *)
   nodes : int;         (** LP relaxations solved, all outputs *)
   pivots : int;        (** simplex pivots across all node LPs *)
-  skipped_splits : int;
-      (** ambiguous ReLU copies phase-fixed up front by a [stable]
-          table, excluded from case-splitting for the whole search *)
   completed : bool array;
       (** per output: both directional searches exhausted their trees
           within the output's node-budget slice.  [eps.(j)] is exact iff
@@ -30,16 +27,10 @@ type result = {
 }
 
 val global :
-  ?max_nodes:int -> ?presolve:bool ->
-  ?stable:(int * int, Encode.phase) Hashtbl.t ->
-  ?branch:Search.Strategy.t -> Nn.Network.t ->
+  ?max_nodes:int -> ?branch:Search.Strategy.t -> Nn.Network.t ->
   input:Interval.t array -> delta:float -> result
-(** [presolve] (default true): tighten ReLU ranges with a relaxed
-    Algorithm-1 pass before splitting.  [stable] maps (absolute layer,
-    neuron) to a phase proven over the whole input box (e.g.
-    {!Symbolic_back.analysis.stable}); the proof covers both explicit
-    copies, so those ReLUs are fixed once and never split — the result
-    is unchanged.
+(** ReLU ranges are first tightened by the relaxed Algorithm-1 pass of
+    {!Exact.prepare}, which sharpens the triangle relaxations.
 
     [max_nodes] is the total budget; each of the [2 x out_dim]
     directional searches gets an equal slice, so an expensive early

@@ -1,13 +1,6 @@
 module Sparse_row = Linalg.Sparse_row
 
-type analysis = {
-  stable : (int * int, Encode.phase) Hashtbl.t;
-  stable_relus : int;
-  back_subs : int;
-}
-
 let m_back_subs = Obs.Metrics.counter "symbolic.back_subs"
-let m_stable_relus = Obs.Metrics.counter "symbolic.stable_relus"
 
 (* Width of the input frontier of layer [k] (the quantity a backward
    form ranges over after substituting through layer [k]). *)
@@ -213,36 +206,13 @@ let analyse net (bounds : Bounds.t) =
       end
     done
   done;
-  (* Statically stable ReLUs: the phase holds for every input in the
-     box, hence for both twin copies (each twin input lies in the input
-     domain).  Case-splitting solvers can pre-fix these. *)
-  let stable = Hashtbl.create 32 in
-  for i = 0 to n - 1 do
-    let layer = Nn.Network.layer net i in
-    if layer.Nn.Layer.relu then
-      for j = 0 to Nn.Layer.out_dim layer - 1 do
-        let y_iv = bounds.Bounds.y.(i).(j) in
-        if y_iv.Interval.hi <= 0.0 then
-          Hashtbl.replace stable (i, j) Encode.Ph_inactive
-        else if y_iv.Interval.lo >= 0.0 then
-          Hashtbl.replace stable (i, j) Encode.Ph_active
-      done
-  done;
-  let stable_relus = Hashtbl.length stable in
   Obs.Metrics.add m_back_subs !subs;
-  Obs.Metrics.add m_stable_relus stable_relus;
-  Obs.Trace.count "back_subs" !subs;
-  if stable_relus > 0 then Obs.Trace.count "stable_relus" stable_relus;
-  { stable; stable_relus; back_subs = !subs }
+  Obs.Trace.count "back_subs" !subs
 
-let stable_phases net ~input ~delta =
+let certify net ~input ~delta =
   let bounds =
     Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
   in
   Interval_prop.propagate net bounds;
-  let analysis = analyse net bounds in
-  (analysis, bounds)
-
-let certify net ~input ~delta =
-  let _, bounds = stable_phases net ~input ~delta in
+  analyse net bounds;
   Array.map Interval.abs_max (Bounds.output_dist bounds net)

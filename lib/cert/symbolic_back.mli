@@ -30,29 +30,15 @@
     semantics; concretised results are met into the store, which keeps
     every previously proven bound. *)
 
-type analysis = {
-  stable : (int * int, Encode.phase) Hashtbl.t;
-      (** (absolute layer, neuron) of every ReLU whose phase the
-          analysis proved over the whole input box.  The proof covers
-          both twin copies (each twin input lies in the input domain),
-          so case-splitting solvers can pre-fix these. *)
-  stable_relus : int;  (** [Hashtbl.length stable] *)
-  back_subs : int;     (** layer substitutions performed *)
-}
-
-val analyse : Nn.Network.t -> Bounds.t -> analysis
+val analyse : Nn.Network.t -> Bounds.t -> unit
 (** Runs the forward pass ({!Symbolic.propagate}) and then the
     backward substitution, tightening every interval of the given
     bounds in place by meet.  Callers that must keep a bound store
-    bitwise untouched run it on a {!Bounds.copy}. *)
-
-val stable_phases :
-  Nn.Network.t -> input:Interval.t array -> delta:float ->
-  analysis * Bounds.t
-(** Convenience: fresh bounds, interval propagation, then {!analyse};
-    returns the analysis and the tightened bounds. *)
+    bitwise untouched run it on a {!Bounds.copy}.  The substitutions
+    performed are counted in the [symbolic.back_subs] metric and span
+    counter. *)
 
 val certify : Nn.Network.t -> input:Interval.t array -> delta:float ->
   float array
-(** Zero-solve global-robustness bound per output from the backward
-    analysis alone. *)
+(** Zero-solve global-robustness bound per output: fresh bounds,
+    interval propagation, then {!analyse}. *)

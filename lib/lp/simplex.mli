@@ -181,8 +181,8 @@ type session_stats = {
   mutable lu_rejections : int;
       (** bases the LU rejected as singular, each ending its solve with
           [Iteration_limit] (a restored basis falls back to a cold
-          solve instead); 0 on every benchmarked net (asserted by
-          lp-bench) *)
+          solve instead); 0 on every benchmarked net (asserted by the
+          [lp:session] test "no LU rejections on encodings") *)
 }
 
 val session_stats : session -> session_stats

@@ -12,20 +12,12 @@ type result = {
 type options = {
   max_nodes : int;
   time_limit : float;
-  int_tol : float;
-  gap_abs : float;
   branch : Search.Strategy.t;
 }
 
-(* [gap_abs] defaults to 0: any positive pruning slack makes the final
-   incumbent depend on which near-tied assignment the exploration order
-   reached first, and the certified bounds must be a function of the
-   problem, not of the branching strategy (see the canonical incumbent
-   acceptance below).  Callers who want faster approximate solves can
-   still set a positive gap. *)
 let default_options =
-  { max_nodes = 200_000; time_limit = infinity; int_tol = 1e-6;
-    gap_abs = 0.0; branch = Search.Strategy.Most_fractional }
+  { max_nodes = 200_000; time_limit = infinity;
+    branch = Search.Strategy.Most_fractional }
 
 let m_solves = Obs.Metrics.counter "milp.solves"
 let m_nodes = Obs.Metrics.counter "milp.nodes"
@@ -47,8 +39,13 @@ let m_enumerate = Obs.Metrics.counter "milp.solves.enumerate"
    order — whether a last-bits-better assignment is ever considered;
    with a slack far above the noise floor, every assignment within it
    is considered under every strategy and the reported optimum is a
-   function of the problem alone. *)
+   function of the problem alone.  There is no optimality gap on top
+   of it: any positive gap would make the final incumbent depend on
+   which near-tied assignment the exploration order reached first. *)
 let tie_slack = 1e-9
+
+(* a value within this of an integer counts as integral *)
+let integrality_tol = 1e-6
 
 let enumerate_max = 4.0
 
@@ -110,8 +107,8 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
   (* round integer bounds inward *)
   Array.iter
     (fun j ->
-      root_lo.(j) <- Float.ceil (root_lo.(j) -. options.int_tol);
-      root_hi.(j) <- Float.floor (root_hi.(j) +. options.int_tol))
+      root_lo.(j) <- Float.ceil (root_lo.(j) -. integrality_tol);
+      root_hi.(j) <- Float.floor (root_hi.(j) +. integrality_tol))
     ints;
   Lp.Simplex.set_bounds session ~lo:root_lo ~hi:root_hi;
   (* the search core moves the session between nodes by bound deltas;
@@ -258,7 +255,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
       (fun j ->
         let v = sol.Lp.Simplex.x.(j) in
         let f = Float.abs (v -. Float.round v) in
-        if f > options.int_tol && f > !best_frac then begin
+        if f > integrality_tol && f > !best_frac then begin
           best_j := j;
           best_frac := f
         end)
@@ -273,7 +270,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
           (fun j ->
             let v = sol.Lp.Simplex.x.(j) in
             let f = Float.abs (v -. Float.round v) in
-            if f > options.int_tol then begin
+            if f > integrality_tol then begin
               let s =
                 f *. Search.Strategy.Columns.sensitivity cols ~duals j
               in
@@ -344,7 +341,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
         if sstats.Search.nodes mod heuristic_period = 1 then
           try_rounding sol.Lp.Simplex.x;
         let key = to_key sol.Lp.Simplex.obj in
-        if key >= !best_key +. tie_slack -. options.gap_abs then
+        if key >= !best_key +. tie_slack then
           Search.Expand []
         else begin
           let j = pick_int_var sol in
@@ -385,7 +382,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
      budget leaves them in place) *)
   let stop =
     Search.run ~span:"milp.node"
-      ~prune:(fun key -> key >= !best_key +. tie_slack -. options.gap_abs)
+      ~prune:(fun key -> key >= !best_key +. tie_slack)
       ~halt_on_prune:true
       ~limits:{ Search.max_nodes = options.max_nodes; deadline }
       ~stats:sstats ~frontier ~visit ()
@@ -457,7 +454,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
   let heap_key = Search.Frontier.min_key frontier in
   let exhausted =
     Search.Frontier.is_empty frontier
-    || heap_key >= !best_key +. tie_slack -. options.gap_abs
+    || heap_key >= !best_key +. tie_slack
   in
   let proven_key = Float.min (Float.min !best_key heap_key) !failed_bound in
   let incumbent_obj = if !have_incumbent then of_key !best_key else nan in
@@ -497,14 +494,3 @@ let solve ?options ?objective ?bounds model =
       Obs.Trace.count "nodes" r.nodes;
       Obs.Trace.count "pivots" r.pivots;
       r)
-
-let fixing_bounds model fixed =
-  let n = Lp.Model.n_vars model in
-  let lo = Array.init n (Lp.Model.var_lo model) in
-  let hi = Array.init n (Lp.Model.var_hi model) in
-  List.iter
-    (fun (v, value) ->
-      lo.(v) <- value;
-      hi.(v) <- value)
-    fixed;
-  (lo, hi)

@@ -11,10 +11,13 @@
     assignment the search meets is valued by a dual restart from the
     root node's optimal basis ({!Lp.Simplex.restore}) with the
     assignment pinned, and a plateau polish sweeps the near-tied
-    neighbours of the incumbent.  An integer box of at most four
-    assignments is enumerated that way instead of searched.  LP solves
-    are counted by purpose in the [milp.solves.node], [.rounding],
-    [.canonical], [.polish] and [.enumerate] metrics.
+    neighbours of the incumbent.  There is no optimality gap: a node
+    is pruned only when its bound exceeds the incumbent by a fixed
+    1e-9 tie slack, and integrality is judged to a fixed 1e-6.  An
+    integer box of at most four assignments is enumerated that way
+    instead of searched.  LP solves are counted by purpose in the
+    [milp.solves.node], [.rounding], [.canonical], [.polish] and
+    [.enumerate] metrics.
 
     Certification note: for a maximisation query, [bound] is always a
     sound upper bound on the true optimum, even when the search stops
@@ -40,12 +43,6 @@ type result = {
 type options = {
   max_nodes : int;
   time_limit : float;     (** seconds; [infinity] = none *)
-  int_tol : float;        (** integrality tolerance *)
-  gap_abs : float;        (** pruning slack: stop when bound - incumbent
-                              is below this.  Default 0 — a positive gap
-                              trades exactness (and the strategy-
-                              independence of the certified value) for
-                              speed *)
   branch : Search.Strategy.t;  (** branching rule; default
                                    [Most_fractional] *)
 }
@@ -63,11 +60,3 @@ val solve :
     bounds are still rounded inward afterwards), allowing one model to
     be replayed under different input intervals — e.g. a deduplicated
     certification cone. *)
-
-val fixing_bounds :
-  Lp.Model.t -> (Lp.Model.var * float) list -> float array * float array
-(** The model's structural bounds with each listed variable pinned to a
-    value — ready to pass as [solve]'s [bounds].  Used to fix indicator
-    binaries whose value is known statically (e.g. ReLU phases proven
-    stable by symbolic analysis) so branch & bound never branches on
-    them. *)

@@ -12,7 +12,8 @@
     [Int64] bit patterns, so a daemon restart reloads byte-identical
     answers — a cache hit after a restart is still bitwise-equal to the
     original solve.  Unparseable lines are skipped on load (a torn tail
-    from a crash must not poison the cache).
+    from a crash must not poison the cache), and so are entries of an
+    older key format, which could never hit again.
 
     Thread-safe: one mutex guards the table, counters and the file. *)
 

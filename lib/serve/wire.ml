@@ -95,19 +95,6 @@ let get ~what o = function
   | Some v -> v
   | None -> failwith (Printf.sprintf "Serve.Wire: %s: bad or missing %s" o what)
 
-(* Legacy spellings of removed options, decoded as the surviving value
-   that answers them — the one place old clients' names are mapped.
-   [violation] always branched exactly like most-fractional;
-   [dy-partition] used the dual-guided refinement weights and probes,
-   and every strategy certifies the same eps.  The retired symbolic
-   pre-pass fields ([symbolic: bool], [symbolic_mode: "off" | "back" |
-   "fwd"]) are accepted and ignored: every mode certified the same
-   bits. *)
-let legacy_branch = function
-  | "violation" -> Some Search.Strategy.Most_fractional
-  | "dy-partition" | "dy_partition" -> Some Search.Strategy.Dual_guided
-  | _ -> None
-
 let decode_query v =
   let num field default =
     match Json.member field v with
@@ -137,11 +124,6 @@ let decode_query v =
   let q_net = Json.mem_str "net" v and q_digest = Json.mem_str "digest" v in
   if q_net = None && q_digest = None then
     failwith "Serve.Wire: certify: one of net or digest is required";
-  (match Json.mem_str "symbolic_mode" v with
-   | None | Some ("off" | "back" | "fwd") -> ()
-   | Some m ->
-       failwith
-         (Printf.sprintf "Serve.Wire: certify: unknown symbolic_mode %S" m));
   let delta = num "delta" default_query.q_delta in
   let lo = num "lo" default_query.q_lo and hi = num "hi" default_query.q_hi in
   if not (delta >= 0.0) then
@@ -155,9 +137,9 @@ let decode_query v =
       (match Json.mem_str "branch" v with
        | None -> default_query.q_branch
        | Some s -> (
-           match (Search.Strategy.of_string s, legacy_branch s) with
-           | Some b, _ | None, Some b -> b
-           | None, None ->
+           match Search.Strategy.of_string s with
+           | Some b -> b
+           | None ->
                failwith
                  (Printf.sprintf "Serve.Wire: certify: unknown branch %S" s)));
     q_no_cache = Option.value ~default:false (Json.mem_bool "no_cache" v);

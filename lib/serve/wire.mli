@@ -39,9 +39,8 @@ type query = {
       (** on the wire: the [branch] string field (a
           {!Search.Strategy.to_string} name), emitted only when
           different from the historical [Most_fractional] default so old
-          servers keep understanding default queries.  Names of
-          retired strategies decode as the surviving strategy that
-          answers them (the table is in DESIGN.md, "Service layer") *)
+          servers keep understanding default queries.  Any other name,
+          including a retired strategy's, fails to decode *)
   q_no_cache : bool;          (** bypass the result cache (still runs) *)
   q_deadline_ms : float option;
       (** drop the request if not {e finished} this many ms after the
@@ -98,9 +97,8 @@ val encode_request : id:int -> request -> string
 
 val decode_request : Json.t -> int * request
 (** Raises [Failure] on malformed or unknown requests, including a
-    certify query with [delta < 0] or [lo > hi].  The retired symbolic
-    pre-pass fields ([symbolic: bool], [symbolic_mode: "off" | "back" |
-    "fwd"]) are accepted and ignored; any other [symbolic_mode] fails. *)
+    certify query with [delta < 0], [lo > hi] or an unknown [branch]
+    name.  Fields the decoder does not know are ignored. *)
 
 val encode_response : id:int -> response -> string
 

@@ -68,6 +68,29 @@ if ! echo "$to_err" | grep -q -- '--timeout-s'; then
   exit 1
 fi
 
+# So must a non-finite delta list, before any daemon is contacted, and
+# a non-finite learning rate, before any training runs.
+echo "== grc sweep --deltas nan must fail cleanly =="
+if dn_err=$(dune exec -- grc sweep --socket _build/grc-none.sock \
+    --deltas nan --digest 0 2>&1); then
+  echo "--deltas nan was accepted" >&2
+  exit 1
+fi
+if ! echo "$dn_err" | grep -q -- '--deltas'; then
+  echo "--deltas nan did not fail as a usage error: $dn_err" >&2
+  exit 1
+fi
+echo "== grc train-robust --lr nan must fail cleanly =="
+if lr_err=$(dune exec -- grc train-robust --family auto-mpg --id lint-ci \
+    --size 4,4 --artifacts _build/lint-artifacts --lr nan 2>&1); then
+  echo "--lr nan was accepted" >&2
+  exit 1
+fi
+if ! echo "$lr_err" | grep -q -- '--lr'; then
+  echo "--lr nan did not fail as a usage error: $lr_err" >&2
+  exit 1
+fi
+
 echo "== audited certification sweep (GRC_AUDIT=1 grc certify) =="
 GRC_AUDIT=1 dune exec -- grc certify \
   --net _build/lint-artifacts/lint-ci.net --delta 0.001

@@ -265,7 +265,7 @@ let back_tightness_chain_prop =
          let fwd = Cert.Bounds.copy base in
          Cert.Symbolic.propagate net fwd;
          let back = Cert.Bounds.copy base in
-         ignore (Cert.Symbolic_back.analyse net back);
+         Cert.Symbolic_back.analyse net back;
          let subset (a : Interval.t) (b : Interval.t) =
            a.Interval.lo >= b.Interval.lo -. 1e-9
            && a.Interval.hi <= b.Interval.hi +. 1e-9
@@ -308,65 +308,6 @@ let back_sound_prop =
            sample_variation ~rng net ~lo:(-1.0) ~hi:1.0 ~delta ~j:0 ~n:150
          in
          eps >= sampled -. 1e-9))
-
-(* x in [0, 2]; layer0 relu: h1 = x, h2 = relu(x - 1); layer1 relu:
-   y = h1 - h2 + 0.1 = min(x, 1) + 0.1 in [0.1, 1.1].  Interval
-   propagation sees y in [-0.9, 2.1] (straddling); the symbolic
-   analysis keeps the h1/h2 correlation and proves y stable-active. *)
-let sym_gap_net () =
-  Nn.Network.make
-    [ Nn.Layer.dense ~relu:true
-        ~weight:(Linalg.Mat.of_arrays [| [| 1.0 |]; [| 1.0 |] |])
-        ~bias:[| 0.0; -1.0 |] ();
-      Nn.Layer.dense ~relu:true
-        ~weight:(Linalg.Mat.of_arrays [| [| 1.0; -1.0 |] |])
-        ~bias:[| 0.1 |] ();
-      Nn.Layer.dense ~weight:(Linalg.Mat.of_arrays [| [| 1.0 |] |])
-        ~bias:[| 0.0 |] () ]
-
-let test_back_stable_hints () =
-  let net = sym_gap_net () in
-  let input = [| Interval.make 0.0 2.0 |] in
-  let delta = 0.05 in
-  let analysis, _ = Cert.Symbolic_back.stable_phases net ~input ~delta in
-  Alcotest.(check bool) "stable relu found" true
-    (analysis.Cert.Symbolic_back.stable_relus > 0);
-  Alcotest.(check bool) "layer-1 neuron proven active" true
-    (Hashtbl.find_opt analysis.Cert.Symbolic_back.stable (1, 0)
-     = Some Cert.Encode.Ph_active);
-  let stable = analysis.Cert.Symbolic_back.stable in
-  (* no presolve: an LP presolve would already collapse the straddle,
-     leaving nothing for the hints to skip *)
-  let plain = Cert.Exact.global_itne ~presolve:false net ~input ~delta in
-  let hinted =
-    Cert.Exact.global_itne ~presolve:false ~stable net ~input ~delta
-  in
-  Alcotest.(check bool) "itne binaries pinned" true
-    (hinted.Cert.Exact.skipped_splits > 0);
-  Alcotest.(check bool) "itne eps unchanged" true
-    (feq ~eps:1e-6 plain.Cert.Exact.eps.(0) hinted.Cert.Exact.eps.(0));
-  Alcotest.(check bool) "itne no more nodes" true
-    (hinted.Cert.Exact.nodes <= plain.Cert.Exact.nodes);
-  let bplain = Cert.Exact.global_btne ~presolve:false net ~input ~delta in
-  let bhinted =
-    Cert.Exact.global_btne ~presolve:false ~stable net ~input ~delta
-  in
-  Alcotest.(check bool) "btne binaries dropped" true
-    (bhinted.Cert.Exact.skipped_splits > 0);
-  Alcotest.(check bool) "btne eps unchanged" true
-    (feq ~eps:1e-6 bplain.Cert.Exact.eps.(0) bhinted.Cert.Exact.eps.(0));
-  let rplain =
-    Cert.Reluplex_style.global ~presolve:false net ~input ~delta
-  in
-  let rhinted =
-    Cert.Reluplex_style.global ~presolve:false ~stable net ~input ~delta
-  in
-  Alcotest.(check bool) "reluplex splits skipped" true
-    (rhinted.Cert.Reluplex_style.skipped_splits > 0);
-  (* agreement at the solver's own split tolerance (1e-6), not tighter *)
-  Alcotest.(check bool) "reluplex eps unchanged" true
-    (feq ~eps:1e-6 rplain.Cert.Reluplex_style.eps.(0)
-       rhinted.Cert.Reluplex_style.eps.(0))
 
 (* --- subnet cones --- *)
 
@@ -800,9 +741,7 @@ let suites =
         Alcotest.test_case "unbounded box stays finite" `Quick
           test_back_unbounded_box_no_nan;
         back_tightness_chain_prop;
-        back_sound_prop;
-        Alcotest.test_case "stable hints: exact engines" `Quick
-          test_back_stable_hints ] );
+        back_sound_prop ] );
     ( "cert:subnet",
       [ Alcotest.test_case "full window" `Quick test_cone_full_window;
         Alcotest.test_case "window clamp" `Quick test_cone_window_clamp;

@@ -136,39 +136,6 @@ let test_refined_equals_exact () =
   Alcotest.(check bool) "refined = exact" true
     (feq ~eps:1e-6 (hi enc_exact) (hi enc_refined))
 
-let test_btne_phases () =
-  (* forcing a ReLU inactive must cap the copy's output at zero *)
-  let net = one_layer_net [| [| 1.0; 0.0 |] |] in
-  let bounds = bounds_for net ~lo:(-1.0) ~hi:1.0 ~delta:0.0 in
-  let view = full_view net in
-  let phases = Hashtbl.create 4 in
-  Hashtbl.replace phases (0, 0) Cert.Encode.Ph_inactive;
-  let enc =
-    Cert.Encode.btne ~phases_a:phases ~link_input_dist:true
-      ~mode:Cert.Encode.Relaxed ~bounds view
-  in
-  let cv = Hashtbl.find enc.Cert.Encode.copy_a (0, 0) in
-  let x = Option.get cv.Cert.Encode.cx in
-  let r =
-    Milp.solve ~objective:(Model.Maximize, [ (x, 1.0) ]) enc.Cert.Encode.model
-  in
-  Alcotest.(check bool) "inactive x = 0" true (feq ~eps:1e-7 r.Milp.bound 0.0);
-  (* active phase: x = y, so max x = max y = 1 *)
-  let phases_b = Hashtbl.create 4 in
-  Hashtbl.replace phases_b (0, 0) Cert.Encode.Ph_active;
-  let enc2 =
-    Cert.Encode.btne ~phases_a:phases_b ~link_input_dist:true
-      ~mode:Cert.Encode.Relaxed ~bounds view
-  in
-  let cv2 = Hashtbl.find enc2.Cert.Encode.copy_a (0, 0) in
-  let x2 = Option.get cv2.Cert.Encode.cx in
-  let r2 =
-    Milp.solve
-      ~objective:(Model.Maximize, [ (x2, 1.0) ])
-      enc2.Cert.Encode.model
-  in
-  Alcotest.(check bool) "active max = 1" true (feq ~eps:1e-6 r2.Milp.bound 1.0)
-
 let test_btne_out_delta_terms () =
   let net = one_layer_net [| [| 1.0; 0.0 |] |] in
   let bounds = bounds_for net ~lo:(-1.0) ~hi:1.0 ~delta:0.1 in
@@ -220,7 +187,6 @@ let suites =
           test_relaxed_encloses_exact;
         Alcotest.test_case "refined equals exact" `Quick
           test_refined_equals_exact;
-        Alcotest.test_case "phase fixing" `Quick test_btne_phases;
         Alcotest.test_case "out delta terms" `Quick
           test_btne_out_delta_terms;
         Alcotest.test_case "unbounded relu rejected" `Quick

@@ -3,7 +3,7 @@
 
 let pconfig =
   { Cert.Planner.window = 2; refine = Cert.Refine.No_refine;
-    mode = Cert.Encode.Relaxed; exact_output_relation = true; dedup = true;
+    mode = Cert.Encode.Relaxed; dedup = true;
     branch = Search.Strategy.Most_fractional; dual_sens = None }
 
 let random_net ~rng ~relu ~dims =
