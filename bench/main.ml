@@ -53,8 +53,7 @@ let run_table1_large () =
     { Exp.Table1.digits_config with
       Cert.Certifier.refine = Cert.Certifier.Count 10;
       milp_options =
-        { Milp.default_options with Milp.max_nodes = 400;
-          time_limit = 1.0 } }
+        { Milp.max_nodes = 400; time_limit = 1.0 } }
   in
   let rows =
     List.map
@@ -86,8 +85,7 @@ let run_case_study () =
   let config =
     { Exp.Case_study.default_config with
       Cert.Certifier.milp_options =
-        { Milp.default_options with Milp.max_nodes = 400;
-          time_limit = 1.0 } }
+        { Milp.max_nodes = 400; time_limit = 1.0 } }
   in
   let c = Exp.Case_study.certify ~config trained in
   Exp.Case_study.print_certification fmt c

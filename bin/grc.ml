@@ -161,22 +161,6 @@ let box_arg =
   in
   Term.(ret (const check $ lo $ hi))
 
-let branch_arg =
-  let doc =
-    "Branch & bound strategy: $(b,most-fractional) (historical default) or \
-     $(b,dual-guided) (rank branching and refinement candidates by \
-     accumulated |dual| column sensitivity).  Certified eps is identical \
-     across strategies; only node counts differ."
-  in
-  Arg.(value
-       & opt
-           (enum
-              (List.map
-                 (fun s -> (Search.Strategy.to_string s, s))
-                 Search.Strategy.all))
-           Search.Strategy.Most_fractional
-       & info [ "branch" ] ~docv:"STRATEGY" ~doc)
-
 let certify_cmd =
   let window =
     Arg.(value & opt pos_int 2 & info [ "window"; "W" ] ~doc:"ND window size.")
@@ -228,7 +212,7 @@ let certify_cmd =
          & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let run net_path delta (lo, hi) window refine refine_frac domains no_dedup
-      branch meth trace =
+      meth trace =
     if trace <> None then Obs.Trace.set_enabled true;
     let net = Nn.Io.load net_path in
     let input = Cert.Bounds.box_domain net ~lo ~hi in
@@ -247,16 +231,15 @@ let certify_cmd =
           let config =
             { Cert.Certifier.default_config with
               Cert.Certifier.window; refine = refine_rule; domains;
-              dedup = not no_dedup; branch }
+              dedup = not no_dedup }
           in
           let r = Cert.Certifier.certify ~config net ~input ~delta in
           plan_stats := Some r;
           r.Cert.Certifier.eps
       | `Exact ->
-          (Cert.Exact.global_btne ~branch net ~input ~delta).Cert.Exact.eps
+          (Cert.Exact.global_btne net ~input ~delta).Cert.Exact.eps
       | `Reluplex ->
-          (Cert.Reluplex_style.global ~branch net ~input ~delta)
-            .Cert.Reluplex_style.eps
+          (Cert.Reluplex_style.global net ~input ~delta).Cert.Reluplex_style.eps
       | `Interval -> Cert.Interval_prop.certify net ~input ~delta
       | `Symbolic -> Cert.Symbolic.certify net ~input ~delta
       | `Itne_nd ->
@@ -303,8 +286,7 @@ let certify_cmd =
   in
   Cmd.v info_
     Term.(const run $ net_arg $ delta_arg $ box_arg
-          $ window $ refine $ refine_frac $ domains $ no_dedup $ branch_arg
-          $ meth $ trace)
+          $ window $ refine $ refine_frac $ domains $ no_dedup $ meth $ trace)
 
 let attack_cmd =
   let samples =
@@ -400,8 +382,7 @@ let lint_cmd =
            counter consistency, variable ranges, replay overrides *)
         let pconfig =
           { Cert.Planner.window; refine = Cert.Refine.No_refine;
-            mode = Cert.Encode.Relaxed; dedup = true;
-            branch = Search.Strategy.Most_fractional; dual_sens = None }
+            mode = Cert.Encode.Relaxed; dedup = true }
         in
         let n = Nn.Network.n_layers net in
         for i = 0 to n - 1 do
@@ -644,7 +625,7 @@ let submit_cmd =
       r.Serve.Wire.r_milp_solves
   in
   let run socket port net digest delta (lo, hi) window refine refine_frac
-      branch no_cache deadline_ms load_n concurrency batch
+      no_cache deadline_ms load_n concurrency batch
       timeout_s stats ping shutdown =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
@@ -697,8 +678,7 @@ let submit_cmd =
             let query =
               { Serve.Wire.q_net; q_digest = digest; q_delta = delta;
                 q_lo = lo; q_hi = hi; q_window = window; q_refine;
-                q_branch = branch; q_no_cache = no_cache;
-                q_deadline_ms = deadline_ms }
+                q_no_cache = no_cache; q_deadline_ms = deadline_ms }
             in
             (match load_n with
              | None -> with_conn (fun c -> print_result
@@ -832,7 +812,7 @@ let submit_cmd =
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ net $ digest $ delta_arg
-           $ box_arg $ window $ refine $ refine_frac $ branch_arg $ no_cache
+           $ box_arg $ window $ refine $ refine_frac $ no_cache
            $ deadline_ms $ load_n $ concurrency
            $ batch $ timeout_s $ stats $ ping $ shutdown))
 
@@ -868,7 +848,7 @@ let shard_cmd =
                                                  stderr.")
   in
   let connect_timeout =
-    Arg.(value & opt float 10.0
+    Arg.(value & opt pos_float 10.0
          & info [ "connect-timeout-s" ]
              ~doc:"How long to wait for each backend at startup.")
   in
@@ -940,8 +920,11 @@ let regions_conv : (float * float) list Arg.conv =
       match String.split_on_char ':' (String.trim p) with
       | [ a; b ] -> (
           match (float_of_string_opt a, float_of_string_opt b) with
-          | Some lo, Some hi when lo < hi -> Ok (lo, hi)
-          | Some _, Some _ -> Error (`Msg (p ^ ": need lo < hi"))
+          | Some lo, Some hi ->
+              if not (Float.is_finite lo && Float.is_finite hi) then
+                Error (`Msg (p ^ ": endpoints must be finite"))
+              else if lo < hi then Ok (lo, hi)
+              else Error (`Msg (p ^ ": need lo < hi"))
           | _ -> Error (`Msg (p ^ ": expected LO:HI")))
       | _ -> Error (`Msg (p ^ ": expected LO:HI"))
     in

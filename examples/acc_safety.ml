@@ -23,8 +23,7 @@ let () =
   let config =
     { Exp.Case_study.default_config with
       Cert.Certifier.milp_options =
-        { Milp.default_options with Milp.max_nodes = 2_000;
-          time_limit = 5.0 } }
+        { Milp.max_nodes = 2_000; time_limit = 5.0 } }
   in
   let c = Exp.Case_study.certify ~config trained in
   Exp.Case_study.print_certification Format.std_formatter c;

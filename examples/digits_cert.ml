@@ -28,8 +28,7 @@ let () =
       Cert.Certifier.window = 3;
       refine = Cert.Certifier.Count 10;
       milp_options =
-        { Milp.default_options with Milp.max_nodes = 1_000;
-          time_limit = 2.0 } }
+        { Milp.max_nodes = 1_000; time_limit = 2.0 } }
   in
   let report = Cert.Certifier.certify_box ~config net ~lo:0.0 ~hi:1.0 ~delta in
   print_endline "certified per-logit output variation bounds:";

@@ -19,22 +19,6 @@ let check ?(name = "plan") (plan : Plan.t) =
     push Diag.Error ~code:"encode-count" ~loc:(Diag.loc name)
       (Printf.sprintf "n_encodes = %d but plan holds %d tasks"
          plan.Plan.n_encodes n_tasks);
-  (* branching metadata: probe variables are only hints (dual
-     accumulation targets), but a variable outside the task's model
-     would crash the executor's column tables *)
-  Array.iteri
-    (fun t (task : Plan.task) ->
-      let loc = Diag.loc ~row:t name in
-      let nv = Lp.Model.n_vars task.Plan.model in
-      Array.iter
-        (fun ((_, v) : (int * int) * Lp.Model.var) ->
-          if v < 0 || v >= nv then
-            push Diag.Error ~code:"probe-var-range" ~loc
-              (Printf.sprintf
-                 "task %S: probe variable %d outside model (%d vars)"
-                 task.Plan.label v nv))
-        task.Plan.probes)
-    tasks;
   let replayed = Array.make (max 1 n_tasks) 0 in
   let queries = ref 0 and replays = ref 0 in
   Array.iteri

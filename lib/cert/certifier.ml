@@ -8,13 +8,11 @@ type config = {
   mode : Encode.mode;
   domains : int;
   dedup : bool;
-  branch : Search.Strategy.t;
 }
 
 let default_config =
   { window = 2; refine = No_refine; milp_options = Milp.default_options;
-    margin = 1e-6; mode = Encode.Relaxed; domains = 1; dedup = true;
-    branch = Search.Strategy.Most_fractional }
+    margin = 1e-6; mode = Encode.Relaxed; domains = 1; dedup = true }
 
 type report = {
   eps : float array;
@@ -62,23 +60,13 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
     Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
   in
   Interval_prop.propagate net bounds;
-  (* cross-layer dual-sensitivity accumulator: layer i's solves inform
-     the refinement selection of every later layer's cones.  Allocated
-     only under the guided strategy, so the default path plans (and
-     certifies) bit-identically to before. *)
-  let dual_sens =
-    match config.branch with
-    | Search.Strategy.Dual_guided -> Some (Hashtbl.create 64)
-    | Search.Strategy.Most_fractional -> None
-  in
   let pconfig =
     { Planner.window = config.window; refine = config.refine;
-      mode = config.mode; dedup = config.dedup; branch = config.branch; dual_sens }
+      mode = config.mode; dedup = config.dedup }
   in
   let exec_config =
     { Plan.Executor.domains = config.domains;
-      milp_options = { config.milp_options with Milp.branch = config.branch }
-    }
+      milp_options = config.milp_options }
   in
   (* pick the bound table a query's quantity refreshes *)
   let table = function
@@ -103,15 +91,6 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
       Plan.Executor.run ?hook:solve_hook ~partial_stats:stats
         exec_config plan
     in
-    (match dual_sens with
-     | None -> ()
-     | Some table ->
-         Array.iter
-           (fun (key, s) ->
-             match Hashtbl.find_opt table key with
-             | Some prev -> Hashtbl.replace table key (prev +. s)
-             | None -> Hashtbl.replace table key s)
-           outcome.Plan.Executor.dual_sens);
     (* affine fast-path answers are exact: intersect *)
     Array.iter
       (fun ((a : Plan.affine), (r : Plan.range)) ->

@@ -47,19 +47,13 @@ type config = {
           windows with bit-equal interior intervals) and replay them
           under the instance's input bounds.  Certified bounds are
           bit-identical with or without; see {!Planner.signature}. *)
-  branch : Search.Strategy.t;
-      (** branch & bound / refinement strategy, threaded into every
-          MILP sub-solve and into {!Refine.select}.  [Most_fractional]
-          (default) reproduces the historical behaviour bit for bit.
-          [Dual_guided] ranks branching and refinement candidates by
-          accumulated |dual| column sensitivity.  Certified eps is
-          unchanged across strategies (searches run to proven
-          optimality); only the node counts differ. *)
 }
 
 val default_config : config
-(** [window = 2], no refinement, relaxed mode, exact output relation,
-    margin 1e-6, most-fractional branching. *)
+(** [window = 2], no refinement, {!Milp.default_options}, relaxed
+    mode, margin 1e-6, one domain, cone deduplication on.  Refined
+    sub-MILPs branch by {!Milp}'s one rule (dual-guided, falling back
+    to most fractional). *)
 
 type report = {
   eps : float array;        (** per network output: certified bound on

@@ -45,13 +45,7 @@ let run_queries ~out_dim ~milp_options ~model ~terms_of =
   in
   (per_output, !nodes, !exact)
 
-let global_btne ?(milp_options = Milp.default_options) ?branch net ~input
-    ~delta =
-  let milp_options =
-    match branch with
-    | None -> milp_options
-    | Some b -> { milp_options with Milp.branch = b }
-  in
+let global_btne ?(milp_options = Milp.default_options) net ~input ~delta =
   let t0 = Unix.gettimeofday () in
   let bounds, view, out_dim = prepare net ~input ~delta in
   let enc =
@@ -64,13 +58,7 @@ let global_btne ?(milp_options = Milp.default_options) ?branch net ~input
   { eps = Array.map Interval.abs_max per_output; per_output; exact; nodes;
     runtime = Unix.gettimeofday () -. t0 }
 
-let global_itne ?(milp_options = Milp.default_options) ?branch net ~input
-    ~delta =
-  let milp_options =
-    match branch with
-    | None -> milp_options
-    | Some b -> { milp_options with Milp.branch = b }
-  in
+let global_itne ?(milp_options = Milp.default_options) net ~input ~delta =
   let t0 = Unix.gettimeofday () in
   let bounds, view, out_dim = prepare net ~input ~delta in
   let enc = Encode.itne ~mode:Encode.Exact ~include_output_relu:true ~bounds

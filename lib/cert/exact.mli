@@ -23,14 +23,14 @@ val prepare :
     whole-network cone over every output, and the output dimension. *)
 
 val global_btne :
-  ?milp_options:Milp.options -> ?branch:Search.Strategy.t -> Nn.Network.t ->
-  input:Interval.t array -> delta:float -> result
-(** Basic twin-network encoding: two explicit copies, all ReLUs big-M.
-    [branch] overrides [milp_options]'s branching strategy. *)
+  ?milp_options:Milp.options -> Nn.Network.t -> input:Interval.t array ->
+  delta:float -> result
+(** Basic twin-network encoding: two explicit copies, all ReLUs big-M,
+    solved by {!Milp}'s dual-guided branch & bound. *)
 
 val global_itne :
-  ?milp_options:Milp.options -> ?branch:Search.Strategy.t -> Nn.Network.t ->
-  input:Interval.t array -> delta:float -> result
+  ?milp_options:Milp.options -> Nn.Network.t -> input:Interval.t array ->
+  delta:float -> result
 (** Exact MILP over the interleaving encoding (distance variables and
     exact distance relations).  Same optimum as {!global_btne}; used as
     a cross-check and in ablations. *)

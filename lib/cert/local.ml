@@ -35,8 +35,8 @@ let solve_range ~milp_options model var =
     Plan.Engine.of_milp (Plan.Engine.zero_stats ()) ~options:milp_options
       model
   in
-  let hi = engine.Plan.Engine.run Model.Maximize [ (var, 1.0) ] in
-  let lo = engine.Plan.Engine.run Model.Minimize [ (var, 1.0) ] in
+  let hi = engine Model.Maximize [ (var, 1.0) ] in
+  let lo = engine Model.Minimize [ (var, 1.0) ] in
   match (lo, hi) with
   | Some lo, Some hi -> Interval.make (Float.min lo hi) (Float.max lo hi)
   | _ -> Interval.top
@@ -104,8 +104,8 @@ let lpr ?domain net ~x0 ~delta =
   let range =
     Array.init out_dim (fun j ->
         let var = out_var enc j in
-        let hi = engine.Plan.Engine.run Model.Maximize [ (var, 1.0) ] in
-        let lo = engine.Plan.Engine.run Model.Minimize [ (var, 1.0) ] in
+        let hi = engine Model.Maximize [ (var, 1.0) ] in
+        let lo = engine Model.Minimize [ (var, 1.0) ] in
         match (lo, hi) with
         | Some lo, Some hi when lo <= hi -> Interval.make lo hi
         | _ -> bounds.Bounds.x.(n - 1).(j))

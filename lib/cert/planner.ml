@@ -7,8 +7,6 @@ type config = {
   refine : Refine.rule;
   mode : Encode.mode;
   dedup : bool;
-  branch : Search.Strategy.t;
-  dual_sens : (int * int, float) Hashtbl.t option;
 }
 
 (* Compose the affine rows of a window with no interior ReLUs into a
@@ -176,7 +174,7 @@ let audit_replay ~mode ~include_output_relu ~refined ~label bounds view rep =
 let m_cones = Obs.Metrics.counter "planner.cones"
 let m_refined = Obs.Metrics.counter "planner.refined_neurons"
 
-let emit_cone builder cache ~dedup ~mode ~branch ~label
+let emit_cone builder cache ~dedup ~mode ~label
     ~include_output_relu ~refined bounds (view : Subnet.view)
     ~(queries_per_target :
         sign:string -> Encode.itne_enc -> Plan.query_spec array array) =
@@ -215,29 +213,8 @@ let emit_cone builder cache ~dedup ~mode ~branch ~label
         (queries_per_target ~sign rep.r_enc)
   | None ->
       let enc = Encode.itne ~refined ~include_output_relu ~mode ~bounds view in
-      (* under the guided strategy, ask the executor to charge each
-         solve's duals back to the interior ReLU neurons' distance
-         variables — the running totals feed the next layers'
-         [Refine.select] *)
-      let probes =
-        match (branch : Search.Strategy.t) with
-        | Search.Strategy.Most_fractional -> [||]
-        | Search.Strategy.Dual_guided ->
-            Array.of_list
-              (List.filter_map
-                 (fun key ->
-                   match Hashtbl.find_opt enc.Encode.vars key with
-                   | None -> None
-                   | Some (nv : Encode.neuron_vars) ->
-                       Some
-                         ( key,
-                           match nv.Encode.dx with
-                           | Some dx -> dx
-                           | None -> nv.Encode.dy ))
-                 (interior_relu_neurons view))
-      in
       let task_id =
-        Plan.add_task ~probes builder ~label ~signature:sign enc.Encode.model
+        Plan.add_task builder ~label ~signature:sign enc.Encode.model
       in
       if dedup then Hashtbl.replace cache sign { r_task = task_id; r_enc = enc };
       Array.iter
@@ -282,12 +259,8 @@ let plan_values config (bounds : Bounds.t) net ~layer:i =
       else begin
         let candidates = interior_relu_neurons view in
         let r = Refine.budget config.refine candidates in
-        let refined =
-          Refine.select ~strategy:config.branch ?sens:config.dual_sens
-            bounds ~candidates ~r
-        in
+        let refined = Refine.select bounds ~candidates ~r in
         emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
-          ~branch:config.branch
           ~label:(Printf.sprintf "itne-y:layer%d" i)
           ~include_output_relu:false ~refined bounds view
           ~queries_per_target:(fun ~sign enc ->
@@ -327,13 +300,8 @@ let plan_dx config (bounds : Bounds.t) net ~layer:i =
       let view = Subnet.cone net ~last:i ~targets:[| j |] ~window:w in
       let candidates = interior_relu_neurons view in
       let r = Refine.budget config.refine candidates in
-      let refined =
-        Refine.select ~strategy:config.branch ?sens:config.dual_sens bounds
-          ~candidates ~r
-      in
-      let refined = (i, j) :: refined in
+      let refined = (i, j) :: Refine.select bounds ~candidates ~r in
       emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
-        ~branch:config.branch
         ~label:(Printf.sprintf "itne-x:layer%d:neuron%d" i j)
         ~include_output_relu:true ~refined bounds view
         ~queries_per_target:(fun ~sign enc ->

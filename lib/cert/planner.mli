@@ -25,17 +25,6 @@ type config = {
   refine : Refine.rule;
   mode : Encode.mode;
   dedup : bool;  (** deduplicate structurally identical cones *)
-  branch : Search.Strategy.t;
-      (** branching/refinement strategy.  Under [Dual_guided] the
-          planner (a) weights {!Refine.select} by the accumulated
-          [dual_sens] and (b) attaches dual-sensitivity probes to each
-          emitted task.  [Most_fractional] (the default) plans exactly
-          as before. *)
-  dual_sens : (int * int, float) Hashtbl.t option;
-      (** accumulated |dual| column sensitivities per (absolute layer,
-          neuron), folded by the certifier from earlier layers'
-          {!Plan.Executor.outcome.dual_sens}; consulted only under
-          [Dual_guided] *)
 }
 
 val groups : Nn.Network.t -> layer:int -> int array list

@@ -21,24 +21,9 @@ let chord_score ~(y : Interval.t) ~(dy : Interval.t) =
 
 let neuron_score ~y ~dy = Float.max (triangle_score y) (chord_score ~y ~dy)
 
-let select ?(strategy = Search.Strategy.Most_fractional) ?sens
-    (bounds : Bounds.t) ~candidates ~r =
+let select (bounds : Bounds.t) ~candidates ~r =
   if r <= 0 then []
   else begin
-    (* under the dual-guided strategy, a neuron whose relaxation rows
-       bound earlier solves hard (large accumulated |dual| column
-       sensitivity) outranks an equally-inaccurate neuron the solver
-       never leaned on; the static score stays the base factor, so
-       stable neurons (score 0) are never selected no matter their
-       sensitivity *)
-    let weight key =
-      match (strategy, sens) with
-      | Search.Strategy.Dual_guided, Some table -> (
-          match Hashtbl.find_opt table key with
-          | Some s -> 1.0 +. s
-          | None -> 1.0)
-      | _ -> 1.0
-    in
     let scored =
       List.filter_map
         (fun (i, j) ->
@@ -46,7 +31,7 @@ let select ?(strategy = Search.Strategy.Most_fractional) ?sens
             neuron_score ~y:bounds.Bounds.y.(i).(j)
               ~dy:bounds.Bounds.dy.(i).(j)
           in
-          if s > 0.0 then Some ((i, j), s *. weight (i, j)) else None)
+          if s > 0.0 then Some ((i, j), s) else None)
         candidates
     in
     let sorted =

@@ -22,17 +22,6 @@ val chord_score : y:Interval.t -> dy:Interval.t -> float
 val neuron_score : y:Interval.t -> dy:Interval.t -> float
 
 val select :
-  ?strategy:Search.Strategy.t ->
-  ?sens:(int * int, float) Hashtbl.t ->
   Bounds.t -> candidates:(int * int) list -> r:int -> (int * int) list
 (** Top [r] candidates (absolute layer, neuron) by {!neuron_score},
-    dropping zero-score neurons.
-
-    Under [strategy] [Dual_guided] with a [sens]
-    table (accumulated |dual| column sensitivities from earlier layers'
-    solves, see {!Plan.Executor.outcome.dual_sens}), each static score
-    is weighted by [1 + sensitivity]: among equally-inaccurate
-    relaxations, the ones the solver actually leaned on are refined
-    first.  Zero-score (stable) neurons are never selected regardless
-    of sensitivity; [Most_fractional], or a missing table, reduces to
-    the static paper scoring. *)
+    dropping zero-score neurons. *)

@@ -44,8 +44,8 @@ type edge = Root | Phase of bool * (int * int)
    a cold two-phase solve per node.  [eval_true xa xb] evaluates the
    objective on a real forward pass, providing feasible incumbents for
    pruning.  Returns (exact_max_or_upper_bound, completed). *)
-let maximise net bounds (enc : Encode.btne_enc) session stats ~strategy
-    ~columns ~max_nodes ~search_stats ~terms ~eval_true =
+let maximise net bounds (enc : Encode.btne_enc) session stats ~columns
+    ~max_nodes ~search_stats ~terms ~eval_true =
   let input_dim = Nn.Network.input_dim net in
   let best = ref neg_infinity in
   let mk_input assoc (sol : Lp.Simplex.solution) =
@@ -100,16 +100,13 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~strategy
           end;
           if sol.Lp.Simplex.obj <= !best +. split_tol then Search.Expand []
           else begin
-            (* violation-driven split over the not-yet-fixed ReLUs;
-               under [Dual_guided] each candidate's violation is
-               weighted by its slack column's |dual| sensitivity *)
+            (* violation-driven split over the not-yet-fixed ReLUs,
+               each candidate's violation weighted by its slack
+               column's |dual| sensitivity *)
             let weight sp =
-              match strategy with
-              | Search.Strategy.Dual_guided ->
-                  1.0
-                  +. Search.Strategy.Columns.sensitivity (Lazy.force columns)
-                       ~duals:sol.Lp.Simplex.duals sp.Encode.sp_slack
-              | Search.Strategy.Most_fractional -> 1.0
+              1.0
+              +. Search.Columns.sensitivity columns
+                   ~duals:sol.Lp.Simplex.duals sp.Encode.sp_slack
             in
             let worst = ref None and worst_score = ref 0.0 in
             let scan in_a table =
@@ -172,8 +169,7 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~strategy
   in
   (!best, completed)
 
-let global ?(max_nodes = 200_000) ?(branch = Search.Strategy.Most_fractional)
-    net ~input ~delta =
+let global ?(max_nodes = 200_000) net ~input ~delta =
   let t0 = Unix.gettimeofday () in
   (* tightened per-neuron ranges sharpen the triangle relaxations,
      shrinking the split tree *)
@@ -189,20 +185,16 @@ let global ?(max_nodes = 200_000) ?(branch = Search.Strategy.Most_fractional)
   in
   let stats = Plan.Engine.zero_stats () in
   let search_stats = Search.zero_stats () in
-  (* |dual|-weighted column sensitivities of the slack variables, for
-     the guided strategy; built lazily so the default rule never pays
-     for it *)
+  (* column slices of the slack variables, for weighting each split
+     candidate by its |dual| sensitivity *)
   let columns =
-    lazy
-      (let slacks table =
-         Hashtbl.fold
-           (fun _ (sp : Encode.relu_split) acc ->
-             sp.Encode.sp_slack :: acc)
-           table []
-       in
-       let vars = slacks enc.Encode.split_a @ slacks enc.Encode.split_b in
-       Search.Strategy.Columns.make enc.Encode.model
-         ~vars:(Array.of_list vars))
+    let slacks table =
+      Hashtbl.fold
+        (fun _ (sp : Encode.relu_split) acc -> sp.Encode.sp_slack :: acc)
+        table []
+    in
+    let vars = slacks enc.Encode.split_a @ slacks enc.Encode.split_b in
+    Search.Columns.make enc.Encode.model ~vars:(Array.of_list vars)
   in
   (* each of the 2 x out_dim maximisations gets its own slice of the
      node budget, so an expensive early output cannot silently starve
@@ -221,14 +213,12 @@ let global ?(max_nodes = 200_000) ?(branch = Search.Strategy.Most_fractional)
           sign *. (fb.(j) -. fa.(j))
         in
         let hi, ok1 =
-          maximise net bounds enc session stats ~strategy:branch
-            ~columns ~max_nodes:slice ~search_stats ~terms:(terms 1.0)
-            ~eval_true:(eval_true 1.0)
+          maximise net bounds enc session stats ~columns ~max_nodes:slice
+            ~search_stats ~terms:(terms 1.0) ~eval_true:(eval_true 1.0)
         in
         let neg_lo, ok2 =
-          maximise net bounds enc session stats ~strategy:branch
-            ~columns ~max_nodes:slice ~search_stats ~terms:(terms (-1.0))
-            ~eval_true:(eval_true (-1.0))
+          maximise net bounds enc session stats ~columns ~max_nodes:slice
+            ~search_stats ~terms:(terms (-1.0)) ~eval_true:(eval_true (-1.0))
         in
         completed.(j) <- ok1 && ok2;
         let lo = -.neg_lo in

@@ -4,7 +4,9 @@
     Like Reluplex/Planet, ReLUs start relaxed (triangle LP); the solver
     repeatedly solves the relaxation, evaluates the true network at the
     relaxation's optimiser to obtain feasible incumbents, and splits the
-    most violated ReLU into its active/inactive phases.  Exhaustive, so
+    ReLU whose violation, weighted by its slack column's |dual|
+    sensitivity ({!Search.Columns}), is largest into its
+    active/inactive phases.  Exhaustive, so
     exact, and exponential in the number of unstable ReLUs.
 
     The split tree is driven by the shared {!Search} core on an explicit
@@ -27,17 +29,11 @@ type result = {
 }
 
 val global :
-  ?max_nodes:int -> ?branch:Search.Strategy.t -> Nn.Network.t ->
-  input:Interval.t array -> delta:float -> result
+  ?max_nodes:int -> Nn.Network.t -> input:Interval.t array ->
+  delta:float -> result
 (** ReLU ranges are first tightened by the relaxed Algorithm-1 pass of
     {!Exact.prepare}, which sharpens the triangle relaxations.
 
     [max_nodes] is the total budget; each of the [2 x out_dim]
     directional searches gets an equal slice, so an expensive early
-    output cannot starve the later ones.
-
-    [branch] (default [Most_fractional], the historical rule: split the
-    worst-violated ReLU): [Dual_guided] weights each candidate split's
-    violation by its slack column's |dual| sensitivity.  Every strategy
-    explores until exhaustion, so the certified eps is unchanged — only
-    the tree shape (node count) is. *)
+    output cannot starve the later ones. *)

@@ -19,16 +19,16 @@ let milp_range ~milp_options model terms =
     Plan.Engine.of_milp (Plan.Engine.zero_stats ()) ~options:milp_options
       model
   in
-  let hi = engine.Plan.Engine.run Model.Maximize terms in
-  let lo = engine.Plan.Engine.run Model.Minimize terms in
+  let hi = engine Model.Maximize terms in
+  let lo = engine Model.Minimize terms in
   match (lo, hi) with
   | Some lo, Some hi -> Interval.make (Float.min lo hi) (Float.max lo hi)
   | _ -> Interval.top
 
 (* all queries share one warm engine (objective-only hot starts) *)
 let lp_range (engine : Plan.Engine.t) terms fallback =
-  let hi = engine.Plan.Engine.run Model.Maximize terms in
-  let lo = engine.Plan.Engine.run Model.Minimize terms in
+  let hi = engine Model.Maximize terms in
+  let lo = engine Model.Minimize terms in
   match (lo, hi) with
   | Some lo, Some hi when lo <= hi -> Interval.make lo hi
   | _ -> fallback

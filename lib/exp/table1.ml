@@ -17,8 +17,7 @@ let auto_mpg_config =
     (* sub-problem caps keep the refined MILPs bounded on the widest
        nets; capped solves return sound best-bound results *)
     milp_options =
-      { Milp.default_options with Milp.max_nodes = 3_000;
-        time_limit = 5.0 } }
+      { Milp.max_nodes = 3_000; time_limit = 5.0 } }
 
 let digits_config =
   { Cert.Certifier.default_config with

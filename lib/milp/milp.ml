@@ -12,12 +12,9 @@ type result = {
 type options = {
   max_nodes : int;
   time_limit : float;
-  branch : Search.Strategy.t;
 }
 
-let default_options =
-  { max_nodes = 200_000; time_limit = infinity;
-    branch = Search.Strategy.Most_fractional }
+let default_options = { max_nodes = 200_000; time_limit = infinity }
 
 let m_solves = Obs.Metrics.counter "milp.solves"
 let m_nodes = Obs.Metrics.counter "milp.nodes"
@@ -35,10 +32,10 @@ let m_enumerate = Obs.Metrics.counter "milp.solves.enumerate"
 (* Exploration slack: a node is pruned only when its relaxation bound
    exceeds the incumbent by more than this.  Warm node bounds agree
    with exact values only up to solver noise, so pruning exactly at the
-   incumbent would let that noise decide — differently per branching
-   order — whether a last-bits-better assignment is ever considered;
+   incumbent would let that noise decide — differently per warm-start
+   history — whether a last-bits-better assignment is ever considered;
    with a slack far above the noise floor, every assignment within it
-   is considered under every strategy and the reported optimum is a
+   is considered whatever the node order and the reported optimum is a
    function of the problem alone.  There is no optimality gap on top
    of it: any positive gap would make the final incumbent depend on
    which near-tied assignment the exploration order reached first. *)
@@ -131,9 +128,10 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
   let lp_failed = ref false in
   let unbounded = ref false in
   let t0 = Unix.gettimeofday () in
-  (* |dual|-weighted column sensitivities for the guided strategy;
-     built lazily so the default rule never pays for it *)
-  let columns = lazy (Search.Strategy.Columns.make model ~vars:ints) in
+  (* |dual|-weighted column sensitivities of the integers, for the
+     branching score; built lazily so an LP or an enumerated box never
+     pays for it *)
+  let columns = lazy (Search.Columns.make model ~vars:ints) in
   let accept_incumbent key x =
     best_key := key;
     best_x := Array.copy x;
@@ -143,11 +141,12 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
   in
   (* Canonical values.  A warm incumbent value depends on the node
      order (each warm restart agrees with another only up to solver
-     tolerances), so without canonicalisation two branching strategies
-     could certify last-bit-different bounds.  Every assignment is
+     tolerances), so without canonicalisation the same query could
+     certify last-bit-different bounds in a warm daemon worker, a
+     one-shot run or a [--domains] chunk.  Every assignment is
      therefore valued in a dedicated session restored to the root
-     node's optimal basis — the session's first solve under every
-     strategy — with the assignment pinned and a dual restart: the value
+     node's optimal basis — the session's first solve whatever came
+     before — with the assignment pinned and a dual restart: the value
      is a function of the model, the root bounds and the assignment
      alone, and exact ties between distinct assignments report the same
      objective whichever is kept.  Until the root has solved, the
@@ -245,48 +244,39 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
     end
   in
   let heuristic_period = 20 in
-  (* Discrete branching candidate: the fractional integer chosen by the
-     strategy.  The guided rule weights each candidate's distance from
-     integrality by its |dual| column sensitivity; a zero-information
-     dual vector degrades to the most-fractional rule. *)
+  (* Discrete branching candidate: the fractional integer with the
+     largest distance from integrality times its |dual| column
+     sensitivity, so the split goes where the relaxation binds the
+     node's optimum.  A zero-information dual vector (every score 0)
+     falls back to the most fractional integer. *)
   let pick_int_var (sol : Lp.Simplex.solution) =
+    let cols = Lazy.force columns in
+    let duals = sol.Lp.Simplex.duals in
     let best_j = ref (-1) and best_frac = ref 0.0 in
+    let guided_j = ref (-1) and guided_score = ref 0.0 in
     Array.iter
       (fun j ->
         let v = sol.Lp.Simplex.x.(j) in
         let f = Float.abs (v -. Float.round v) in
-        if f > integrality_tol && f > !best_frac then begin
-          best_j := j;
-          best_frac := f
+        if f > integrality_tol then begin
+          if f > !best_frac then begin
+            best_j := j;
+            best_frac := f
+          end;
+          let s = f *. Search.Columns.sensitivity cols ~duals j in
+          if s > !guided_score then begin
+            guided_j := j;
+            guided_score := s
+          end
         end)
       ints;
-    match options.branch with
-    | Search.Strategy.Most_fractional -> !best_j
-    | Search.Strategy.Dual_guided ->
-        let cols = Lazy.force columns in
-        let duals = sol.Lp.Simplex.duals in
-        let guided_j = ref (-1) and guided_score = ref 0.0 in
-        Array.iter
-          (fun j ->
-            let v = sol.Lp.Simplex.x.(j) in
-            let f = Float.abs (v -. Float.round v) in
-            if f > integrality_tol then begin
-              let s =
-                f *. Search.Strategy.Columns.sensitivity cols ~duals j
-              in
-              if s > !guided_score then begin
-                guided_j := j;
-                guided_score := s
-              end
-            end)
-          ints;
-        if !guided_j >= 0 then !guided_j else !best_j
+    if !guided_j >= 0 then !guided_j else !best_j
   in
   (* Small integer boxes skip branch & bound: with at most
      [enumerate_max] assignments — the certifier's exact output relation
      is a 2-binary MILP — every one is valued from the root basis and
-     the best is the optimum under every strategy.  A failed pinned
-     solve leaves the root relaxation as the proven bound. *)
+     the best is the optimum.  A failed pinned solve leaves the root
+     relaxation as the proven bound. *)
   let enumerable =
     Array.length ints > 0
     && Array.fold_left
@@ -348,7 +338,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
           if j < 0 then begin
             (* integral: candidate incumbent.  Pure LPs skip the
                canonical value — there is no assignment to pin, the
-               root solve is the answer for every strategy. *)
+               root solve is the answer. *)
             if Array.length ints = 0 then accept_incumbent key sol.Lp.Simplex.x
             else
               ignore
@@ -394,10 +384,10 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
      to solver noise — a box whose warm relaxation stops a
      few last bits short of its true optimum closes while still hiding
      a near-tied assignment, and *which* assignment is hidden depends
-     on the branching order.  Strict hill-climbing is not enough: the
+     on the warm-start history.  Strict hill-climbing is not enough: the
      near-ties can form a value-flat plateau whose strict maximum sits
      several flips away, so equal-value (within [tie_slack]) moves are
-     taken too, with a dedup'd frontier to terminate.  Every strategy
+     taken too, with a dedup'd frontier to terminate.  Any search
      reaching any point of the plateau then explores all of it and
      reports the same objective.  Neighbours are valued like any
      assignment, from the root basis.  An enumerated box has no

@@ -3,15 +3,16 @@
     Solves a {!Lp.Model.t} whose variables may carry the [integer] mark.
     LP relaxations are solved with {!Lp.Simplex}; the tree is driven by
     the shared {!Search} core (best-bound-first frontier, bound-delta
-    nodes, one warm-started solver session).  Branching is pluggable via
-    {!Search.Strategy}: the default picks the most fractional integer;
-    [Dual_guided] weights candidates by their |dual| column sensitivity.
+    nodes, one warm-started solver session).  Each node branches on the
+    fractional integer with the largest distance from integrality times
+    its |dual| column sensitivity ({!Search.Columns}), falling back to
+    the most fractional one when every score is 0.
 
-    The optimum does not depend on the strategy: every integer
-    assignment the search meets is valued by a dual restart from the
-    root node's optimal basis ({!Lp.Simplex.restore}) with the
-    assignment pinned, and a plateau polish sweeps the near-tied
-    neighbours of the incumbent.  There is no optimality gap: a node
+    The optimum does not depend on the session's warm-start history:
+    every integer assignment the search meets is valued by a dual
+    restart from the root node's optimal basis ({!Lp.Simplex.restore})
+    with the assignment pinned, and a plateau polish sweeps the
+    near-tied neighbours of the incumbent.  There is no optimality gap: a node
     is pruned only when its bound exceeds the incumbent by a fixed
     1e-9 tie slack, and integrality is judged to a fixed 1e-6.  An
     integer box of at most four assignments is enumerated that way
@@ -43,8 +44,6 @@ type result = {
 type options = {
   max_nodes : int;
   time_limit : float;     (** seconds; [infinity] = none *)
-  branch : Search.Strategy.t;  (** branching rule; default
-                                   [Most_fractional] *)
 }
 
 val default_options : options

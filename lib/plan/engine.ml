@@ -23,10 +23,7 @@ let m_milp_queries = Obs.Metrics.counter "engine.milp_queries"
    the model is compiled once and every min/max query warm-starts from
    the previous optimal basis (objective-only hot start); models with
    integer marks fall through to branch & bound. *)
-type t = {
-  run : Model.dir -> (Model.var * float) list -> float option;
-  duals : unit -> float array;
-}
+type t = Model.dir -> (Model.var * float) list -> float option
 
 let session_solution stats ~name ~model session ~objective:(dir, terms) =
   stats.lp_solves <- stats.lp_solves + 1;
@@ -44,41 +41,29 @@ let session_solution stats ~name ~model session ~objective:(dir, terms) =
   end;
   sol
 
-let of_session stats ~name ~model session =
-  (* row duals of the most recent Optimal solve, for dual-guided
-     refinement scoring; [||] before the first one *)
-  let last_duals = ref [||] in
-  { run =
-      (fun dir terms ->
-        Obs.Trace.with_span "engine.query" @@ fun () ->
-        Obs.Metrics.add m_lp_queries 1;
-        let sol =
-          session_solution stats ~name ~model session
-            ~objective:(dir, terms)
-        in
-        match sol.Lp.Simplex.status with
-        | Lp.Simplex.Optimal ->
-            last_duals := sol.Lp.Simplex.duals;
-            Some sol.Lp.Simplex.obj
-        | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded
-        | Lp.Simplex.Iteration_limit -> None);
-    duals = (fun () -> !last_duals) }
+let of_session stats ~name ~model session dir terms =
+  Obs.Trace.with_span "engine.query" @@ fun () ->
+  Obs.Metrics.add m_lp_queries 1;
+  let sol =
+    session_solution stats ~name ~model session ~objective:(dir, terms)
+  in
+  match sol.Lp.Simplex.status with
+  | Lp.Simplex.Optimal -> Some sol.Lp.Simplex.obj
+  | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded
+  | Lp.Simplex.Iteration_limit -> None
 
-let of_milp stats ~options ?bounds model =
-  { run =
-      (fun dir terms ->
-        Obs.Trace.with_span "engine.query" @@ fun () ->
-        Obs.Metrics.add m_milp_queries 1;
-        stats.milp_solves <- stats.milp_solves + 1;
-        let r = Milp.solve ~options ?bounds ~objective:(dir, terms) model in
-        stats.lp_pivots <- stats.lp_pivots + r.Milp.pivots;
-        match r.Milp.status with
-        | Milp.Optimal | Milp.Limit | Milp.Lp_failure ->
-            (* [bound] is a sound over-approximation in the query
-               direction even under Limit / Lp_failure *)
-            if Float.is_nan r.Milp.bound then None else Some r.Milp.bound
-        | Milp.Infeasible | Milp.Unbounded -> None);
-    duals = (fun () -> [||]) }
+let of_milp stats ~options ?bounds model dir terms =
+  Obs.Trace.with_span "engine.query" @@ fun () ->
+  Obs.Metrics.add m_milp_queries 1;
+  stats.milp_solves <- stats.milp_solves + 1;
+  let r = Milp.solve ~options ?bounds ~objective:(dir, terms) model in
+  stats.lp_pivots <- stats.lp_pivots + r.Milp.pivots;
+  match r.Milp.status with
+  | Milp.Optimal | Milp.Limit | Milp.Lp_failure ->
+      (* [bound] is a sound over-approximation in the query direction
+         even under Limit / Lp_failure *)
+      if Float.is_nan r.Milp.bound then None else Some r.Milp.bound
+  | Milp.Infeasible | Milp.Unbounded -> None
 
 let of_model stats ~options ~name model =
   if Model.integer_vars model = [] then

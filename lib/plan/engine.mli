@@ -21,16 +21,9 @@ val zero_stats : unit -> stats
 
 val merge_stats : into:stats -> stats -> unit
 
-type t = {
-  run : Lp.Model.dir -> (Lp.Model.var * float) list -> float option;
-      (** optimise the sparse objective; [None] on infeasible,
-          unbounded or iteration-limited solves *)
-  duals : unit -> float array;
-      (** row duals of the engine's most recent Optimal solve ([[||]]
-          before the first, and always for MILP engines, whose final
-          answer has no single dual vector).  Minimisation-sense row
-          multipliers, used for dual-guided refinement scoring. *)
-}
+type t = Lp.Model.dir -> (Lp.Model.var * float) list -> float option
+(** Optimise the sparse objective; [None] on infeasible, unbounded or
+    iteration-limited solves. *)
 
 val session_solution :
   stats ->

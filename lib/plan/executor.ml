@@ -100,7 +100,6 @@ type solve = request -> float option
 type outcome = {
   affine : (Spec.affine * Spec.range) array;
   solved : (Query.t * float option) array;
-  dual_sens : ((int * int) * float) array;
   stats : Engine.stats;
 }
 
@@ -133,18 +132,6 @@ let run ?hook ?partial_stats config (plan : Spec.t) =
       (fun (t : Spec.task) ->
         if t.Spec.integer then None
         else Some (Lp.Simplex.compile t.Spec.model))
-      plan.Spec.tasks
-  in
-  (* column slices of the dual-sensitivity probe variables, extracted
-     once per probed task (eagerly: workers share them read-only) *)
-  let probe_cols =
-    Array.map
-      (fun (t : Spec.task) ->
-        if Array.length t.Spec.probes = 0 then None
-        else
-          Some
-            (Search.Strategy.Columns.make t.Spec.model
-               ~vars:(Array.map snd t.Spec.probes)))
       plan.Spec.tasks
   in
   let engine_for (stats, cache) (u : Spec.unit_of_work) =
@@ -188,41 +175,16 @@ let run ?hook ?partial_stats config (plan : Spec.t) =
     Obs.Trace.with_span "executor.unit" @@ fun () ->
     let engine = engine_for ctx u in
     let task = plan.Spec.tasks.(u.Spec.task_id) in
-    let probes = task.Spec.probes in
-    let acc = Array.make (Array.length probes) 0.0 in
-    let base (req : request) = engine.Engine.run req.dir req.terms in
+    let base (req : request) = engine req.dir req.terms in
     let solve = match hook with None -> base | Some h -> h base in
-    let solved =
-      Array.map
-        (fun (qs : Spec.query_spec) ->
-          let req =
-            { query = qs.Spec.q; label = task.Spec.label;
-              dir = Query.lp_dir qs.Spec.q.Query.dir; terms = qs.Spec.terms }
-          in
-          let r = (qs.Spec.q, solve req) in
-          (match probe_cols.(u.Spec.task_id) with
-           | None -> ()
-           | Some cols ->
-               (* charge each solve's row duals back to the probed
-                  neurons' columns; accumulation is per-unit, merged in
-                  unit order after the join, so the totals do not
-                  depend on the domain count or schedule *)
-               let duals = engine.Engine.duals () in
-               if Array.length duals > 0 then
-                 Array.iteri
-                   (fun k (_, v) ->
-                     acc.(k) <-
-                       acc.(k)
-                       +. Search.Strategy.Columns.sensitivity cols ~duals v)
-                   probes);
-          r)
-        u.Spec.queries
-    in
-    let sens =
-      if Array.length probes = 0 then [||]
-      else Array.mapi (fun k (key, _) -> (key, acc.(k))) probes
-    in
-    (solved, sens)
+    Array.map
+      (fun (qs : Spec.query_spec) ->
+        let req =
+          { query = qs.Spec.q; label = task.Spec.label;
+            dir = Query.lp_dir qs.Spec.q.Query.dir; terms = qs.Spec.terms }
+        in
+        (qs.Spec.q, solve req))
+      u.Spec.queries
   in
   let stats = Engine.zero_stats () in
   (* [finally] runs per worker context, after the join, whether or not
@@ -239,27 +201,7 @@ let run ?hook ?partial_stats config (plan : Spec.t) =
   let per_unit, _ctxs =
     parallel_map ~finally config.domains ~init plan.Spec.units compute
   in
-  let solved =
-    Array.concat (Array.to_list (Array.map fst per_unit))
-  in
-  (* sum per-unit sensitivities by neuron, folding units in index order
-     (float addition order is fixed, independent of the schedule) *)
-  let dual_sens =
-    let table = Hashtbl.create 16 and order = ref [] in
-    Array.iter
-      (fun (_, sens) ->
-        Array.iter
-          (fun (key, s) ->
-            match Hashtbl.find_opt table key with
-            | Some prev -> Hashtbl.replace table key (prev +. s)
-            | None ->
-                Hashtbl.replace table key s;
-                order := key :: !order)
-          sens)
-      per_unit;
-    Array.of_list
-      (List.rev_map (fun key -> (key, Hashtbl.find table key)) !order)
-  in
+  let solved = Array.concat (Array.to_list per_unit) in
   Obs.Trace.count "lp_solves" stats.Engine.lp_solves;
   Obs.Trace.count "milp_solves" stats.Engine.milp_solves;
-  { affine; solved; dual_sens; stats }
+  { affine; solved; stats }

@@ -45,12 +45,6 @@ type outcome = {
   solved : (Query.t * float option) array;
       (** one entry per planned query, in plan order (units in order,
           each unit's queries in order) *)
-  dual_sens : ((int * int) * float) array;
-      (** accumulated |dual| column sensitivity per probed neuron (see
-          {!Spec.task.probes}), summed over every solve of every unit
-          of the probed tasks.  Per-unit sums are folded in unit index
-          order, so the totals are independent of the domain count and
-          schedule.  Empty when no task carries probes. *)
   stats : Engine.stats;
 }
 

@@ -35,7 +35,6 @@ type task = {
   model : Lp.Model.t;
   integer : bool;
   signature : string;
-  probes : ((int * int) * Lp.Model.var) array;
 }
 
 type unit_of_work = {
@@ -74,11 +73,10 @@ let builder () =
 
 let add_affine b a = b.b_affine <- a :: b.b_affine
 
-let add_task ?(probes = [||]) b ~label ~signature model =
+let add_task b ~label ~signature model =
   let id = b.b_n_tasks in
   b.b_tasks <-
-    { label; model; integer = Lp.Model.integer_vars model <> []; signature;
-      probes }
+    { label; model; integer = Lp.Model.integer_vars model <> []; signature }
     :: b.b_tasks;
   b.b_n_tasks <- id + 1;
   id

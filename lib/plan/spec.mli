@@ -40,12 +40,6 @@ type task = {
   model : Lp.Model.t;
   integer : bool;          (** has integer marks: solved by B&B *)
   signature : string;      (** cone signature ([""] if not deduplicable) *)
-  probes : ((int * int) * Lp.Model.var) array;
-      (** dual-sensitivity probes: (absolute layer, neuron) paired with
-          the model variable whose |dual|-weighted column sensitivity
-          measures how strongly that neuron's relaxation binds the
-          task's LP optima.  Empty unless the planner runs dual-guided
-          refinement. *)
 }
 
 type unit_of_work = {
@@ -75,12 +69,9 @@ val builder : unit -> builder
 
 val add_affine : builder -> affine -> unit
 
-val add_task :
-  ?probes:((int * int) * Lp.Model.var) array ->
-  builder -> label:string -> signature:string -> Lp.Model.t -> int
+val add_task : builder -> label:string -> signature:string -> Lp.Model.t -> int
 (** Registers an encoded model; returns its [task_id].  The [integer]
-    flag is derived from the model's integrality marks.  [probes]
-    (default empty) requests per-neuron dual-sensitivity accumulation. *)
+    flag is derived from the model's integrality marks. *)
 
 val add_unit :
   ?dedup:bool ->

@@ -1,52 +1,35 @@
-module Strategy = struct
-  type t = Most_fractional | Dual_guided
+module Columns = struct
+  (* column slices of the selected variables: for var [v],
+     [(row, coeff)] pairs over the rows in which it appears *)
+  type t = { cols : (int, (int * float) list) Hashtbl.t }
 
-  let all = [ Most_fractional; Dual_guided ]
+  let make model ~vars =
+    let wanted = Hashtbl.create (Array.length vars) in
+    Array.iter (fun v -> Hashtbl.replace wanted v ()) vars;
+    let cols = Hashtbl.create (Array.length vars) in
+    Array.iteri
+      (fun r (c : Lp.Model.constr) ->
+        List.iter
+          (fun (v, a) ->
+            if Hashtbl.mem wanted v then
+              let prev = Option.value ~default:[] (Hashtbl.find_opt cols v) in
+              Hashtbl.replace cols v ((r, a) :: prev))
+          c.Lp.Model.row)
+      (Lp.Model.constrs model);
+    { cols }
 
-  let to_string = function
-    | Most_fractional -> "most-fractional"
-    | Dual_guided -> "dual-guided"
-
-  let of_string = function
-    | "most-fractional" | "most_fractional" -> Some Most_fractional
-    | "dual-guided" | "dual_guided" -> Some Dual_guided
-    | _ -> None
-
-  module Columns = struct
-    (* column slices of the selected variables: for var [v],
-       [(row, coeff)] pairs over the rows in which it appears *)
-    type t = { cols : (int, (int * float) list) Hashtbl.t }
-
-    let make model ~vars =
-      let wanted = Hashtbl.create (Array.length vars) in
-      Array.iter (fun v -> Hashtbl.replace wanted v ()) vars;
-      let cols = Hashtbl.create (Array.length vars) in
-      Array.iteri
-        (fun r (c : Lp.Model.constr) ->
-          List.iter
-            (fun (v, a) ->
-              if Hashtbl.mem wanted v then
-                let prev =
-                  Option.value ~default:[] (Hashtbl.find_opt cols v)
-                in
-                Hashtbl.replace cols v ((r, a) :: prev))
-            c.Lp.Model.row)
-        (Lp.Model.constrs model);
-      { cols }
-
-    let sensitivity t ~duals v =
-      if Array.length duals = 0 then 0.0
-      else
-        match Hashtbl.find_opt t.cols v with
-        | None -> 0.0
-        | Some entries ->
-            List.fold_left
-              (fun acc (r, a) ->
-                if r < Array.length duals then
-                  acc +. Float.abs (duals.(r) *. a)
-                else acc)
-              0.0 entries
-  end
+  let sensitivity t ~duals v =
+    if Array.length duals = 0 then 0.0
+    else
+      match Hashtbl.find_opt t.cols v with
+      | None -> 0.0
+      | Some entries ->
+          List.fold_left
+            (fun acc (r, a) ->
+              if r < Array.length duals then
+                acc +. Float.abs (duals.(r) *. a)
+              else acc)
+            0.0 entries
 end
 
 module Node = struct

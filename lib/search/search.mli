@@ -17,8 +17,9 @@
       enforced here;
     - {!Frontier}: best-first (min-heap on the node key) and DFS
       (explicit stack, no recursion) orders behind one interface;
-    - {!Strategy}: pluggable branching rules, including the
-      dual-guided scoring shared with [Cert.Refine];
+    - {!Columns}: the constraint columns of chosen variables, which
+      charge a node LP's row duals back to its branching candidates
+      (the dual-guided score of {!Milp} and [Cert.Reluplex_style]);
     - {!run}: the driver loop with node/deadline budgets, pruning and
       incumbent bookkeeping, instrumented with [Obs] spans and the
       [search.nodes] / [search.prunes] / [search.incumbents] metrics.
@@ -27,39 +28,20 @@
     promising, and a node whose key is no better than the incumbent is
     pruned.  Maximising clients negate on the way in and out. *)
 
-module Strategy : sig
-  type t =
-    | Most_fractional
-        (** branch on the integer variable farthest from integrality
-            (the classic rule; [Milp]'s historical default); in the
-            Reluplex-style engine, split the worst-violated ReLU *)
-    | Dual_guided
-        (** rank candidates by |dual| x relaxation gap, using the node
-            LP's row duals to weight each candidate by how strongly its
-            relaxation rows bind the current optimum *)
+(** Precomputed sparse columns of selected variables, for charging
+    row duals back to the variables they constrain. *)
+module Columns : sig
+  type t
 
-  val all : t list
+  val make : Lp.Model.t -> vars:int array -> t
+  (** Extract the constraint columns of [vars] once; O(nnz) total. *)
 
-  val to_string : t -> string
-  (** CLI / wire name: ["most-fractional"], ["dual-guided"]. *)
-
-  val of_string : string -> t option
-
-  (** Precomputed sparse columns of selected variables, for charging
-      row duals back to the variables they constrain. *)
-  module Columns : sig
-    type t
-
-    val make : Lp.Model.t -> vars:int array -> t
-    (** Extract the constraint columns of [vars] once; O(nnz) total. *)
-
-    val sensitivity : t -> duals:float array -> int -> float
-    (** [sensitivity cols ~duals v] is [sum_r |dual_r * a_rv|] over the
-        rows [r] in which [v] appears — the first-order objective
-        sensitivity to shifting [v]'s bounds.  Returns [0.] for
-        variables outside [vars] or when [duals] is empty (non-optimal
-        solve). *)
-  end
+  val sensitivity : t -> duals:float array -> int -> float
+  (** [sensitivity cols ~duals v] is [sum_r |dual_r * a_rv|] over the
+      rows [r] in which [v] appears — the first-order objective
+      sensitivity to shifting [v]'s bounds.  Returns [0.] for
+      variables outside [vars] or when [duals] is empty (non-optimal
+      solve). *)
 end
 
 module Node : sig

@@ -31,25 +31,24 @@ let key ~digest (q : Wire.query) =
     | Cert.Refine.Count n -> Printf.sprintf "rc%d" n
     | Cert.Refine.Fraction f -> Printf.sprintf "rf%s" (bits f)
   in
-  Printf.sprintf "%s|%s|%s|%s|w%d|%s|b%s" digest (bits q.Wire.q_delta)
+  Printf.sprintf "%s|%s|%s|%s|w%d|%s" digest (bits q.Wire.q_delta)
     (bits q.Wire.q_lo) (bits q.Wire.q_hi) q.Wire.q_window refine
-    (Search.Strategy.to_string q.Wire.q_branch)
 
 (* --- persistence ---
 
-   One line per entry: "v2 <key> <bits,bits,...>", floats as Int64 bit
+   One line per entry: "v3 <key> <bits,bits,...>", floats as Int64 bit
    patterns (decimal), so round-tripping is exact by construction.  The
    tag names the key format; an entry of another format can never hit,
    so it is skipped on load like a corrupt line. *)
 
 let entry_line k eps =
-  Printf.sprintf "v2 %s %s" k
+  Printf.sprintf "v3 %s %s" k
     (String.concat ","
        (Array.to_list (Array.map (fun e -> bits e) eps)))
 
 let parse_entry line =
   match String.split_on_char ' ' line with
-  | [ "v2"; k; payload ] -> (
+  | [ "v3"; k; payload ] -> (
       try
         let eps =
           Array.of_list

@@ -2,10 +2,9 @@
 
     Keyed by everything that determines a certified answer: the network
     digest, the input box and delta (by float bit pattern), and the
-    result-relevant certifier knobs (window, refinement rule, branching
-    rule).  Knobs that provably do {e not} change answers — worker
-    domains, cone dedup — stay out of the key, so equivalent requests
-    hit.
+    result-relevant certifier knobs (window, refinement rule).  Knobs
+    that provably do {e not} change answers — worker domains, cone
+    dedup — stay out of the key, so equivalent requests hit.
 
     Optionally backed by an append-only on-disk file: every insert is
     appended (and flushed) as one line with the eps floats spelled as

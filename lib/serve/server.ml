@@ -182,7 +182,6 @@ let certifier_config state (q : Wire.query) =
   { Cert.Certifier.default_config with
     Cert.Certifier.window = q.Wire.q_window;
     refine = q.Wire.q_refine;
-    branch = q.Wire.q_branch;
     domains = state.cfg.domains }
 
 let resolve_network state (q : Wire.query) =

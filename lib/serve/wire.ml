@@ -6,16 +6,14 @@ type query = {
   q_hi : float;
   q_window : int;
   q_refine : Cert.Refine.rule;
-  q_branch : Search.Strategy.t;
   q_no_cache : bool;
   q_deadline_ms : float option;
 }
 
 let default_query =
   { q_net = None; q_digest = None; q_delta = 1e-3; q_lo = 0.0; q_hi = 1.0;
-    q_window = 2; q_refine = Cert.Refine.No_refine;
-    q_branch = Search.Strategy.Most_fractional;
-    q_no_cache = false; q_deadline_ms = None }
+    q_window = 2; q_refine = Cert.Refine.No_refine; q_no_cache = false;
+    q_deadline_ms = None }
 
 type request =
   | Certify of query
@@ -66,8 +64,6 @@ let query_fields q =
         ("window", Json.Num (float_of_int q.q_window)) ];
       refine_fields q.q_refine;
       (* protocol extensions: each is absent at the historical default *)
-      (if q.q_branch = Search.Strategy.Most_fractional then []
-       else [ ("branch", Json.Str (Search.Strategy.to_string q.q_branch)) ]);
       (if q.q_no_cache then [ ("no_cache", Json.Bool true) ] else []);
       (match q.q_deadline_ms with
        | Some ms -> [ ("deadline_ms", Json.Num ms) ]
@@ -133,15 +129,6 @@ let decode_query v =
     q_delta = delta; q_lo = lo; q_hi = hi;
     q_window = window;
     q_refine = refine;
-    q_branch =
-      (match Json.mem_str "branch" v with
-       | None -> default_query.q_branch
-       | Some s -> (
-           match Search.Strategy.of_string s with
-           | Some b -> b
-           | None ->
-               failwith
-                 (Printf.sprintf "Serve.Wire: certify: unknown branch %S" s)));
     q_no_cache = Option.value ~default:false (Json.mem_bool "no_cache" v);
     q_deadline_ms = Json.mem_num "deadline_ms" v }
 

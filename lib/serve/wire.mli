@@ -35,12 +35,6 @@ type query = {
   q_hi : float;
   q_window : int;
   q_refine : Cert.Refine.rule;
-  q_branch : Search.Strategy.t;
-      (** on the wire: the [branch] string field (a
-          {!Search.Strategy.to_string} name), emitted only when
-          different from the historical [Most_fractional] default so old
-          servers keep understanding default queries.  Any other name,
-          including a retired strategy's, fails to decode *)
   q_no_cache : bool;          (** bypass the result cache (still runs) *)
   q_deadline_ms : float option;
       (** drop the request if not {e finished} this many ms after the
@@ -48,8 +42,8 @@ type query = {
 }
 
 val default_query : query
-(** [delta = 1e-3], box [\[0, 1\]], window 2, no refinement,
-    most-fractional branching, cache on, no deadline, no network. *)
+(** [delta = 1e-3], box [\[0, 1\]], window 2, no refinement, cache on,
+    no deadline, no network. *)
 
 type request =
   | Certify of query
@@ -97,8 +91,9 @@ val encode_request : id:int -> request -> string
 
 val decode_request : Json.t -> int * request
 (** Raises [Failure] on malformed or unknown requests, including a
-    certify query with [delta < 0], [lo > hi] or an unknown [branch]
-    name.  Fields the decoder does not know are ignored. *)
+    certify query with [delta < 0] or [lo > hi].  Fields the decoder
+    does not know are ignored, among them the retired [branch],
+    [symbolic] and [symbolic_mode]. *)
 
 val encode_response : id:int -> response -> string
 

@@ -80,6 +80,33 @@ if ! echo "$dn_err" | grep -q -- '--deltas'; then
   echo "--deltas nan did not fail as a usage error: $dn_err" >&2
   exit 1
 fi
+# And non-finite region endpoints, which would otherwise reach the
+# daemon and fail there without naming the option.
+echo "== grc sweep --regions=-inf:inf must fail cleanly =="
+if rg_err=$(dune exec -- grc sweep --socket _build/grc-none.sock \
+    --deltas 0.001 --regions=-inf:inf --digest 0 2>&1); then
+  echo "--regions=-inf:inf was accepted" >&2
+  exit 1
+fi
+if ! echo "$rg_err" | grep -q -- '--regions'; then
+  echo "--regions=-inf:inf did not fail as a usage error: $rg_err" >&2
+  exit 1
+fi
+# A nan connect timeout is a deadline no clock passes: the router must
+# reject it up front instead of retrying the missing backend forever.
+# The binary runs directly so that [timeout] stops the process itself.
+echo "== grc shard --connect-timeout-s nan must fail cleanly =="
+dune build bin/grc.exe
+if ct_err=$(timeout 20 _build/default/bin/grc.exe shard \
+    --socket _build/grc-shard-none.sock --backend _build/grc-none.sock \
+    --connect-timeout-s nan 2>&1); then
+  echo "--connect-timeout-s nan was accepted" >&2
+  exit 1
+fi
+if ! echo "$ct_err" | grep -q -- '--connect-timeout-s'; then
+  echo "--connect-timeout-s nan did not fail as a usage error: $ct_err" >&2
+  exit 1
+fi
 echo "== grc train-robust --lr nan must fail cleanly =="
 if lr_err=$(dune exec -- grc train-robust --family auto-mpg --id lint-ci \
     --size 4,4 --artifacts _build/lint-artifacts --lr nan 2>&1); then
@@ -99,29 +126,19 @@ echo "== audited parallel certification sweep (--domains 4) =="
 GRC_AUDIT=1 dune exec -- grc certify \
   --net _build/lint-artifacts/lint-ci.net --delta 0.001 --domains 4
 
-echo "== branch-strategy certify parity (sequential and --domains 4) =="
-# Every branch & bound strategy must certify the identical epsilon —
-# only the tree shape (node counts) may differ — sequentially and
-# under domain parallelism.
-ref_eps=""
-for strategy in most-fractional dual-guided; do
-  seq_eps=$(dune exec -- grc certify \
-    --net _build/lint-artifacts/lint-ci.net --delta 0.001 \
-    --branch "$strategy" | grep '^output')
-  par_eps=$(dune exec -- grc certify \
-    --net _build/lint-artifacts/lint-ci.net --delta 0.001 \
-    --branch "$strategy" --domains 4 | grep '^output')
-  if [ -z "$ref_eps" ]; then
-    ref_eps="$seq_eps"
-  fi
-  if [ "$seq_eps" != "$ref_eps" ] || [ "$par_eps" != "$ref_eps" ]; then
-    echo "branch strategy $strategy changed certified bounds:" >&2
-    echo "  reference:  $ref_eps" >&2
-    echo "  sequential: $seq_eps" >&2
-    echo "  domains4:   $par_eps" >&2
-    exit 1
-  fi
-done
+echo "== certify parity (sequential and --domains 4) =="
+# Domain parallelism must certify the epsilon the sequential run does.
+seq_eps=$(dune exec -- grc certify \
+  --net _build/lint-artifacts/lint-ci.net --delta 0.001 | grep '^output')
+par_eps=$(dune exec -- grc certify \
+  --net _build/lint-artifacts/lint-ci.net --delta 0.001 --domains 4 \
+  | grep '^output')
+if [ "$seq_eps" != "$par_eps" ]; then
+  echo "--domains 4 changed certified bounds:" >&2
+  echo "  sequential: $seq_eps" >&2
+  echo "  domains4:   $par_eps" >&2
+  exit 1
+fi
 
 echo "== certification with dedup disabled matches =="
 with_dedup=$(dune exec -- grc certify \

@@ -200,8 +200,7 @@ let random_mixed_milp =
 (* A box of at most four integer assignments is enumerated, not
    searched: on random 2-binary models (the certifier's exact output
    relation has this shape) the result is the max of the four pinned
-   LPs, bitwise the same under both branching rules, with one node and
-   no canonical re-solve. *)
+   LPs, with one node and no canonical re-solve. *)
 let test_two_binary_enumeration () =
   let counter name = Option.value ~default:0.0 (Obs.Metrics.find name) in
   for seed = 0 to 29 do
@@ -235,38 +234,24 @@ let test_two_binary_enumeration () =
       if s.Lp.Simplex.status = Lp.Simplex.Optimal then
         best := Float.max !best s.Lp.Simplex.obj
     done;
-    let solve branch =
-      let canonical0 = counter "milp.solves.canonical"
-      and enumerate0 = counter "milp.solves.enumerate" in
-      let r =
-        Milp.solve ~options:{ Milp.default_options with Milp.branch } m
-      in
-      let ran name n0 = int_of_float (counter name -. n0) in
-      Alcotest.(check int) "no canonical solves" 0
-        (ran "milp.solves.canonical" canonical0);
-      if r.Milp.status <> Milp.Infeasible || !best > neg_infinity then
-        Alcotest.(check int) "four enumerated solves" 4
-          (ran "milp.solves.enumerate" enumerate0);
-      Alcotest.(check int) "one node" 1 r.Milp.nodes;
-      r
-    in
-    let a = solve Search.Strategy.Most_fractional
-    and b = solve Search.Strategy.Dual_guided in
-    if !best = neg_infinity then begin
+    let canonical0 = counter "milp.solves.canonical"
+    and enumerate0 = counter "milp.solves.enumerate" in
+    let a = Milp.solve m in
+    let ran name n0 = int_of_float (counter name -. n0) in
+    Alcotest.(check int) "no canonical solves" 0
+      (ran "milp.solves.canonical" canonical0);
+    if a.Milp.status <> Milp.Infeasible || !best > neg_infinity then
+      Alcotest.(check int) "four enumerated solves" 4
+        (ran "milp.solves.enumerate" enumerate0);
+    Alcotest.(check int) "one node" 1 a.Milp.nodes;
+    if !best = neg_infinity then
       Alcotest.(check string) "infeasible" "infeasible"
-        (status_str a.Milp.status);
-      Alcotest.(check string) "infeasible" "infeasible"
-        (status_str b.Milp.status)
-    end
+        (status_str a.Milp.status)
     else begin
       check_opt (Printf.sprintf "seed %d" seed) !best a;
       if Float.abs (a.Milp.obj -. !best) > 1e-9 *. Float.max 1.0 !best then
         Alcotest.failf "seed %d: %.17g is not the pinned max %.17g" seed
-          a.Milp.obj !best;
-      if Int64.bits_of_float a.Milp.obj <> Int64.bits_of_float b.Milp.obj
-      then
-        Alcotest.failf "seed %d: strategies differ: %.17g vs %.17g" seed
-          a.Milp.obj b.Milp.obj
+          a.Milp.obj !best
     end
   done
 

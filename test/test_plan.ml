@@ -3,8 +3,7 @@
 
 let pconfig =
   { Cert.Planner.window = 2; refine = Cert.Refine.No_refine;
-    mode = Cert.Encode.Relaxed; dedup = true;
-    branch = Search.Strategy.Most_fractional; dual_sens = None }
+    mode = Cert.Encode.Relaxed; dedup = true }
 
 let random_net ~rng ~relu ~dims =
   let rec build = function

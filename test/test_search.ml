@@ -1,11 +1,9 @@
 (* Tests for the shared branch & bound core (Search) and its clients:
-   strategy naming, column sensitivity, bound-delta nodes, the cursor's
-   LCA walk, frontier orders, the driver loop's budgets, the refinement
-   scoring it feeds, and the cross-strategy invariant — every strategy
-   certifies the same epsilon, only the tree shape differs. *)
+   column sensitivity, bound-delta nodes, the cursor's LCA walk,
+   frontier orders, the driver loop's budgets, the refinement scoring,
+   and the exact engines' trees on whole networks. *)
 
 module Model = Lp.Model
-module Strategy = Search.Strategy
 module Interval = Cert.Interval
 
 let feq ?(eps = 1e-6) a b = Float.abs (a -. b) <= eps
@@ -22,20 +20,7 @@ let random_net ~rng ~dims =
   in
   Nn.Network.make (build dims)
 
-(* --- Strategy --- *)
-
-let test_strategy_names () =
-  List.iter
-    (fun s ->
-      match Strategy.of_string (Strategy.to_string s) with
-      | Some s' when s' = s -> ()
-      | _ ->
-          Alcotest.failf "strategy %S does not roundtrip"
-            (Strategy.to_string s))
-    Strategy.all;
-  Alcotest.(check bool) "unknown name" true
-    (Strategy.of_string "steepest-edge" = None);
-  Alcotest.(check int) "two strategies" 2 (List.length Strategy.all)
+(* --- Columns --- *)
 
 let test_columns_sensitivity () =
   let m = Model.create () in
@@ -44,17 +29,17 @@ let test_columns_sensitivity () =
   let c = Model.add_var ~lo:0.0 ~hi:1.0 m in
   Model.add_constr m [ (a, 2.0); (b, 3.0) ] Model.Le 5.0;
   Model.add_constr m [ (a, 1.0); (c, -4.0) ] Model.Ge (-1.0);
-  let cols = Strategy.Columns.make m ~vars:[| a; b |] in
+  let cols = Search.Columns.make m ~vars:[| a; b |] in
   let duals = [| 2.0; -1.0 |] in
   (* a: |2*2| + |-1*1| ; b: |2*3| ; c excluded from [vars] *)
   Alcotest.(check bool) "a" true
-    (feq (Strategy.Columns.sensitivity cols ~duals a) 5.0);
+    (feq (Search.Columns.sensitivity cols ~duals a) 5.0);
   Alcotest.(check bool) "b" true
-    (feq (Strategy.Columns.sensitivity cols ~duals b) 6.0);
+    (feq (Search.Columns.sensitivity cols ~duals b) 6.0);
   Alcotest.(check bool) "c outside vars" true
-    (feq (Strategy.Columns.sensitivity cols ~duals c) 0.0);
+    (feq (Search.Columns.sensitivity cols ~duals c) 0.0);
   Alcotest.(check bool) "empty duals" true
-    (feq (Strategy.Columns.sensitivity cols ~duals:[||] a) 0.0)
+    (feq (Search.Columns.sensitivity cols ~duals:[||] a) 0.0)
 
 (* --- Node --- *)
 
@@ -363,131 +348,28 @@ let test_refine_select () =
     (Cert.Refine.select bounds ~candidates ~r:2 = [ (0, 1); (0, 0) ]);
   Alcotest.(check bool) "stable dropped even with room" true
     (Cert.Refine.select bounds ~candidates ~r:3 = [ (0, 1); (0, 0) ]);
-  (* a sensitivity table flips the order under the guided strategies
-     only; stable neurons stay unselected no matter their sensitivity *)
-  let sens = Hashtbl.create 4 in
-  Hashtbl.replace sens (0, 0) 10.0;
-  Hashtbl.replace sens (0, 2) 1000.0;
-  Alcotest.(check bool) "dual-guided reweights" true
-    (Cert.Refine.select ~strategy:Strategy.Dual_guided ~sens bounds
-       ~candidates ~r:2
-    = [ (0, 0); (0, 1) ]);
-  Alcotest.(check bool) "stable immune to sens" true
-    (Cert.Refine.select ~strategy:Strategy.Dual_guided ~sens bounds
-       ~candidates ~r:3
-    = [ (0, 0); (0, 1) ]);
-  Alcotest.(check bool) "default strategy ignores sens" true
-    (Cert.Refine.select ~sens bounds ~candidates ~r:2 = [ (0, 1); (0, 0) ]);
   Alcotest.(check bool) "zero budget" true
     (Cert.Refine.select bounds ~candidates ~r:0 = [])
 
-(* --- cross-strategy invariants on whole solvers --- *)
-
-let strategies_agree ~get_eps ~name results =
-  match results with
-  | [] -> ()
-  | (s0, r0) :: rest ->
-      List.iter
-        (fun (s, r) ->
-          let e0 = get_eps r0 and e = get_eps r in
-          Array.iteri
-            (fun j e0j ->
-              if Int64.bits_of_float e0j <> Int64.bits_of_float e.(j) then
-                Alcotest.failf "%s: output %d: %s gives %.17g, %s %.17g"
-                  name j (Strategy.to_string s0) e0j (Strategy.to_string s)
-                  e.(j))
-            e0)
-        rest
-
-let test_exact_strategy_parity () =
-  let rng = rng0 () in
-  let net = random_net ~rng ~dims:[ 2; 5; 4; 1 ] in
-  let delta = 0.08 in
-  let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-  let results =
-    List.map
-      (fun s -> (s, Cert.Exact.global_btne ~branch:s net ~input ~delta))
-      Strategy.all
-  in
-  List.iter
-    (fun ((s : Strategy.t), (r : Cert.Exact.result)) ->
-      if not r.Cert.Exact.exact then
-        Alcotest.failf "%s did not complete" (Strategy.to_string s))
-    results;
-  strategies_agree ~name:"exact btne"
-    ~get_eps:(fun (r : Cert.Exact.result) -> r.Cert.Exact.eps)
-    results
-
-let test_reluplex_strategy_parity () =
-  let rng = rng0 () in
-  let net = random_net ~rng ~dims:[ 2; 5; 3; 2 ] in
-  let delta = 0.08 in
-  let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-  let results =
-    List.map
-      (fun s -> (s, Cert.Reluplex_style.global ~branch:s net ~input ~delta))
-      Strategy.all
-  in
-  List.iter
-    (fun ((s : Strategy.t), (r : Cert.Reluplex_style.result)) ->
-      if not r.Cert.Reluplex_style.exact then
-        Alcotest.failf "%s did not complete" (Strategy.to_string s);
-      Array.iteri
-        (fun j c ->
-          if not c then
-            Alcotest.failf "%s: output %d not completed"
-              (Strategy.to_string s) j)
-        r.Cert.Reluplex_style.completed)
-    results;
-  strategies_agree ~name:"reluplex"
-    ~get_eps:(fun (r : Cert.Reluplex_style.result) ->
-      r.Cert.Reluplex_style.eps)
-    results
+(* --- whole solvers --- *)
 
 (* The whole-network exact MILP on Table I's DNN-3: one deep tree per
-   output, where the branching order matters.  Both strategies must
-   reach the bitwise-same exact eps, and the dual-guided rule's early
-   incumbents must prune at least 20% of the most-fractional tree. *)
-let test_exact_dnn3_strategies () =
+   output, where the branching order matters.  The exact eps is pinned
+   to its bits, and the dual-guided rule must stay within 80% of the
+   20326 nodes the retired most-fractional rule took on this case. *)
+let test_exact_dnn3 () =
   let net = Test_nets.dnn3 () in
   let input = Cert.Bounds.box_domain net ~lo:0.0 ~hi:0.35 in
-  let results =
-    List.map
-      (fun s ->
-        (s, Cert.Exact.global_btne ~branch:s net ~input ~delta:0.001))
-      Strategy.all
-  in
-  strategies_agree ~name:"exact btne dnn3"
-    ~get_eps:(fun (r : Cert.Exact.result) -> r.Cert.Exact.eps)
-    results;
-  let nodes s = (List.assoc s results).Cert.Exact.nodes in
-  let mf = nodes Strategy.Most_fractional
-  and dg = nodes Strategy.Dual_guided in
-  Printf.printf "nodes: most-fractional %d, dual-guided %d\n" mf dg;
-  if float_of_int dg > 0.8 *. float_of_int mf then
-    Alcotest.failf "dual-guided explored %d nodes vs most-fractional %d" dg mf
-
-(* The certifier's default configuration on Table I's DNN-3 and DNN-4,
-   whose per-query MILPs are small enough that both strategies visit
-   complete trees: eps must still be bitwise equal. *)
-let test_certifier_default_strategies () =
-  List.iter
-    (fun (name, net) ->
-      let input = Cert.Bounds.box_domain net ~lo:0.0 ~hi:1.0 in
-      let results =
-        List.map
-          (fun s ->
-            let config =
-              { Cert.Certifier.default_config with Cert.Certifier.branch = s }
-            in
-            (s, Cert.Certifier.certify ~config net ~input ~delta:0.001))
-          Strategy.all
-      in
-      strategies_agree ~name
-        ~get_eps:(fun (r : Cert.Certifier.report) -> r.Cert.Certifier.eps)
-        results)
-    [ ("certify dnn3", Test_nets.dnn3 ());
-      ("certify dnn4", Test_nets.dnn4 ()) ]
+  let r = Cert.Exact.global_btne net ~input ~delta:0.001 in
+  Printf.printf "nodes: %d\n" r.Cert.Exact.nodes;
+  Alcotest.(check bool) "exact" true r.Cert.Exact.exact;
+  Alcotest.(check int) "one output" 1 (Array.length r.Cert.Exact.eps);
+  let want = 0.0042932217521986504 in
+  if Int64.bits_of_float r.Cert.Exact.eps.(0) <> Int64.bits_of_float want
+  then
+    Alcotest.failf "eps %.17g, pinned %.17g" r.Cert.Exact.eps.(0) want;
+  if r.Cert.Exact.nodes > 16260 then
+    Alcotest.failf "explored %d nodes, bound 16260" r.Cert.Exact.nodes
 
 let test_reluplex_budget_slices () =
   (* a starved budget must mark outputs incomplete rather than lie *)
@@ -513,42 +395,9 @@ let test_reluplex_budget_slices () =
           full.Cert.Reluplex_style.eps.(j) j)
     starved.Cert.Reluplex_style.eps
 
-(* Property: the certifier's answer is a function of the problem, not
-   of the branching strategy — both strategies certify bitwise-equal
-   epsilon on random nets, with refinement exercising the MILP path. *)
-let certifier_strategy_parity =
-  let gen = QCheck.Gen.(tup2 (int_range 3 5) (float_range 0.02 0.08)) in
-  Test_seed.to_alcotest
-    (QCheck.Test.make ~count:6 ~name:"certify eps identical across strategies"
-       (QCheck.make gen)
-       (fun (width, delta) ->
-         let rng = rng0 () in
-         let net = random_net ~rng ~dims:[ 2; width; width; 1 ] in
-         let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-         let eps_of s =
-           let config =
-             { Cert.Certifier.default_config with
-               Cert.Certifier.refine = Cert.Certifier.Fraction 1.0;
-               branch = s }
-           in
-           (Cert.Certifier.certify ~config net ~input ~delta)
-             .Cert.Certifier.eps
-         in
-         match List.map eps_of Strategy.all with
-         | [] -> true
-         | e0 :: rest ->
-             List.for_all
-               (fun e ->
-                 Array.for_all2
-                   (fun a b ->
-                     Int64.bits_of_float a = Int64.bits_of_float b)
-                   e0 e)
-               rest))
-
 let suites =
   [ ( "search:core",
-      [ Alcotest.test_case "strategy names" `Quick test_strategy_names;
-        Alcotest.test_case "column sensitivity" `Quick
+      [ Alcotest.test_case "column sensitivity" `Quick
           test_columns_sensitivity;
         Alcotest.test_case "node var_bounds" `Quick test_node_var_bounds;
         Alcotest.test_case "node fold_tags" `Quick test_node_fold_tags;
@@ -567,11 +416,6 @@ let suites =
         Alcotest.test_case "fraction budget" `Quick test_fraction_budget;
         Alcotest.test_case "select" `Quick test_refine_select ] );
     ( "search:strategy-parity",
-      [ Alcotest.test_case "exact btne" `Slow test_exact_strategy_parity;
-        Alcotest.test_case "reluplex" `Slow test_reluplex_strategy_parity;
-        Alcotest.test_case "exact btne dnn3" `Slow test_exact_dnn3_strategies;
-        Alcotest.test_case "certifier default dnn3 dnn4" `Quick
-          test_certifier_default_strategies;
+      [ Alcotest.test_case "exact btne dnn3" `Slow test_exact_dnn3;
         Alcotest.test_case "reluplex budget slices" `Quick
-          test_reluplex_budget_slices;
-        certifier_strategy_parity ] ) ]
+          test_reluplex_budget_slices ] ) ]

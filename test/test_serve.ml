@@ -82,8 +82,7 @@ let json_tree_roundtrip_prop =
 let sample_query =
   { Wire.q_net = Some "grc-net 1\nlayers 0\n"; q_digest = None;
     q_delta = 0.25; q_lo = -1.0; q_hi = 1.0; q_window = 3;
-    q_refine = Cert.Refine.Count 4;
-    q_branch = Search.Strategy.Dual_guided; q_no_cache = true;
+    q_refine = Cert.Refine.Count 4; q_no_cache = true;
     q_deadline_ms = Some 125.5 }
 
 let test_wire_request_roundtrip () =
@@ -183,9 +182,9 @@ let test_wire_rejects () =
       "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine_frac\":-0.5}";
       "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine\":-3}" ]
 
-(* Names of removed options get no special treatment: a retired branch
-   name is an unknown branch, and the retired symbolic fields are
-   unknown fields, ignored like any other down to the cache key. *)
+(* Names of removed options get no special treatment: the retired
+   [branch] and symbolic fields are unknown fields, ignored like any
+   other down to the cache key, whatever their value. *)
 let test_wire_legacy_names () =
   let decode field =
     let line =
@@ -196,21 +195,14 @@ let test_wire_legacy_names () =
     | _, Wire.Certify q -> q
     | _ -> Alcotest.failf "%s: not a certify request" field
   in
-  List.iter
-    (fun name ->
-      match decode (Printf.sprintf "\"branch\":%S" name) with
-      | _ -> Alcotest.failf "branch %s accepted" name
-      | exception Failure msg ->
-          Alcotest.(check string) name
-            (Printf.sprintf "Serve.Wire: certify: unknown branch %S" name)
-            msg)
-    [ "violation"; "dy-partition"; "dy_partition" ];
   let key q = Serve.Cache.key ~digest:"d" q in
   let plain = key (decode "\"delta\":0.001") in
   List.iter
     (fun field -> Alcotest.(check string) field plain (key (decode field)))
     [ "\"no_such_field\":1"; "\"symbolic\":true";
-      "\"symbolic_mode\":\"back\""; "\"symbolic_mode\":\"sideways\"" ]
+      "\"symbolic_mode\":\"back\""; "\"symbolic_mode\":\"sideways\"";
+      "\"branch\":\"dual-guided\""; "\"branch\":\"most-fractional\"";
+      "\"branch\":\"sideways\""; "\"branch\":\"violation\"" ]
 
 (* --- codec fuzzing: hostile bytes must fail cleanly --- *)
 
@@ -443,16 +435,12 @@ let test_cache_key_discriminates () =
   Alcotest.(check string) "deadline irrelevant" base
     (k { q0 with Wire.q_deadline_ms = Some 5.0 })
 
-(* Key spellings of the surviving strategies are persisted on disk: they
-   must not move, or old cache files stop hitting. *)
+(* Key spellings are persisted on disk: they must not move, or old cache
+   files stop hitting. *)
 let test_cache_key_stable () =
-  let prefix = "d|4562254508917369340|0|4607182418800017408|w2|r0|" in
-  List.iter
-    (fun (branch, suffix) ->
-      Alcotest.(check string) suffix (prefix ^ suffix)
-        (Serve.Cache.key ~digest:"d" { q0 with Wire.q_branch = branch }))
-    [ (Search.Strategy.Most_fractional, "bmost-fractional");
-      (Search.Strategy.Dual_guided, "bdual-guided") ]
+  Alcotest.(check string) "default query"
+    "d|4562254508917369340|0|4607182418800017408|w2|r0"
+    (Serve.Cache.key ~digest:"d" q0)
 
 let test_cache_persistence () =
   let path = Filename.temp_file "grc-cache" ".txt" in
@@ -465,10 +453,11 @@ let test_cache_persistence () =
       Serve.Cache.add c1 "k2" [| 0.5 |];
       Serve.Cache.close c1;
       (* a corrupt line must be skipped, not crash the reload; so must an
-         entry of the old "v1" key format, which can never hit *)
+         entry of the old "v1" and "v2" key formats, which can never hit *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "garbage line\n";
       output_string oc "v1 k3 4607182418800017408\n";
+      output_string oc "v2 k4 4607182418800017408\n";
       close_out oc;
       let c2 = Serve.Cache.create ~path () in
       (match Serve.Cache.find c2 "k1" with
@@ -481,11 +470,24 @@ let test_cache_persistence () =
        | None -> Alcotest.fail "k1 lost");
       Alcotest.(check bool) "k2 loaded" true (Serve.Cache.find c2 "k2" <> None);
       Alcotest.(check bool) "k3 absent" true (Serve.Cache.find c2 "k3" = None);
+      Alcotest.(check bool) "k4 absent" true (Serve.Cache.find c2 "k4" = None);
       let ctr = Serve.Cache.counters c2 in
       Alcotest.(check int) "loaded" 2 ctr.Serve.Cache.loaded;
       Alcotest.(check int) "hits" 2 ctr.Serve.Cache.hits;
-      Alcotest.(check int) "misses" 1 ctr.Serve.Cache.misses;
-      Serve.Cache.close c2)
+      Alcotest.(check int) "misses" 2 ctr.Serve.Cache.misses;
+      Serve.Cache.close c2;
+      (* a file of nothing but a "v2" line loads 0 entries *)
+      let old = Filename.temp_file "grc-cache" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove old)
+        (fun () ->
+          let oc = open_out old in
+          output_string oc "v2 k5 4607182418800017408\n";
+          close_out oc;
+          let c3 = Serve.Cache.create ~path:old () in
+          Alcotest.(check int) "v2 loads 0" 0
+            (Serve.Cache.counters c3).Serve.Cache.loaded;
+          Serve.Cache.close c3))
 
 let test_cache_namespace () =
   (* two namespaced caches over one persistence file never serve each
