@@ -8,6 +8,12 @@ open Cmdliner
 let setup_cache dir =
   Exp.Models.cache_dir := dir
 
+(* A runtime failure (an unreachable daemon, a malformed trace) exits 1,
+   so a script can tell it from a usage error, which exits 124. *)
+let fail_runtime msg =
+  prerr_endline ("grc: " ^ msg);
+  exit 1
+
 let cache_arg =
   let doc = "Directory for trained-network artifacts." in
   Arg.(value & opt string "artifacts" & info [ "artifacts" ] ~doc)
@@ -494,12 +500,6 @@ let serve_cmd =
                    when daemons behind a router share a --cache file, so \
                    they never serve each other's entries.")
   in
-  let domains =
-    Arg.(value & opt pos_int 1
-         & info [ "domains" ]
-             ~doc:"Certifier domains per worker (keep at 1 unless workers \
-                   are few and requests huge).")
-  in
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Log each request to stderr.")
   in
@@ -510,15 +510,14 @@ let serve_cmd =
                    (pivots, warm/cold splits, dedup counters) in \
                    $(b,stats) responses.")
   in
-  let run socket port workers queue_cap cache cache_ns domains verbose
-      metrics =
+  let run socket port workers queue_cap cache cache_ns verbose metrics =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
     | Ok addr ->
         let config =
           { (Serve.Server.default_config addr) with
             Serve.Server.workers; queue_cap; cache_path = cache;
-            cache_ns; domains; verbose; metrics }
+            cache_ns; verbose; metrics }
         in
         (try Serve.Server.run config with Failure msg -> prerr_endline msg;
                                                          exit 1);
@@ -533,17 +532,17 @@ let serve_cmd =
             "Long-running certification service speaking line-delimited \
              JSON over a unix-domain socket or loopback TCP.  Certify \
              requests go through a bounded queue to a pool of worker \
-             domains; each worker keeps compiled cone matrices and warm \
-             simplex sessions alive across requests, and answers are \
-             served from a content-addressed result cache when the same \
+             domains; each request is certified from scratch, bitwise \
+             as one-shot $(b,grc certify) computes it, unless the same \
              (network, box, delta, configuration) query was already \
-             solved.  SIGINT/SIGTERM drain gracefully: queued requests \
+             solved and its answer is in the content-addressed result \
+             cache.  SIGINT/SIGTERM drain gracefully: queued requests \
              finish, the cache file is flushed, then the process exits." ]
   in
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ workers $ queue_cap $ cache
-           $ cache_ns $ domains $ verbose $ metrics))
+           $ cache_ns $ verbose $ metrics))
 
 let submit_cmd =
   let net =
@@ -578,24 +577,6 @@ let submit_cmd =
              ~doc:"Per-request deadline; expired requests answer with an \
                    error.")
   in
-  let load_n =
-    Arg.(value & opt (some pos_int) None
-         & info [ "load" ]
-             ~doc:"Load mode: submit the query $(docv) times and report \
-                   latency statistics.")
-  in
-  let concurrency =
-    Arg.(value & opt pos_int 1
-         & info [ "concurrency" ] ~doc:"Connections used in load mode.")
-  in
-  let batch =
-    Arg.(value & opt pos_int 1
-         & info [ "batch" ]
-             ~doc:"In load mode, mix batch requests of $(docv) queries \
-                   with single requests (alternating), exercising both \
-                   wire paths; per-request latency for batch items is \
-                   the batch wall time divided by its size.")
-  in
   let timeout_s =
     Arg.(value & opt (some pos_float) None
          & info [ "timeout-s" ]
@@ -625,8 +606,7 @@ let submit_cmd =
       r.Serve.Wire.r_milp_solves
   in
   let run socket port net digest delta (lo, hi) window refine refine_frac
-      no_cache deadline_ms load_n concurrency batch
-      timeout_s stats ping shutdown =
+      no_cache deadline_ms timeout_s stats ping shutdown =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
     | Ok addr -> (
@@ -660,14 +640,14 @@ let submit_cmd =
                 | _ -> failwith "unexpected shutdown response");
             `Ok ()
           end
+          else if net = None && digest = None then
+            `Error (true, "one of --net or --digest is required")
           else begin
             (* load + re-serialize: validates locally and sends the
                canonical form the daemon's digest is defined over *)
             let q_net =
               Option.map (fun p -> Nn.Io.to_string (Nn.Io.load p)) net
             in
-            if q_net = None && digest = None then
-              failwith "one of --net or --digest is required";
             let q_refine =
               match refine_frac with
               | Some f -> Cert.Refine.Fraction f
@@ -680,121 +660,12 @@ let submit_cmd =
                 q_lo = lo; q_hi = hi; q_window = window; q_refine;
                 q_no_cache = no_cache; q_deadline_ms = deadline_ms }
             in
-            (match load_n with
-             | None -> with_conn (fun c -> print_result
-                                             (Serve.Client.certify c query))
-             | Some n ->
-                 (* Load mode: [concurrency] domains, each with its own
-                    connection, splitting [n] queries; wall-clock and
-                    per-request latencies measured client-side.  With
-                    --batch B, workers alternate single requests and
-                    B-item batches, exercising both wire paths. *)
-                 let k = min concurrency n in
-                 let latencies = Array.make n 0.0 in
-                 let next = Atomic.make 0 in
-                 let failures = Atomic.make 0 in
-                 let work () =
-                   with_conn (fun c ->
-                       let send_batch = ref false in
-                       let rec go () =
-                         let want =
-                           if batch > 1 && !send_batch then batch else 1
-                         in
-                         send_batch := not !send_batch;
-                         let i = Atomic.fetch_and_add next want in
-                         if i < n then begin
-                           let len = min want (n - i) in
-                           let t0 = Unix.gettimeofday () in
-                           (try
-                              if len = 1 then
-                                ignore (Serve.Client.certify c query)
-                              else
-                                let rs, _ =
-                                  Serve.Client.certify_batch c
-                                    (Array.make len query)
-                                in
-                                Array.iter
-                                  (function
-                                    | Stdlib.Error _ ->
-                                        Atomic.incr failures
-                                    | Ok _ -> ())
-                                  rs
-                            with Failure _ | Serve.Client.Timeout _ ->
-                              ignore
-                                (Atomic.fetch_and_add failures len));
-                           let per =
-                             (Unix.gettimeofday () -. t0)
-                             *. 1000.0 /. float_of_int len
-                           in
-                           for j = i to i + len - 1 do
-                             latencies.(j) <- per
-                           done;
-                           go ()
-                         end
-                       in
-                       go ())
-                 in
-                 let t0 = Unix.gettimeofday () in
-                 let doms =
-                   Array.init (k - 1) (fun _ -> Domain.spawn work)
-                 in
-                 work ();
-                 Array.iter Domain.join doms;
-                 let wall = Unix.gettimeofday () -. t0 in
-                 Array.sort compare latencies;
-                 let pct p =
-                   latencies.(min (n - 1)
-                                (int_of_float (p *. float_of_int n)))
-                 in
-                 let mean =
-                   Array.fold_left ( +. ) 0.0 latencies /. float_of_int n
-                 in
-                 Printf.printf
-                   "%d requests, %d connection(s), %d batch size, \
-                    %d failure(s)\n\
-                    wall: %.2fs (%.1f req/s)\n\
-                    latency ms: mean %.2f  p50 %.2f  p90 %.2f  p99 %.2f  \
-                    max %.2f\n"
-                   n k batch (Atomic.get failures) wall
-                   (float_of_int n /. wall)
-                   mean (pct 0.50) (pct 0.90) (pct 0.99)
-                   latencies.(n - 1);
-                 (* behind a router, also report the per-shard view *)
-                 with_conn (fun c ->
-                     match Serve.Client.rpc c Serve.Wire.Stats with
-                     | Serve.Wire.Stats_payload j -> (
-                         match
-                           Option.bind (Serve.Json.member "router" j)
-                             (Serve.Json.mem_list "per_shard")
-                         with
-                         | None -> ()
-                         | Some rows ->
-                             List.iter
-                               (fun row ->
-                                 let int name =
-                                   Option.value ~default:0
-                                     (Serve.Json.mem_int name row)
-                                 in
-                                 let lat name =
-                                   match
-                                     Option.bind
-                                       (Serve.Json.member "latency" row)
-                                       (Serve.Json.mem_num name)
-                                   with
-                                   | Some v -> v
-                                   | None -> 0.0
-                                 in
-                                 Printf.printf
-                                   "shard %d: routed %d  retried-onto %d  \
-                                    p50 %.2fms  p99 %.2fms\n"
-                                   (int "shard") (int "routed")
-                                   (int "retried_onto") (lat "p50_ms")
-                                   (lat "p99_ms"))
-                               rows)
-                     | _ -> ()));
+            with_conn (fun c -> print_result (Serve.Client.certify c query));
             `Ok ()
           end
-        with Failure msg -> `Error (false, msg))
+        with
+        | Failure msg -> fail_runtime msg
+        | Serve.Client.Timeout msg -> fail_runtime ("timeout: " ^ msg))
   in
   let info_ =
     Cmd.info "submit"
@@ -804,17 +675,16 @@ let submit_cmd =
           `P
             "Single-query mode sends one certify request (the network file \
              inline, or a --digest of one already loaded) and prints the \
-             certified bounds.  Load mode (--load N --concurrency K) \
-             repeats the query N times over K connections and reports \
-             client-side latency statistics.  --stats, --ping and \
-             --shutdown talk to the daemon's control operations." ]
+             certified bounds.  --stats, --ping and --shutdown talk to \
+             the daemon's control operations; behind $(b,grc shard), \
+             --stats includes each shard's routed count and latency \
+             percentiles.  An unreachable daemon exits 1." ]
   in
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ net $ digest $ delta_arg
            $ box_arg $ window $ refine $ refine_frac $ no_cache
-           $ deadline_ms $ load_n $ concurrency
-           $ batch $ timeout_s $ stats $ ping $ shutdown))
+           $ deadline_ms $ timeout_s $ stats $ ping $ shutdown))
 
 (* --- shard: the router front process --- *)
 
@@ -991,16 +861,17 @@ let sweep_cmd =
       no_cache json_out =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
+    | Ok _ when net = None && digest = None ->
+        `Error (true, "one of --net or --digest is required")
     | Ok addr -> (
         try
           let c = Serve.Client.connect ?timeout_s addr in
           Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
           let digest =
-            match (net, digest) with
-            | Some path, _ ->
+            match net with
+            | Some path ->
                 Serve.Client.load c (Nn.Io.to_string (Nn.Io.load path))
-            | None, Some d -> d
-            | None, None -> failwith "one of --net or --digest is required"
+            | None -> Option.get digest
           in
           let cells =
             List.concat_map
@@ -1128,8 +999,8 @@ let sweep_cmd =
           if !errors > 0 then exit 1;
           `Ok ()
         with
-        | Failure msg -> `Error (false, msg)
-        | Serve.Client.Timeout msg -> `Error (false, "timeout: " ^ msg))
+        | Failure msg -> fail_runtime msg
+        | Serve.Client.Timeout msg -> fail_runtime ("timeout: " ^ msg))
   in
   let info_ =
     Cmd.info "sweep"
@@ -1247,7 +1118,7 @@ let trace_check_cmd =
     in
     match check () with
     | () -> `Ok ()
-    | exception Failure msg -> `Error (false, file ^ ": " ^ msg)
+    | exception Failure msg -> fail_runtime (file ^ ": " ^ msg)
   in
   let info_ =
     Cmd.info "trace-check"
@@ -1344,9 +1215,19 @@ let train_robust_cmd =
   let run cache family id size image epochs batch_size lr lambda delta (lo, hi)
       grid window seed acc_tol socket port workers json_out save =
     setup_cache cache;
-    match build_trained family ~id ~size ~image with
+    (* the address is checked before any training runs *)
+    let service =
+      if socket = None && port = None then Ok None
+      else Result.map Option.some (resolve_addr socket port)
+    in
+    match
+      Result.bind service (fun service ->
+          Result.map
+            (fun trained -> (service, trained))
+            (build_trained family ~id ~size ~image))
+    with
     | Error msg -> `Error (true, msg)
-    | Ok trained -> (
+    | Ok (service, trained) -> (
         try
           let fam =
             match family with
@@ -1393,17 +1274,13 @@ let train_robust_cmd =
                    r.Exp.Train_robust.surrogate)
           in
           let with_client f =
-            match (socket, port) with
-            | None, None ->
-                Exp.Train_robust.with_local_service ~workers (fun c -> f c)
-            | socket, port -> (
-                match resolve_addr socket port with
-                | Error msg -> failwith msg
-                | Ok addr ->
-                    let c = Serve.Client.connect addr in
-                    Fun.protect
-                      ~finally:(fun () -> Serve.Client.close c)
-                      (fun () -> f c))
+            match service with
+            | None -> Exp.Train_robust.with_local_service ~workers f
+            | Some addr ->
+                let c = Serve.Client.connect addr in
+                Fun.protect
+                  ~finally:(fun () -> Serve.Client.close c)
+                  (fun () -> f c)
           in
           with_client (fun client ->
               let records =
@@ -1509,7 +1386,7 @@ let train_robust_cmd =
                   output_char oc '\n';
                   close_out oc);
           `Ok ()
-        with Failure msg -> `Error (false, msg))
+        with Failure msg -> fail_runtime msg)
   in
   Cmd.v
     (Cmd.info "train-robust"

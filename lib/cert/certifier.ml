@@ -85,12 +85,8 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
     Obs.Trace.count "bound_queries" plan.Plan.n_queries;
     Obs.Trace.count "encoded_models" plan.Plan.n_encodes;
     Obs.Trace.count "dedup_hits" plan.Plan.dedup_hits;
-    (* [partial_stats] (not the returned stats) feeds the report: a
-       raising solve hook still accounts for the work already done *)
-    let outcome =
-      Plan.Executor.run ?hook:solve_hook ~partial_stats:stats
-        exec_config plan
-    in
+    let outcome = Plan.Executor.run ?hook:solve_hook exec_config plan in
+    Plan.Engine.merge_stats ~into:stats outcome.Plan.Executor.stats;
     (* affine fast-path answers are exact: intersect *)
     Array.iter
       (fun ((a : Plan.affine), (r : Plan.range)) ->

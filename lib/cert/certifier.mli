@@ -83,7 +83,7 @@ val certify :
     kept between calls, so repeated calls answer bitwise-identically.
     [solve_hook] wraps every LP/MILP bound query — the certification
     daemon uses it to abandon a request mid-solve when its deadline
-    expires or it is cancelled. *)
+    expires. *)
 
 val certify_box :
   ?config:config ->

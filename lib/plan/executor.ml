@@ -9,25 +9,15 @@ module Model = Lp.Model
    statistics record): warm starts need per-worker mutable state, and
    the contexts are returned so the caller can merge the statistics.
 
-   If a worker raises, every spawned domain is still joined and every
-   produced context — including the failing worker's — is passed to
-   [finally] (in the calling domain) before the first exception is
-   re-raised with its backtrace.  Partial statistics therefore survive
-   a failed run. *)
-let parallel_map ?(finally : 'c -> unit = fun _ -> ()) n_domains
-    ~(init : unit -> 'c) (items : 'a array) (f : 'c -> 'a -> 'b) :
-    'b array * 'c list =
+   If a worker raises, every spawned domain is still joined before the
+   first exception is re-raised with its backtrace, so no domain
+   outlives the call. *)
+let parallel_map n_domains ~(init : unit -> 'c) (items : 'a array)
+    (f : 'c -> 'a -> 'b) : 'b array * 'c list =
   let n = Array.length items in
   if n_domains <= 1 || n <= 1 then begin
     let ctx = init () in
-    match Array.map (f ctx) items with
-    | out ->
-        finally ctx;
-        (out, [ ctx ])
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        finally ctx;
-        Printexc.raise_with_backtrace e bt
+    (Array.map (f ctx) items, [ ctx ])
   end
   else begin
     let k = min n_domains n in
@@ -57,27 +47,22 @@ let parallel_map ?(finally : 'c -> unit = fun _ -> ()) n_domains
               (res, ctx)))
     in
     (* join everything before deciding the outcome: re-raising at the
-       first failed join would leave later domains unjoined and drop
-       their contexts *)
+       first failed join would leave later domains running *)
     let joined = List.map Domain.join workers in
-    let out = Array.make n None in
-    let ctxs =
-      List.map
-        (fun (res, ctx) ->
-          (match res with
-           | Ok rs -> List.iter (fun (i, r) -> out.(i) <- Some r) rs
-           | Error _ -> ());
-          finally ctx;
-          ctx)
-        joined
-    in
     match
       List.find_map
         (function Error e, _ -> Some e | Ok _, _ -> None)
         joined
     with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> (Array.map Option.get out, ctxs)
+    | None ->
+        let out = Array.make n None in
+        List.iter
+          (function
+            | Ok rs, _ -> List.iter (fun (i, r) -> out.(i) <- Some r) rs
+            | Error _, _ -> ())
+          joined;
+        (Array.map Option.get out, List.map snd joined)
   end
 
 type config = {
@@ -116,7 +101,7 @@ let override_bounds (model : Model.t) overrides =
     overrides;
   (lo, hi)
 
-let run ?hook ?partial_stats config (plan : Spec.t) =
+let run ?hook config (plan : Spec.t) =
   Obs.Trace.with_span "executor.run" @@ fun () ->
   Obs.Metrics.add m_runs 1;
   Obs.Metrics.add m_units (Array.length plan.Spec.units);
@@ -186,21 +171,11 @@ let run ?hook ?partial_stats config (plan : Spec.t) =
         (qs.Spec.q, solve req))
       u.Spec.queries
   in
+  let per_unit, ctxs =
+    parallel_map config.domains ~init plan.Spec.units compute
+  in
   let stats = Engine.zero_stats () in
-  (* [finally] runs per worker context, after the join, whether or not
-     the run failed: the outcome's stats and the caller's
-     [partial_stats] accumulator both see every worker's counters, so
-     a hook that raises (cancellation, deadline) does not lose the
-     solver work already done *)
-  let finally ((local : Engine.stats), _) =
-    Engine.merge_stats ~into:stats local;
-    match partial_stats with
-    | Some acc -> Engine.merge_stats ~into:acc local
-    | None -> ()
-  in
-  let per_unit, _ctxs =
-    parallel_map ~finally config.domains ~init plan.Spec.units compute
-  in
+  List.iter (fun (local, _) -> Engine.merge_stats ~into:stats local) ctxs;
   let solved = Array.concat (Array.to_list per_unit) in
   Obs.Trace.count "lp_solves" stats.Engine.lp_solves;
   Obs.Trace.count "milp_solves" stats.Engine.milp_solves;

@@ -8,7 +8,6 @@
     them to their own state. *)
 
 val parallel_map :
-  ?finally:('c -> unit) ->
   int -> init:(unit -> 'c) -> 'a array -> ('c -> 'a -> 'b) -> 'b array * 'c list
 (** [parallel_map n_domains ~init items f] maps [f] over [items] in
     contiguous chunks, one chunk per spawned domain (capped at the item
@@ -19,11 +18,9 @@ val parallel_map :
     including [n_domains] exceeding the item count.
 
     If [f] raises in any worker, every spawned domain is still joined
-    and the first exception is re-raised (with its backtrace) in the
-    calling domain.  [finally] — which runs in the calling domain — is
-    applied to {e every} produced context, on success and on failure
-    alike, before the re-raise; use it to salvage per-worker statistics
-    from a failed run. *)
+    (the other workers finish their chunks) before the first exception
+    is re-raised, with its backtrace, in the calling domain; the
+    contexts of a failed run are dropped. *)
 
 type config = {
   domains : int;
@@ -45,22 +42,16 @@ type outcome = {
   solved : (Query.t * float option) array;
       (** one entry per planned query, in plan order (units in order,
           each unit's queries in order) *)
-  stats : Engine.stats;
+  stats : Engine.stats;   (** every worker context's counters, merged *)
 }
 
-val run :
-  ?hook:(solve -> solve) ->
-  ?partial_stats:Engine.stats ->
-  config -> Spec.t -> outcome
+val run : ?hook:(solve -> solve) -> config -> Spec.t -> outcome
 (** Execute a plan.  [hook] wraps the base per-query solve (for
     instrumentation, query interception in tests and experiments, or
     cooperative cancellation — the certification daemon's deadline
     checks raise from here); it runs inside worker domains, so it must
-    be thread-safe.  [partial_stats], when given, accumulates every
-    worker's counters even when the run raises (a cancellation hook,
-    say): on success it ends up equal to the outcome's [stats] merged
-    on top of its initial value, and on failure it holds whatever the
-    workers completed before the exception.
+    be thread-safe.  An exception from the hook propagates once every
+    worker is joined, and the run's statistics go with it.
 
     Execution contract, relied on for reproducibility:
     - LP task matrices are compiled once per run and shared read-only;

@@ -2,9 +2,11 @@
 
     Keyed by everything that determines a certified answer: the network
     digest, the input box and delta (by float bit pattern), and the
-    result-relevant certifier knobs (window, refinement rule).  Knobs
-    that provably do {e not} change answers — worker domains, cone
-    dedup — stay out of the key, so equivalent requests hit.
+    result-relevant certifier knobs (window, refinement rule).  The
+    daemon certifies with {!Cert.Certifier.default_config}'s one domain,
+    so the domain count is fixed and stays out of the key (a second
+    domain can move the last bit of some answers).  Nor does the key
+    hold what does not change answers (no-cache, deadlines).
 
     Optionally backed by an append-only on-disk file: every insert is
     appended (and flushed) as one line with the eps floats spelled as

@@ -1,3 +1,7 @@
+type addr =
+  | Unix_path of string
+  | Tcp of int
+
 exception Timeout of string
 
 type t = {
@@ -8,12 +12,14 @@ type t = {
 }
 
 let sockaddr = function
-  | Server.Unix_path path -> Unix.ADDR_UNIX path
-  | Server.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+  | Unix_path path -> Unix.ADDR_UNIX path
+  | Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+let domain = function Unix_path _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
 
 let addr_str = function
-  | Server.Unix_path path -> path
-  | Server.Tcp port -> Printf.sprintf "127.0.0.1:%d" port
+  | Unix_path path -> path
+  | Tcp port -> Printf.sprintf "127.0.0.1:%d" port
 
 let set_timeout t timeout_s =
   (match timeout_s with
@@ -27,20 +33,32 @@ let set_timeout t timeout_s =
       (Option.value ~default:0.0 timeout_s)
   with Unix.Unix_error _ -> ()
 
-let connect ?timeout_s addr =
-  let domain =
-    match addr with
-    | Server.Unix_path _ -> Unix.PF_UNIX
-    | Server.Tcp _ -> Unix.PF_INET
+(* The one connect loop: retry every 50 ms until the clock passes
+   [deadline].  A signal that interrupts the wait ends it at once, so a
+   process told to stop while its peer is still missing stops. *)
+let dial ~deadline addr =
+  let fail why =
+    failwith
+      (Printf.sprintf "cannot reach daemon at %s: %s" (addr_str addr) why)
   in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (sockaddr addr)
-   with Unix.Unix_error (e, _, _) ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     failwith
-       (Printf.sprintf "cannot reach daemon at %s: %s" (addr_str addr)
-          (Unix.error_message e)));
-  let t = { fd; carry = Buffer.create 4096; next_id = 1; timeout_s = None } in
+  let rec go () =
+    let fd = Unix.socket (domain addr) Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (sockaddr addr) with
+    | () -> fd
+    | exception Unix.Unix_error (e, _, _) -> (
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if Unix.gettimeofday () >= deadline then fail (Unix.error_message e);
+        match Unix.select [] [] [] 0.05 with
+        | _ -> go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+            fail "interrupted while waiting")
+  in
+  go ()
+
+let of_fd fd = { fd; carry = Buffer.create 4096; next_id = 1; timeout_s = None }
+
+let connect ?timeout_s addr =
+  let t = of_fd (dial ~deadline:neg_infinity addr) in
   (match timeout_s with Some _ -> set_timeout t timeout_s | None -> ());
   t
 
@@ -76,28 +94,13 @@ let rpc t req =
       resp
 
 let connect_retry ?(timeout_s = 10.0) addr =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    match
-      let t = connect addr in
-      match rpc t Wire.Ping with
-      | Wire.Ack -> Ok t
-      | _ ->
-          close t;
-          Error "unexpected ping response"
-    with
-    | Ok t -> t
-    | Error _ | (exception Failure _) ->
-        if Unix.gettimeofday () > deadline then
-          failwith
-            (Printf.sprintf "daemon at %s did not answer within %.0fs"
-               (addr_str addr) timeout_s)
-        else begin
-          ignore (Unix.select [] [] [] 0.05);
-          go ()
-        end
-  in
-  go ()
+  let t = of_fd (dial ~deadline:(Unix.gettimeofday () +. timeout_s) addr) in
+  match rpc t Wire.Ping with
+  | Wire.Ack -> t
+  | _ | (exception Failure _) ->
+      close t;
+      failwith
+        (Printf.sprintf "daemon at %s did not answer a ping" (addr_str addr))
 
 let certify t q =
   match rpc t (Wire.Certify q) with

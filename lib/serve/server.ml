@@ -1,4 +1,4 @@
-type addr =
+type addr = Client.addr =
   | Unix_path of string
   | Tcp of int
 
@@ -8,7 +8,6 @@ type config = {
   queue_cap : int;
   cache_path : string option;
   cache_ns : string option;
-  domains : int;
   handle_signals : bool;
   verbose : bool;
   metrics : bool;
@@ -16,7 +15,7 @@ type config = {
 
 let default_config addr =
   { addr; workers = 2; queue_cap = 64; cache_path = None; cache_ns = None;
-    domains = 1; handle_signals = true; verbose = false; metrics = false }
+    handle_signals = true; verbose = false; metrics = false }
 
 (* --- connections ---
 
@@ -85,8 +84,6 @@ type state = {
   cache : Cache.t;
   models : (string, Nn.Network.t) Hashtbl.t;
   models_mutex : Mutex.t;
-  cancelled : (int * int, unit) Hashtbl.t;  (* (conn_id, request id) *)
-  cancelled_mutex : Mutex.t;
   shutdown : bool Atomic.t;
   draining : bool Atomic.t;
   workers_done : int Atomic.t;
@@ -95,7 +92,6 @@ type state = {
   completed : int Atomic.t;
   served_cached : int Atomic.t;
   errors : int Atomic.t;
-  cancelled_n : int Atomic.t;
   expired_n : int Atomic.t;
   lp_solves : int Atomic.t;
   lp_warm : int Atomic.t;
@@ -113,8 +109,6 @@ let make_state cfg =
     cache = Cache.create ?ns:cfg.cache_ns ?path:cfg.cache_path ();
     models = Hashtbl.create 16;
     models_mutex = Mutex.create ();
-    cancelled = Hashtbl.create 16;
-    cancelled_mutex = Mutex.create ();
     shutdown = Atomic.make false;
     draining = Atomic.make false;
     workers_done = Atomic.make 0;
@@ -122,7 +116,6 @@ let make_state cfg =
     completed = Atomic.make 0;
     served_cached = Atomic.make 0;
     errors = Atomic.make 0;
-    cancelled_n = Atomic.make 0;
     expired_n = Atomic.make 0;
     lp_solves = Atomic.make 0;
     lp_warm = Atomic.make 0;
@@ -158,31 +151,14 @@ let n_models state =
   Mutex.unlock state.models_mutex;
   n
 
-let is_cancelled state (c : conn) id =
-  Mutex.lock state.cancelled_mutex;
-  let r = Hashtbl.mem state.cancelled (c.conn_id, id) in
-  Mutex.unlock state.cancelled_mutex;
-  r
-
-let mark_cancelled state conn_id id =
-  Mutex.lock state.cancelled_mutex;
-  Hashtbl.replace state.cancelled (conn_id, id) ();
-  Mutex.unlock state.cancelled_mutex
-
-let clear_cancelled state (c : conn) id =
-  Mutex.lock state.cancelled_mutex;
-  Hashtbl.remove state.cancelled (c.conn_id, id);
-  Mutex.unlock state.cancelled_mutex
-
 (* --- workers --- *)
 
-exception Abandoned of [ `Deadline | `Cancelled ]
+exception Deadline_exceeded
 
-let certifier_config state (q : Wire.query) =
+let certifier_config (q : Wire.query) =
   { Cert.Certifier.default_config with
     Cert.Certifier.window = q.Wire.q_window;
-    refine = q.Wire.q_refine;
-    domains = state.cfg.domains }
+    refine = q.Wire.q_refine }
 
 let resolve_network state (q : Wire.query) =
   match (q.Wire.q_net, q.Wire.q_digest) with
@@ -233,7 +209,6 @@ let respond_job state job resp =
                    bd_degraded = false }));
          job_done job.j_conn
        end);
-  clear_cancelled state job.j_conn job.j_id;
   job_done job.j_conn
 
 let handle_job state job =
@@ -243,10 +218,8 @@ let handle_job state job =
     Option.map (fun ms -> job.j_enqueued +. (ms /. 1000.0)) q.Wire.q_deadline_ms
   in
   let check_abandon () =
-    if is_cancelled state job.j_conn job.j_id then
-      raise (Abandoned `Cancelled);
     match deadline with
-    | Some d when Unix.gettimeofday () > d -> raise (Abandoned `Deadline)
+    | Some d when Unix.gettimeofday () > d -> raise Deadline_exceeded
     | _ -> ()
   in
   try
@@ -280,7 +253,7 @@ let handle_job state job =
             let t0 = Unix.gettimeofday () in
             let report =
               Cert.Certifier.certify_box
-                ~config:(certifier_config state q) ~solve_hook
+                ~config:(certifier_config q) ~solve_hook
                 net ~lo:q.Wire.q_lo ~hi:q.Wire.q_hi ~delta:q.Wire.q_delta
             in
             Hist.add state.hist_solve (Unix.gettimeofday () -. t0);
@@ -295,12 +268,9 @@ let handle_job state job =
               ~milp:report.Cert.Certifier.milp_solves
               report.Cert.Certifier.eps)
   with
-  | Abandoned `Deadline ->
+  | Deadline_exceeded ->
       Atomic.incr state.expired_n;
       respond_job state job (Wire.Error "deadline exceeded")
-  | Abandoned `Cancelled ->
-      Atomic.incr state.cancelled_n;
-      respond_job state job (Wire.Error "cancelled")
   | Failure msg ->
       Atomic.incr state.errors;
       respond_job state job (Wire.Error msg)
@@ -338,7 +308,6 @@ let stats_json state =
            ("completed", i state.completed);
            ("served_cached", i state.served_cached);
            ("errors", i state.errors);
-           ("cancelled", i state.cancelled_n);
            ("deadline_expired", i state.expired_n) ]);
       ("cache",
        Json.Obj
@@ -450,52 +419,25 @@ let handle_frame state (c : conn) line =
           send c (Wire.encode_response ~id (Wire.Error msg)))
   | Wire.Stats ->
       send c (Wire.encode_response ~id (Wire.Stats_payload (stats_json state)))
-  | Wire.Cancel target ->
-      mark_cancelled state c.conn_id target;
-      send c (Wire.encode_response ~id Wire.Ack)
   | Wire.Ping -> send c (Wire.encode_response ~id Wire.Ack)
   | Wire.Shutdown ->
       log state "shutdown requested";
       send c (Wire.encode_response ~id Wire.Ack);
       Atomic.set state.shutdown true
 
-(* Pull the complete lines out of a connection's carry buffer. *)
-let take_lines (c : conn) =
-  let s = Buffer.contents c.carry in
-  let rec split acc from =
-    match String.index_from_opt s from '\n' with
-    | Some i -> split (String.sub s from (i - from) :: acc) (i + 1)
-    | None ->
-        Buffer.clear c.carry;
-        Buffer.add_substring c.carry s from (String.length s - from);
-        List.rev acc
-  in
-  split [] 0
-
 let listen_socket addr =
-  match addr with
-  | Unix_path path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.bind fd (Unix.ADDR_UNIX path)
-       with Unix.Unix_error (e, _, _) ->
-         Unix.close fd;
-         failwith
-           (Printf.sprintf "grc serve: cannot bind %s: %s" path
-              (Unix.error_message e)));
-      Unix.listen fd 64;
-      fd
-  | Tcp port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-       with Unix.Unix_error (e, _, _) ->
-         Unix.close fd;
-         failwith
-           (Printf.sprintf "grc serve: cannot bind port %d: %s" port
-              (Unix.error_message e)));
-      Unix.listen fd 64;
-      fd
+  let fd = Unix.socket (Client.domain addr) Unix.SOCK_STREAM 0 in
+  (match addr with
+   | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+   | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+  (try Unix.bind fd (Client.sockaddr addr)
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close fd;
+     failwith
+       (Printf.sprintf "grc serve: cannot bind %s: %s" (Client.addr_str addr)
+          (Unix.error_message e)));
+  Unix.listen fd 64;
+  fd
 
 let run cfg =
   if cfg.workers < 1 then failwith "grc serve: need at least one worker";
@@ -513,17 +455,7 @@ let run cfg =
   log state "listening (%d workers, queue %d)" cfg.workers cfg.queue_cap;
   let conns = ref [] in
   let next_conn_id = ref 0 in
-  let chunk = Bytes.create 65536 in
   let listener_open = ref true in
-  let read_conn c =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> `Eof
-    | n ->
-        Buffer.add_subbytes c.carry chunk 0 n;
-        `Lines (take_lines c)
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) -> `Eof
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
-  in
   let drop_conn c =
     Mutex.lock c.mutex;
     c.alive <- false;
@@ -577,11 +509,11 @@ let run cfg =
               match List.find_opt (fun c -> c.fd = fd && c.alive) !conns with
               | None -> ()
               | Some c -> (
-                  match read_conn c with
-                  | `Eof ->
+                  match Wire.read_lines c.carry c.fd with
+                  | None ->
                       log state "conn %d closed" c.conn_id;
                       drop_conn c
-                  | `Lines lines ->
+                  | Some lines ->
                       List.iter
                         (fun line ->
                           if String.trim line <> "" then

@@ -4,7 +4,7 @@
 
     - the {e event loop} (calling thread of {!run}) accepts
       connections, frames line-delimited JSON requests, answers control
-      requests ([load], [stats], [cancel], [ping], [shutdown]) inline,
+      requests ([load], [stats], [ping], [shutdown]) inline,
       and feeds [certify] requests into a bounded queue — a full queue
       is answered with an error, backpressure the client can see;
       [batch] requests enqueue one job per item, and item results
@@ -15,10 +15,11 @@
       {!Cert.Certifier.certify} from scratch: nothing but the result
       cache outlives a request, so a worker's memory does not grow with
       the requests it has answered, and every answer is bitwise the
-      one-shot certifier's;
-    - {e deadlines and cancellation} are cooperative: every LP/MILP
-      bound query re-checks them via the certifier's solve hook, so an
-      expired or cancelled request abandons its solve within one query;
+      one-shot certifier's with {!Cert.Certifier.default_config}'s one
+      domain;
+    - {e deadlines} are cooperative: every LP/MILP bound query
+      re-checks the request's deadline via the certifier's solve hook,
+      so an expired request abandons its solve within one query;
     - {e graceful drain}: SIGINT/SIGTERM (when [handle_signals]) or a
       [shutdown] request stop the accept loop, let workers finish every
       queued request, flush the cache file and return.
@@ -27,7 +28,7 @@
     write results directly); a per-connection mutex keeps frames whole,
     and a connection that disappears mid-request is simply dropped. *)
 
-type addr =
+type addr = Client.addr =
   | Unix_path of string    (** unix-domain socket; the path is created
                                at start and unlinked on exit *)
   | Tcp of int             (** TCP on 127.0.0.1 at this port *)
@@ -40,9 +41,6 @@ type config = {
   cache_ns : string option;    (** result-cache key namespace; set a
                                    distinct one per shard when daemons
                                    share a persistence file *)
-  domains : int;               (** OCaml domains {e per worker} handed to
-                                   the certifier; keep at 1 unless workers
-                                   are few and requests huge *)
   handle_signals : bool;       (** install SIGINT/SIGTERM drain handlers
                                    (process-wide — daemons only, not
                                    in-process test servers) *)
@@ -53,7 +51,7 @@ type config = {
 
 val default_config : addr -> config
 (** 2 workers, queue of 64, no persistence, no cache namespace,
-    1 domain, signals on, quiet, no metrics. *)
+    signals on, quiet, no metrics. *)
 
 val run : config -> unit
 (** Serve until shutdown.  Blocks the calling thread; raises [Failure]

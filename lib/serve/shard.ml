@@ -56,7 +56,6 @@ type kind =
   | K_single of Wire.query * int          (* query, attempts so far *)
   | K_item of batch * int * Wire.query * int  (* batch, tag, query, attempts *)
   | K_fan of fan
-  | K_ignore                              (* forwarded cancel: eat the ack *)
 
 type pending = {
   p_conn : cconn;
@@ -93,10 +92,6 @@ let log st fmt =
   Printf.ksprintf
     (fun s -> if st.cfg.verbose then Printf.eprintf "grc-shard: %s\n%!" s)
     fmt
-
-let addr_str = function
-  | Server.Unix_path path -> path
-  | Server.Tcp port -> Printf.sprintf "127.0.0.1:%d" port
 
 let m_routed = Obs.Metrics.counter "shard.routed"
 let m_retried = Obs.Metrics.counter "shard.retried"
@@ -202,7 +197,6 @@ and kill_backend st b =
 
 and reroute st p =
   match p.p_kind with
-  | K_ignore -> ()
   | K_fan f ->
       f.f_waiting <- f.f_waiting - 1;
       if f.f_waiting = 0 then finish_fan st p f
@@ -264,7 +258,7 @@ and router_stats st =
           |> List.map (fun b ->
                  Json.Obj
                    [ ("shard", Json.Num (float_of_int b.b_idx));
-                     ("addr", Json.Str (addr_str b.b_addr));
+                     ("addr", Json.Str (Client.addr_str b.b_addr));
                      ("live", Json.Bool (b.b_fd <> None));
                      ("inflight",
                       Json.Num (float_of_int (Hashtbl.length b.b_pending)));
@@ -403,26 +397,6 @@ let handle_client_frame st (c : cconn) line =
       log st "shutdown requested";
       fan_out st c id F_shutdown req
   | Wire.Ping -> client_send c (Wire.encode_response ~id Wire.Ack)
-  | Wire.Cancel target ->
-      (* forward to whichever shards hold this client's request, using
-         their backend-scoped ids; their acks are swallowed *)
-      Array.iter
-        (fun b ->
-          let hits =
-            Hashtbl.fold
-              (fun bid p acc ->
-                if p.p_cid = target && p.p_conn == c then bid :: acc else acc)
-              b.b_pending []
-          in
-          List.iter
-            (fun bid ->
-              backend_send st b
-                { p_conn = c; p_cid = id; p_kind = K_ignore;
-                  p_sent = Unix.gettimeofday () }
-                (Wire.Cancel bid))
-            hits)
-        st.backends;
-      client_send c (Wire.encode_response ~id Wire.Ack)
 
 (* --- backend responses --- *)
 
@@ -439,7 +413,6 @@ let dispatch st b bid resp =
       set_inflight b;
       Hist.add b.b_hist (Unix.gettimeofday () -. p.p_sent);
       match p.p_kind with
-      | K_ignore -> ()
       | K_single (_, attempts) -> (
           match resp with
           | Wire.Result r -> reply p (Wire.Result (annotate b attempts r))
@@ -459,47 +432,6 @@ let dispatch st b bid resp =
 
 (* --- startup / event loop --- *)
 
-let connect_backend ~timeout_s addr =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let domain =
-    match addr with
-    | Server.Unix_path _ -> Unix.PF_UNIX
-    | Server.Tcp _ -> Unix.PF_INET
-  in
-  let sockaddr =
-    match addr with
-    | Server.Unix_path path -> Unix.ADDR_UNIX path
-    | Server.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-  in
-  let rec go () =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd sockaddr with
-    | () -> fd
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if Unix.gettimeofday () > deadline then
-          failwith
-            (Printf.sprintf "grc shard: backend %s unreachable: %s"
-               (addr_str addr) (Unix.error_message e))
-        else begin
-          ignore (Unix.select [] [] [] 0.05);
-          go ()
-        end
-  in
-  go ()
-
-let take_lines (buf : Buffer.t) =
-  let s = Buffer.contents buf in
-  let rec split acc from =
-    match String.index_from_opt s from '\n' with
-    | Some i -> split (String.sub s from (i - from) :: acc) (i + 1)
-    | None ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s from (String.length s - from);
-        List.rev acc
-  in
-  split [] 0
-
 let run (cfg : config) =
   if cfg.backends = [] then failwith "grc shard: need at least one backend";
   let stop_sig = Atomic.make false in
@@ -510,11 +442,23 @@ let run (cfg : config) =
   end;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  (* a stop signal interrupts the connect loop's wait: give up then,
+     before the front socket exists *)
+  let connect addr =
+    let deadline = Unix.gettimeofday () +. cfg.connect_timeout_s in
+    try Client.dial ~deadline addr
+    with Failure msg ->
+      failwith
+        (if Atomic.get stop_sig then
+           Printf.sprintf "grc shard: stopped while waiting for backend %s"
+             (Client.addr_str addr)
+         else "grc shard: " ^ msg)
+  in
   let backends =
     Array.of_list cfg.backends
     |> Array.mapi (fun i addr ->
            { b_idx = i; b_addr = addr;
-             b_fd = Some (connect_backend ~timeout_s:cfg.connect_timeout_s addr);
+             b_fd = Some (connect addr);
              b_carry = Buffer.create 4096; b_next_id = 1;
              b_pending = Hashtbl.create 64; b_hist = Hist.create ();
              b_routed = 0; b_retried_onto = 0 })
@@ -528,17 +472,7 @@ let run (cfg : config) =
   log st "routing across %d shards" (Array.length backends);
   let conns = ref [] in
   let next_conn_id = ref 0 in
-  let chunk = Bytes.create 65536 in
   let listener_open = ref true in
-  let read_into buf fd =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> `Eof
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        `Lines (take_lines buf)
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) -> `Eof
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
-  in
   let drop_conn c =
     c.cc_alive <- false;
     (try Unix.close c.cc_fd with Unix.Unix_error _ -> ());
@@ -592,9 +526,9 @@ let run (cfg : config) =
                 Array.find_opt (fun b -> b.b_fd = Some fd) st.backends
               with
               | Some b -> (
-                  match read_into b.b_carry fd with
-                  | `Eof -> kill_backend st b
-                  | `Lines lines -> (
+                  match Wire.read_lines b.b_carry fd with
+                  | None -> kill_backend st b
+                  | Some lines -> (
                       try
                         List.iter
                           (fun line ->
@@ -618,11 +552,11 @@ let run (cfg : config) =
                   with
                   | None -> ()
                   | Some c -> (
-                      match read_into c.cc_carry fd with
-                      | `Eof ->
+                      match Wire.read_lines c.cc_carry fd with
+                      | None ->
                           log st "conn %d closed" c.cc_id;
                           drop_conn c
-                      | `Lines lines ->
+                      | Some lines ->
                           List.iter
                             (fun line ->
                               if String.trim line <> "" then

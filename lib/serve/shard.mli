@@ -15,8 +15,7 @@
       digest-only retries resolve after a failover, stats aggregated as
       [{"router": ..., "shards": [...]}] with per-shard queue depth,
       routed/retried counters and latency percentiles;
-    - [shutdown] fans out (each daemon drains), then drains the router;
-    - [cancel] is forwarded to whichever shards hold the request.
+    - [shutdown] fans out (each daemon drains), then drains the router.
 
     {b Failure handling.}  A backend that hangs up or answers garbage
     is declared dead (never revived).  Its in-flight queries are
@@ -55,6 +54,7 @@ val route_index : digest:string -> salt:int -> shards:int -> int
     skipped by walking forward from this index. *)
 
 val run : config -> unit
-(** Connect to every backend (raising [Failure] if one stays
-    unreachable past [connect_timeout_s]), then serve until a drain
+(** Connect to every backend with {!Client.dial} (raising [Failure] if
+    one stays unreachable past [connect_timeout_s], or at once when a
+    stop signal arrives while it waits), then serve until a drain
     completes.  Blocks the calling thread. *)

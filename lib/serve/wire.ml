@@ -20,7 +20,6 @@ type request =
   | Batch of query list
   | Load of string
   | Stats
-  | Cancel of int
   | Ping
   | Shutdown
 
@@ -79,9 +78,6 @@ let encode_request ~id req =
            Json.List (List.map (fun q -> Json.Obj (query_fields q)) items)) ]
     | Load net -> [ ("op", Json.Str "load"); ("net", Json.Str net) ]
     | Stats -> [ ("op", Json.Str "stats") ]
-    | Cancel target ->
-        [ ("op", Json.Str "cancel");
-          ("target", Json.Num (float_of_int target)) ]
     | Ping -> [ ("op", Json.Str "ping") ]
     | Shutdown -> [ ("op", Json.Str "shutdown") ]
   in
@@ -155,8 +151,6 @@ let decode_request v =
     | Some "load" ->
         Load (get ~what:"net" "load" (Json.mem_str "net" v))
     | Some "stats" -> Stats
-    | Some "cancel" ->
-        Cancel (get ~what:"target" "cancel" (Json.mem_int "target" v))
     | Some "ping" -> Ping
     | Some "shutdown" -> Shutdown
     | Some op -> failwith (Printf.sprintf "Serve.Wire: unknown op %S" op)
@@ -303,31 +297,52 @@ let rec write_all fd s off len =
 let write_frame fd line =
   write_all fd (line ^ "\n") 0 (String.length line + 1)
 
+(* The one line splitter: remove the first complete line (without its
+   newline) from [carry]. *)
+let take_line carry =
+  let s = Buffer.contents carry in
+  match String.index_opt s '\n' with
+  | None -> None
+  | Some i ->
+      Buffer.clear carry;
+      Buffer.add_substring carry s (i + 1) (String.length s - i - 1);
+      Some (String.sub s 0 i)
+
+(* One read buffer per domain: the daemon's and the router's event
+   loops and every client read through it without allocating. *)
+let chunk = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+(* One chunked read appended to [carry]; [false] at end of stream.  A
+   reset or closed descriptor counts as the end, and an interrupted
+   read appends nothing. *)
+let fill carry fd =
+  let chunk = Domain.DLS.get chunk in
+  match Unix.read fd chunk 0 (Bytes.length chunk) with
+  | 0 -> false
+  | n ->
+      Buffer.add_subbytes carry chunk 0 n;
+      true
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+
+let read_lines carry fd =
+  if fill carry fd then
+    let rec drain acc =
+      match take_line carry with
+      | Some line -> drain (line :: acc)
+      | None -> List.rev acc
+    in
+    Some (drain [])
+  else None
+
 let read_frame carry fd =
-  let take_line () =
-    let s = Buffer.contents carry in
-    match String.index_opt s '\n' with
-    | Some i ->
-        let line = String.sub s 0 i in
-        Buffer.clear carry;
-        Buffer.add_substring carry s (i + 1) (String.length s - i - 1);
-        Some line
-    | None -> None
-  in
-  let chunk = Bytes.create 65536 in
   let rec go () =
-    match take_line () with
+    match take_line carry with
     | Some line -> Some (Json.of_string line)
     | None ->
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n = 0 then begin
-          if Buffer.length carry > 0 then
-            failwith "Serve.Wire: connection closed mid-frame"
-          else None
-        end
-        else begin
-          Buffer.add_subbytes carry chunk 0 n;
-          go ()
-        end
+        if fill carry fd then go ()
+        else if Buffer.length carry > 0 then
+          failwith "Serve.Wire: connection closed mid-frame"
+        else None
   in
   go ()

@@ -21,8 +21,6 @@
       whole model;
     - [stats]: serving counters, cache hit rate, queue depth, solve
       totals and latency histograms;
-    - [cancel]: best-effort cancellation of a queued or running request
-      on the same connection;
     - [ping]: liveness probe;
     - [shutdown]: graceful drain — stop accepting, finish queued work,
       persist the cache, exit. *)
@@ -50,7 +48,6 @@ type request =
   | Batch of query list       (** N queries, streamed tagged responses *)
   | Load of string            (** canonical network text *)
   | Stats
-  | Cancel of int             (** id of the request to cancel *)
   | Ping
   | Shutdown
 
@@ -83,7 +80,7 @@ type response =
           shard *)
   | Loaded of { digest : string; params : int; layers : int }
   | Stats_payload of Json.t   (** structured stats, schema-free *)
-  | Ack                       (** cancel / ping / shutdown *)
+  | Ack                       (** ping / shutdown *)
   | Error of string
 
 val encode_request : id:int -> request -> string
@@ -93,7 +90,8 @@ val decode_request : Json.t -> int * request
 (** Raises [Failure] on malformed or unknown requests, including a
     certify query with [delta < 0] or [lo > hi].  Fields the decoder
     does not know are ignored, among them the retired [branch],
-    [symbolic] and [symbolic_mode]. *)
+    [symbolic] and [symbolic_mode].  The retired [cancel] op is an
+    unknown op. *)
 
 val encode_response : id:int -> response -> string
 
@@ -103,7 +101,13 @@ val read_frame : Buffer.t -> Unix.file_descr -> Json.t option
 (** Blocking helper for clients and tests: read from [fd] into the
     carry buffer until a full line is available, parse it; [None] on
     clean EOF with an empty buffer.  Raises [Failure] on malformed
-    JSON or EOF mid-line. *)
+    JSON or EOF mid-line.  A reset connection counts as EOF. *)
+
+val read_lines : Buffer.t -> Unix.file_descr -> string list option
+(** For event loops: one read from a readable [fd] into the carry
+    buffer, returning the complete lines it finished (possibly none;
+    a partial line stays in the buffer).  [None] at end of stream,
+    including a reset or already-closed descriptor. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Write [line ^ "\n"] fully. *)

@@ -58,13 +58,22 @@ fi
 # So must a non-positive socket timeout, rejected before any daemon is
 # contacted (nothing listens on this socket).
 echo "== grc sweep --timeout-s 0 must fail cleanly =="
-if to_err=$(dune exec -- grc sweep --socket _build/grc-none.sock \
-    --timeout-s 0 --deltas 0.001 --digest 0 2>&1); then
-  echo "--timeout-s 0 was accepted" >&2
+to_rc=0
+to_err=$(dune exec -- grc sweep --socket _build/grc-none.sock \
+  --timeout-s 0 --deltas 0.001 --digest 0 2>&1) || to_rc=$?
+if [ "$to_rc" -ne 124 ] || ! echo "$to_err" | grep -q -- '--timeout-s'; then
+  echo "--timeout-s 0 did not fail as a usage error (exit $to_rc): $to_err" >&2
   exit 1
 fi
-if ! echo "$to_err" | grep -q -- '--timeout-s'; then
-  echo "--timeout-s 0 did not fail as a usage error: $to_err" >&2
+
+# A daemon that is not there is a runtime failure, exit 1, which a
+# script must be able to tell from a usage error (exit 124).
+echo "== grc sweep against a missing daemon must exit 1 =="
+nd_rc=0
+nd_err=$(dune exec -- grc sweep --socket _build/grc-none.sock \
+  --deltas 0.001 --digest 0 2>&1) || nd_rc=$?
+if [ "$nd_rc" -ne 1 ]; then
+  echo "unreachable daemon exited $nd_rc, not 1: $nd_err" >&2
   exit 1
 fi
 
@@ -105,6 +114,27 @@ if ct_err=$(timeout 20 _build/default/bin/grc.exe shard \
 fi
 if ! echo "$ct_err" | grep -q -- '--connect-timeout-s'; then
   echo "--connect-timeout-s nan did not fail as a usage error: $ct_err" >&2
+  exit 1
+fi
+# A stop signal while the router still waits for a backend ends the
+# wait: a one-line message, no front socket.  Under --preserve-status
+# a run killed by the KILL that follows five seconds on reports 137.
+echo "== grc shard stopped while waiting for a backend must fail cleanly =="
+rm -f _build/grc-shard-sig.sock
+sig_rc=0
+sig_err=$(timeout -s TERM --preserve-status -k 5 1 _build/default/bin/grc.exe \
+  shard --socket _build/grc-shard-sig.sock --backend _build/grc-none.sock \
+  --connect-timeout-s 5 2>&1) || sig_rc=$?
+if [ "$sig_rc" -eq 0 ] || [ "$sig_rc" -eq 137 ]; then
+  echo "grc shard under SIGTERM exited $sig_rc: $sig_err" >&2
+  exit 1
+fi
+if echo "$sig_err" | grep -q 'internal error'; then
+  echo "grc shard crashed under SIGTERM: $sig_err" >&2
+  exit 1
+fi
+if [ -e _build/grc-shard-sig.sock ]; then
+  echo "grc shard left its front socket behind" >&2
   exit 1
 fi
 echo "== grc train-robust --lr nan must fail cleanly =="

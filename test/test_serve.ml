@@ -98,8 +98,8 @@ let test_wire_request_roundtrip () =
           { Wire.default_query with Wire.q_digest = Some "abcd" };
           { Wire.default_query with
             Wire.q_net = Some "grc-net 1\nlayers 0\n"; q_delta = 0.5 } ];
-      Wire.Load "grc-net 1\nlayers 0\n"; Wire.Stats; Wire.Cancel 42;
-      Wire.Ping; Wire.Shutdown ]
+      Wire.Load "grc-net 1\nlayers 0\n"; Wire.Stats; Wire.Ping;
+      Wire.Shutdown ]
   in
   List.iteri
     (fun i req ->
@@ -180,7 +180,16 @@ let test_wire_rejects () =
       "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"lo\":1,\"hi\":0}";
       "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine_frac\":7}";
       "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine_frac\":-0.5}";
-      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine\":-3}" ]
+      "{\"op\":\"certify\",\"id\":1,\"digest\":\"d\",\"refine\":-3}" ];
+  (* the retired [cancel] op is an unknown op like any other *)
+  match
+    Wire.decode_request
+      (Json.of_string "{\"id\":1,\"op\":\"cancel\",\"target\":3}")
+  with
+  | _ -> Alcotest.fail "accepted a cancel frame"
+  | exception Failure msg ->
+      Alcotest.(check string) "cancel is unknown"
+        "Serve.Wire: unknown op \"cancel\"" msg
 
 (* Names of removed options get no special treatment: the retired
    [branch] and symbolic fields are unknown fields, ignored like any
@@ -528,7 +537,7 @@ let with_server ?cache_path ?(workers = 1) ?(queue_cap = 8) f =
   let addr = Serve.Server.Unix_path sock in
   let config =
     { Serve.Server.addr; workers; queue_cap; cache_path; cache_ns = None;
-      domains = 1; handle_signals = false; verbose = false; metrics = true }
+      handle_signals = false; verbose = false; metrics = true }
   in
   let srv = Domain.spawn (fun () -> Serve.Server.run config) in
   let finish () = Domain.join srv in
@@ -656,6 +665,26 @@ let test_e2e_deadline () =
       (* the worker survives and still answers *)
       let r = Serve.Client.certify c (certify_query ~net ~delta:0.03 ()) in
       Alcotest.(check bool) "alive after expiry" false r.Wire.r_cached;
+      (* deadlines are the only way to abandon a request: the retired
+         [cancel] op gets an error frame, and its connection keeps
+         answering *)
+      let fd = Serve.Client.dial ~deadline:neg_infinity addr in
+      let carry = Buffer.create 64 in
+      let answer line =
+        Wire.write_frame fd line;
+        match Wire.read_frame carry fd with
+        | Some v -> snd (Wire.decode_response v)
+        | None -> Alcotest.fail "daemon closed the connection"
+      in
+      (match answer "{\"id\":7,\"op\":\"cancel\",\"target\":1}" with
+       | Wire.Error msg ->
+           Alcotest.(check string) "cancel answer"
+             "Serve.Wire: unknown op \"cancel\"" msg
+       | _ -> Alcotest.fail "cancel frame was accepted");
+      (match answer (Wire.encode_request ~id:8 Wire.Ping) with
+       | Wire.Ack -> ()
+       | _ -> Alcotest.fail "connection stopped answering after cancel");
+      Unix.close fd;
       shutdown_via c;
       Serve.Client.close c;
       finish ())

@@ -89,7 +89,6 @@ let mock_backend ?die_after ~idx addr =
                | Wire.Shutdown ->
                    send Wire.Ack;
                    quit := true
-               | Wire.Cancel _ -> send Wire.Ack
                | Wire.Batch _ ->
                    send (Wire.Error "mock backend: no batch support"))
          done
