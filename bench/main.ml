@@ -160,24 +160,8 @@ let run_train_bench () =
       lo = 0.0; hi = 1.0; grid = []; window = 2 }
   in
   let net = trained.Exp.Models.net in
-  let eps_max e = Array.fold_left Float.max 0.0 e in
-  let on_epoch (r : Exp.Train_robust.epoch_record) _ =
-    match r.Exp.Train_robust.recert with
-    | Some rc ->
-        Format.fprintf fmt
-          "epoch %d: train %.5f test %.5f acc %.3f surrogate %.4g | eps \
-           %.6f cache %d/%d %.2fs (%.1f cells/s)%s@."
-          r.Exp.Train_robust.epoch r.Exp.Train_robust.train_loss
-          r.Exp.Train_robust.metric r.Exp.Train_robust.accuracy
-          r.Exp.Train_robust.surrogate
-          (eps_max rc.Exp.Train_robust.rc_eps)
-          rc.Exp.Train_robust.rc_cache_hits rc.Exp.Train_robust.rc_cells
-          rc.Exp.Train_robust.rc_wall rc.Exp.Train_robust.rc_throughput
-          (if rc.Exp.Train_robust.rc_degraded then " DEGRADED" else "")
-    | None ->
-        Format.fprintf fmt "epoch %d: train %.5f acc %.3f@."
-          r.Exp.Train_robust.epoch r.Exp.Train_robust.train_loss
-          r.Exp.Train_robust.accuracy
+  let on_epoch r _ =
+    Format.fprintf fmt "%s@." (Exp.Train_robust.epoch_line r)
   in
   let records, recheck =
     Exp.Train_robust.with_local_service ~workers:2 (fun client ->
@@ -191,11 +175,7 @@ let run_train_bench () =
         in
         (records, recheck))
   in
-  let eps_of (r : Exp.Train_robust.epoch_record) =
-    match r.Exp.Train_robust.recert with
-    | Some rc -> eps_max rc.Exp.Train_robust.rc_eps
-    | None -> nan
-  in
+  let eps_of = Exp.Train_robust.certified_eps in
   let traj = List.map eps_of records in
   let first = List.hd records in
   let last = List.nth records (List.length records - 1) in
@@ -254,29 +234,6 @@ let run_train_bench () =
     eps_init eps_fin non_increasing steps acc_init acc_fin
     recheck.Exp.Train_robust.rc_cache_hits
     recheck.Exp.Train_robust.rc_cells;
-  let record_json (r : Exp.Train_robust.epoch_record) =
-    let base =
-      [ ("epoch", Serve.Json.Num (float_of_int r.Exp.Train_robust.epoch));
-        ("train_loss", Serve.Json.Num r.Exp.Train_robust.train_loss);
-        ("test_loss", Serve.Json.Num r.Exp.Train_robust.metric);
-        ("accuracy", Serve.Json.Num r.Exp.Train_robust.accuracy);
-        ("surrogate", Serve.Json.Num r.Exp.Train_robust.surrogate) ]
-    in
-    let rc =
-      match r.Exp.Train_robust.recert with
-      | None -> []
-      | Some rc ->
-          [ ("digest", Serve.Json.Str rc.Exp.Train_robust.rc_digest);
-            ("certified_eps", Serve.Json.Num (eps_max rc.Exp.Train_robust.rc_eps));
-            ("cells", Serve.Json.Num (float_of_int rc.Exp.Train_robust.rc_cells));
-            ("cache_hits",
-             Serve.Json.Num (float_of_int rc.Exp.Train_robust.rc_cache_hits));
-            ("wall_s", Serve.Json.Num rc.Exp.Train_robust.rc_wall);
-            ("cells_per_s", Serve.Json.Num rc.Exp.Train_robust.rc_throughput);
-            ("degraded", Serve.Json.Bool rc.Exp.Train_robust.rc_degraded) ]
-    in
-    Serve.Json.Obj (base @ rc)
-  in
   let oc = open_out "BENCH_train.json" in
   output_string oc
     (Serve.Json.to_string
@@ -284,7 +241,9 @@ let run_train_bench () =
           [ ("id", Serve.Json.Str trained.Exp.Models.id);
             ("delta", Serve.Json.Num delta);
             ("lambda", Serve.Json.Num config.Exp.Train_robust.lambda);
-            ("epochs", Serve.Json.List (List.map record_json records));
+            ("epochs",
+             Serve.Json.List
+               (List.map Exp.Train_robust.epoch_json records));
             ("train-bench",
              Serve.Json.Obj
                [ ("eps_initial", Serve.Json.Num eps_init);

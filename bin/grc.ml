@@ -167,10 +167,8 @@ let box_arg =
   in
   Term.(ret (const check $ lo $ hi))
 
-let certify_cmd =
-  let window =
-    Arg.(value & opt pos_int 2 & info [ "window"; "W" ] ~doc:"ND window size.")
-  in
+(* --refine / --refine-frac as one refinement rule *)
+let refine_arg =
   let refine =
     Arg.(value & opt nonneg_int 0
          & info [ "refine"; "r" ] ~doc:"Neurons refined per sub-problem.")
@@ -179,6 +177,17 @@ let certify_cmd =
     Arg.(value & opt (some unit_float) None
          & info [ "refine-frac" ]
              ~doc:"Fraction of relaxable neurons refined (overrides --refine).")
+  in
+  let rule refine = function
+    | Some f -> Cert.Refine.Fraction f
+    | None ->
+        if refine > 0 then Cert.Refine.Count refine else Cert.Refine.No_refine
+  in
+  Term.(const rule $ refine $ refine_frac)
+
+let certify_cmd =
+  let window =
+    Arg.(value & opt pos_int 2 & info [ "window"; "W" ] ~doc:"ND window size.")
   in
   let domains =
     Arg.(value & opt pos_int 1
@@ -217,8 +226,7 @@ let certify_cmd =
          & opt ~vopt:(Some "") (some string) None
          & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let run net_path delta (lo, hi) window refine refine_frac domains no_dedup
-      meth trace =
+  let run net_path delta (lo, hi) window refine domains no_dedup meth trace =
     if trace <> None then Obs.Trace.set_enabled true;
     let net = Nn.Io.load net_path in
     let input = Cert.Bounds.box_domain net ~lo ~hi in
@@ -227,16 +235,9 @@ let certify_cmd =
     let eps =
       match meth with
       | `Algo1 ->
-          let refine_rule =
-            match refine_frac with
-            | Some f -> Cert.Certifier.Fraction f
-            | None ->
-                if refine > 0 then Cert.Certifier.Count refine
-                else Cert.Certifier.No_refine
-          in
           let config =
             { Cert.Certifier.default_config with
-              Cert.Certifier.window; refine = refine_rule; domains;
+              Cert.Certifier.window; refine; domains;
               dedup = not no_dedup }
           in
           let r = Cert.Certifier.certify ~config net ~input ~delta in
@@ -292,7 +293,7 @@ let certify_cmd =
   in
   Cmd.v info_
     Term.(const run $ net_arg $ delta_arg $ box_arg
-          $ window $ refine $ refine_frac $ domains $ no_dedup $ meth $ trace)
+          $ window $ refine_arg $ domains $ no_dedup $ meth $ trace)
 
 let attack_cmd =
   let samples =
@@ -493,13 +494,6 @@ let serve_cmd =
              ~doc:"Result-cache persistence file (appended; survives \
                    restarts).")
   in
-  let cache_ns =
-    Arg.(value & opt (some string) None
-         & info [ "cache-ns" ]
-             ~doc:"Result-cache key namespace.  Give each shard its own \
-                   when daemons behind a router share a --cache file, so \
-                   they never serve each other's entries.")
-  in
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Log each request to stderr.")
   in
@@ -510,14 +504,14 @@ let serve_cmd =
                    (pivots, warm/cold splits, dedup counters) in \
                    $(b,stats) responses.")
   in
-  let run socket port workers queue_cap cache cache_ns verbose metrics =
+  let run socket port workers queue_cap cache verbose metrics =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
     | Ok addr ->
         let config =
           { (Serve.Server.default_config addr) with
             Serve.Server.workers; queue_cap; cache_path = cache;
-            cache_ns; verbose; metrics }
+            verbose; metrics }
         in
         (try Serve.Server.run config with Failure msg -> prerr_endline msg;
                                                          exit 1);
@@ -542,7 +536,7 @@ let serve_cmd =
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ workers $ queue_cap $ cache
-           $ cache_ns $ verbose $ metrics))
+           $ verbose $ metrics))
 
 let submit_cmd =
   let net =
@@ -556,16 +550,6 @@ let submit_cmd =
   in
   let window =
     Arg.(value & opt pos_int 2 & info [ "window"; "W" ] ~doc:"ND window size.")
-  in
-  let refine =
-    Arg.(value & opt nonneg_int 0
-         & info [ "refine"; "r" ] ~doc:"Neurons refined per sub-problem.")
-  in
-  let refine_frac =
-    Arg.(value & opt (some unit_float) None
-         & info [ "refine-frac" ]
-             ~doc:"Fraction of relaxable neurons refined (overrides \
-                   --refine).")
   in
   let no_cache =
     Arg.(value & flag
@@ -605,8 +589,8 @@ let submit_cmd =
       r.Serve.Wire.r_lp_solves r.Serve.Wire.r_lp_warm
       r.Serve.Wire.r_milp_solves
   in
-  let run socket port net digest delta (lo, hi) window refine refine_frac
-      no_cache deadline_ms timeout_s stats ping shutdown =
+  let run socket port net digest delta (lo, hi) window q_refine no_cache
+      deadline_ms timeout_s stats ping shutdown =
     match resolve_addr socket port with
     | Error msg -> `Error (true, msg)
     | Ok addr -> (
@@ -648,13 +632,6 @@ let submit_cmd =
             let q_net =
               Option.map (fun p -> Nn.Io.to_string (Nn.Io.load p)) net
             in
-            let q_refine =
-              match refine_frac with
-              | Some f -> Cert.Refine.Fraction f
-              | None ->
-                  if refine > 0 then Cert.Refine.Count refine
-                  else Cert.Refine.No_refine
-            in
             let query =
               { Serve.Wire.q_net; q_digest = digest; q_delta = delta;
                 q_lo = lo; q_hi = hi; q_window = window; q_refine;
@@ -683,7 +660,7 @@ let submit_cmd =
   Cmd.v info_
     Term.(
       ret (const run $ socket_arg $ port_arg $ net $ digest $ delta_arg
-           $ box_arg $ window $ refine $ refine_frac $ no_cache
+           $ box_arg $ window $ refine_arg $ no_cache
            $ deadline_ms $ timeout_s $ stats $ ping $ shutdown))
 
 (* --- shard: the router front process --- *)
@@ -1250,28 +1227,8 @@ let train_robust_cmd =
               acc_tol }
           in
           let net = trained.Exp.Models.net in
-          let eps_max e = Array.fold_left Float.max 0.0 e in
-          let on_epoch (r : Exp.Train_robust.epoch_record) _net =
-            (match r.Exp.Train_robust.recert with
-             | Some rc ->
-                 Printf.printf
-                   "epoch %d: train %.5f test %.5f acc %.3f surrogate %.4g \
-                    | eps %.6f cache %d/%d %.2fs (%.1f cells/s)%s\n%!"
-                   r.Exp.Train_robust.epoch r.Exp.Train_robust.train_loss
-                   r.Exp.Train_robust.metric r.Exp.Train_robust.accuracy
-                   r.Exp.Train_robust.surrogate
-                   (eps_max rc.Exp.Train_robust.rc_eps)
-                   rc.Exp.Train_robust.rc_cache_hits
-                   rc.Exp.Train_robust.rc_cells rc.Exp.Train_robust.rc_wall
-                   rc.Exp.Train_robust.rc_throughput
-                   (if rc.Exp.Train_robust.rc_degraded then " DEGRADED"
-                    else "")
-             | None ->
-                 Printf.printf
-                   "epoch %d: train %.5f test %.5f acc %.3f surrogate %.4g\n%!"
-                   r.Exp.Train_robust.epoch r.Exp.Train_robust.train_loss
-                   r.Exp.Train_robust.metric r.Exp.Train_robust.accuracy
-                   r.Exp.Train_robust.surrogate)
+          let on_epoch r _net =
+            Printf.printf "%s\n%!" (Exp.Train_robust.epoch_line r)
           in
           let with_client f =
             match service with
@@ -1298,13 +1255,10 @@ let train_robust_cmd =
               in
               let first = List.hd records in
               let last = List.nth records (List.length records - 1) in
-              let eps_of (r : Exp.Train_robust.epoch_record) =
-                match r.Exp.Train_robust.recert with
-                | Some rc -> eps_max rc.Exp.Train_robust.rc_eps
-                | None -> Float.nan
-              in
-              Printf.printf "initial eps %.6f\n" (eps_of first);
-              Printf.printf "final eps %.6f\n" (eps_of last);
+              Printf.printf "initial eps %.6f\n"
+                (Exp.Train_robust.certified_eps first);
+              Printf.printf "final eps %.6f\n"
+                (Exp.Train_robust.certified_eps last);
               Printf.printf "initial acc %.4f final acc %.4f\n"
                 first.Exp.Train_robust.accuracy
                 last.Exp.Train_robust.accuracy;
@@ -1318,64 +1272,14 @@ let train_robust_cmd =
               | None -> ()
               | Some file ->
                   let open Serve in
-                  let record_json (r : Exp.Train_robust.epoch_record) =
-                    let base =
-                      [ ("epoch",
-                         Json.Num (float_of_int r.Exp.Train_robust.epoch));
-                        ("train_loss",
-                         Json.Num r.Exp.Train_robust.train_loss);
-                        ("test_loss", Json.Num r.Exp.Train_robust.metric);
-                        ("accuracy", Json.Num r.Exp.Train_robust.accuracy);
-                        ("surrogate", Json.Num r.Exp.Train_robust.surrogate)
-                      ]
-                    in
-                    let rc_fields =
-                      match r.Exp.Train_robust.recert with
-                      | None -> []
-                      | Some rc ->
-                          [ ("digest",
-                             Json.Str rc.Exp.Train_robust.rc_digest);
-                            ("eps",
-                             Json.List
-                               (Array.to_list
-                                  (Array.map
-                                     (fun e -> Json.Num e)
-                                     rc.Exp.Train_robust.rc_eps)));
-                            ("grid",
-                             Json.List
-                               (Array.to_list
-                                  (Array.map
-                                     (fun (d, eps) ->
-                                       Json.Obj
-                                         [ ("delta", Json.Num d);
-                                           ("eps",
-                                            Json.List
-                                              (Array.to_list
-                                                 (Array.map
-                                                    (fun e -> Json.Num e)
-                                                    eps))) ])
-                                     rc.Exp.Train_robust.rc_grid)));
-                            ("cells",
-                             Json.Num
-                               (float_of_int rc.Exp.Train_robust.rc_cells));
-                            ("cache_hits",
-                             Json.Num
-                               (float_of_int
-                                  rc.Exp.Train_robust.rc_cache_hits));
-                            ("wall_s", Json.Num rc.Exp.Train_robust.rc_wall);
-                            ("cells_per_s",
-                             Json.Num rc.Exp.Train_robust.rc_throughput);
-                            ("degraded",
-                             Json.Bool rc.Exp.Train_robust.rc_degraded) ]
-                    in
-                    Json.Obj (base @ rc_fields)
-                  in
                   let j =
                     Json.Obj
                       [ ("id", Json.Str trained.Exp.Models.id);
                         ("delta", Json.Num config.Exp.Train_robust.delta);
                         ("lambda", Json.Num config.Exp.Train_robust.lambda);
-                        ("epochs", Json.List (List.map record_json records));
+                        ("epochs",
+                         Json.List
+                           (List.map Exp.Train_robust.epoch_json records));
                         ("recheck_cache_hits",
                          Json.Num
                            (float_of_int

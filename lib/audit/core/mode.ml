@@ -1,48 +1,20 @@
-let env_var = "GRC_AUDIT"
+(* The one switch is the solver's own flag, parsed from GRC_AUDIT once
+   in [Lp.Simplex]. *)
+let enabled () = !Lp.Simplex.audit_mode
 
-let from_env =
-  match Sys.getenv_opt env_var with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let state = ref from_env
-
-(* keep the solver's warm-start self-check in step with the switch *)
-let () = Lp.Simplex.audit_mode := from_env
-
-let enabled () = !state
-
-let set b =
-  state := b;
-  Lp.Simplex.audit_mode := b
+let set b = Lp.Simplex.audit_mode := b
 
 let with_enabled b f =
-  let saved = !state in
+  let saved = enabled () in
   set b;
   Fun.protect ~finally:(fun () -> set saved) f
-
-type tally = {
-  mutable reports : int;
-  mutable findings : int;
-  mutable errors : int;
-}
-
-let tally = { reports = 0; findings = 0; errors = 0 }
-
-let reset_tally () =
-  tally.reports <- 0;
-  tally.findings <- 0;
-  tally.errors <- 0
 
 let report diags =
   match diags with
   | [] -> ()
   | _ ->
-      tally.reports <- tally.reports + 1;
-      tally.findings <- tally.findings + List.length diags;
-      let errs = Diag.errors diags in
-      tally.errors <- tally.errors + List.length errs;
       List.iter
         (fun d -> Format.eprintf "[audit] %a@." Diag.pp d)
         (Diag.sort diags);
+      let errs = Diag.errors diags in
       if errs <> [] then raise (Diag.Audit_failure diags)

@@ -2,38 +2,23 @@
 
     Audit mode is off by default.  It is turned on by the [GRC_AUDIT]
     environment variable (any value except ["0"] or the empty string,
-    read once at start-up) or programmatically with {!set}.  The switch
-    also drives {!Lp.Simplex.audit_mode}, so enabling it makes every
-    warm-started simplex solve cross-check itself against a cold solve.
+    read once at start-up by {!Lp.Simplex}) or programmatically with
+    {!set}.  The switch is {!Lp.Simplex.audit_mode} itself, so enabling
+    it also makes every warm-started simplex solve cross-check itself
+    against a cold solve.
 
     Passes stay pure (they return diagnostics); callers hand findings to
-    {!report}, which prints them, keeps a global tally and fails loudly
-    on Error-level findings. *)
-
-val env_var : string
-(** ["GRC_AUDIT"]. *)
+    {!report}, which prints them and fails loudly on Error-level
+    findings. *)
 
 val enabled : unit -> bool
 
 val set : bool -> unit
-(** Also updates {!Lp.Simplex.audit_mode}. *)
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run a thunk with the switch forced, restoring it afterwards (also
     on exception). *)
 
-type tally = {
-  mutable reports : int;    (** {!report} calls with at least one finding *)
-  mutable findings : int;   (** findings across all reports *)
-  mutable errors : int;     (** Error-level findings across all reports *)
-}
-
-val tally : tally
-(** Process-global counters (read-only outside this module). *)
-
-val reset_tally : unit -> unit
-
 val report : Diag.t list -> unit
-(** No-op on [[]].  Otherwise: print every finding to stderr, update
-    {!tally}, and raise {!Diag.Audit_failure} if any finding is
-    Error-level. *)
+(** No-op on [[]].  Otherwise: print every finding to stderr and raise
+    {!Diag.Audit_failure} if any finding is Error-level. *)

@@ -3,7 +3,8 @@
 
     Four checks, all returning diagnostics and never raising:
 
-    - every interval either pass produces is well-formed;
+    - every interval either pass produces is well-formed
+      ({!Encoding.intervals});
     - the tightness chain holds per neuron and quantity: backward
       bounds are contained in forward bounds, which are contained in
       plain interval propagation (all three run independently from the
@@ -17,7 +18,7 @@
       incomparable relaxations);
     - sampled soundness: deterministic concrete twin pairs forwarded
       through the real network must land inside the backward intervals
-      (the tightest claim made).
+      (the tightest claim made; {!Encoding.bounds_soundness}).
 
     Unsound findings are [Error]-severity; [grc lint] fails on any. *)
 

@@ -37,7 +37,10 @@ type config = {
           warm solver session over a contiguous chunk of queries, so a
           warm restart can land a last bit away from the sequential
           solve (on the 6x12 camera net at delta 0.00303, [domains = 2]
-          certifies an eps one ulp below [domains = 1]).  What holds:
+          certifies an eps one ulp below [domains = 1]; on Auto-MPG
+          dnn5 over the box [0, 1] at delta 0.001, [domains = 2]
+          certifies [0x1.9191670409d0bp-6] and [domains = 1]
+          [0x1.9191670409d08p-6], 3 ulps apart).  What holds:
           the daemon, at one domain per worker, agrees bitwise with
           one-shot [domains = 1], and [scripts/check.sh] checks that
           [--domains 4] certifies the same eps as sequential on its

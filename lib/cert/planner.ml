@@ -177,7 +177,7 @@ let m_refined = Obs.Metrics.counter "planner.refined_neurons"
 let emit_cone builder cache ~dedup ~mode ~label
     ~include_output_relu ~refined bounds (view : Subnet.view)
     ~(queries_per_target :
-        sign:string -> Encode.itne_enc -> Plan.query_spec array array) =
+        Encode.itne_enc -> Plan.query_spec array array) =
   Obs.Metrics.add m_cones 1;
   Obs.Metrics.add m_refined (List.length refined);
   Obs.Trace.count "cones" 1;
@@ -210,7 +210,7 @@ let emit_cone builder cache ~dedup ~mode ~label
         (fun queries ->
           Plan.add_unit ~dedup:true builder ~task_id:rep.r_task ~overrides
             queries)
-        (queries_per_target ~sign rep.r_enc)
+        (queries_per_target rep.r_enc)
   | None ->
       let enc = Encode.itne ~refined ~include_output_relu ~mode ~bounds view in
       let task_id =
@@ -219,7 +219,7 @@ let emit_cone builder cache ~dedup ~mode ~label
       if dedup then Hashtbl.replace cache sign { r_task = task_id; r_enc = enc };
       Array.iter
         (fun queries -> Plan.add_unit builder ~task_id ~overrides:[] queries)
-        (queries_per_target ~sign enc)
+        (queries_per_target enc)
 
 (* Representative neuron for the instance target at position [t] of the
    window's last layer (identical cones agree on active-set sizes). *)
@@ -263,14 +263,12 @@ let plan_values config (bounds : Bounds.t) net ~layer:i =
         emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
           ~label:(Printf.sprintf "itne-y:layer%d" i)
           ~include_output_relu:false ~refined bounds view
-          ~queries_per_target:(fun ~sign enc ->
+          ~queries_per_target:(fun enc ->
             Array.mapi
               (fun t inst_j ->
                 let nv = Encode.itne_vars enc i (rep_target enc ~t) in
                 let mk quantity dir var =
-                  { Plan.q =
-                      Query.make ~cone:sign ~layer:i ~neuron:inst_j quantity
-                        dir;
+                  { Plan.q = Query.make ~layer:i ~neuron:inst_j quantity dir;
                     terms = [ (var, 1.0) ] }
                 in
                 [| mk Query.Y Query.Hi nv.Encode.y;
@@ -304,14 +302,13 @@ let plan_dx config (bounds : Bounds.t) net ~layer:i =
       emit_cone builder cache ~dedup:config.dedup ~mode:config.mode
         ~label:(Printf.sprintf "itne-x:layer%d:neuron%d" i j)
         ~include_output_relu:true ~refined bounds view
-        ~queries_per_target:(fun ~sign enc ->
+        ~queries_per_target:(fun enc ->
           let nv = Encode.itne_vars enc i (rep_target enc ~t:0) in
           match nv.Encode.dx with
           | None -> [| [||] |]
           | Some dxv ->
               let mk dir =
-                { Plan.q =
-                    Query.make ~cone:sign ~layer:i ~neuron:j Query.Dx dir;
+                { Plan.q = Query.make ~layer:i ~neuron:j Query.Dx dir;
                   terms = [ (dxv, 1.0) ] }
               in
               [| [| mk Query.Hi; mk Query.Lo |] |])

@@ -44,6 +44,3 @@ let cone net ~last ~targets ~window =
     input_active = Array.of_list (Int_set.elements input_deps) }
 
 let depth v = v.last - v.first + 1
-
-let n_active v =
-  Array.fold_left (fun acc a -> acc + Array.length a) 0 v.active

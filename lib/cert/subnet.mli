@@ -25,5 +25,3 @@ val cone : Nn.Network.t -> last:int -> targets:int array -> window:int -> view
 val depth : view -> int
 (** Number of layers in the window. *)
 
-val n_active : view -> int
-(** Total active neurons across window layers (problem size measure). *)

@@ -10,10 +10,10 @@
     usually much tighter — than plain interval propagation, at
     [O(neurons * input_dim)] memory.
 
-    This is an optional extension beyond the paper (its reference [5]
-    line of work); the certifier can use it as a pre-pass
-    ({!Certifier.config.symbolic}) to sharpen every relaxation
-    constant. *)
+    This is an extension beyond the paper (its reference [5] line of
+    work).  The certifier does not call it; {!Symbolic_back} starts from
+    its bounds, [grc certify --method symbolic] and the experiments run
+    {!certify}, and [Audit.Symbolic_check] audits it. *)
 
 type affine = {
   coeffs : float array;  (** over the network-input dimensions *)
@@ -24,32 +24,6 @@ val eval_range : affine -> Interval.t array -> Interval.t
 (** Exact range of the affine form over a box.  Zero coefficients are
     skipped outright, so unbounded box components multiplied by a zero
     coefficient contribute nothing (no [0 * inf = NaN] hazard). *)
-
-val zero_affine : int -> affine
-
-type nb = { lo : affine; hi : affine }
-(** Affine lower/upper bounds on one scalar quantity. *)
-
-val point_nb : int -> int -> nb
-(** [point_nb dim k]: the [k]-th coordinate itself. *)
-
-val const_nb : int -> float -> nb
-
-val row_bounds : int -> Linalg.Sparse_row.t -> nb array -> with_bias:bool -> nb
-(** Affine bounds of [row . prev]: positive coefficients take the
-    operand's own-direction bound, negative ones the opposite. *)
-
-val scale_shift_affine : float -> float -> affine -> affine
-(** [scale_shift_affine s t a] is [s * a + t]. *)
-
-val relu_nb : int -> nb -> Interval.t -> nb
-(** Triangle relaxation of [x = relu(y)] given [y]'s affine bounds and
-    its concrete range (DeepPoly area rule for the lower bound). *)
-
-val relu_dist_nb : int -> nb -> y_iv:Interval.t -> dy_iv:Interval.t -> nb
-(** Chord relaxation (the paper's Eq. 6) of
-    [dx = relu(y + dy) - relu(y)] given [dy]'s affine bounds and the
-    concrete ranges of [y] and [dy]. *)
 
 val meet_store :
   ?what:string -> ?neuron:int * int -> Interval.t -> Interval.t -> Interval.t

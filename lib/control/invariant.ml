@@ -10,76 +10,6 @@ type mpi_result = {
   constraints : (float array * float) list;
 }
 
-type ellipsoid = {
-  p : Mat.t;
-  gamma : float;
-  m : float;
-  level : float;
-  extent : float * float;
-  safe : bool;
-}
-
-(* Solve a small dense linear system by Gaussian elimination with
-   partial pivoting. *)
-let solve_linear a b =
-  let n = Array.length b in
-  let a = Array.map Array.copy a and b = Array.copy b in
-  for col = 0 to n - 1 do
-    let piv = ref col in
-    for i = col + 1 to n - 1 do
-      if Float.abs a.(i).(col) > Float.abs a.(!piv).(col) then piv := i
-    done;
-    if Float.abs a.(!piv).(col) < 1e-12 then
-      failwith "Invariant: singular linear system (is Acl Schur-stable?)";
-    if !piv <> col then begin
-      let t = a.(col) in a.(col) <- a.(!piv); a.(!piv) <- t;
-      let t = b.(col) in b.(col) <- b.(!piv); b.(!piv) <- t
-    end;
-    for i = col + 1 to n - 1 do
-      let f = a.(i).(col) /. a.(col).(col) in
-      for k = col to n - 1 do
-        a.(i).(k) <- a.(i).(k) -. (f *. a.(col).(k))
-      done;
-      b.(i) <- b.(i) -. (f *. b.(col))
-    done
-  done;
-  let x = Array.make n 0.0 in
-  for i = n - 1 downto 0 do
-    let acc = ref b.(i) in
-    for k = i + 1 to n - 1 do
-      acc := !acc -. (a.(i).(k) *. x.(k))
-    done;
-    x.(i) <- !acc /. a.(i).(i)
-  done;
-  x
-
-let lyapunov_2x2 acl =
-  let a = Mat.get acl 0 0 and b = Mat.get acl 0 1 in
-  let c = Mat.get acl 1 0 and d = Mat.get acl 1 1 in
-  let sys =
-    [| [| (a *. a) -. 1.0; 2.0 *. a *. c; c *. c |];
-       [| a *. b; (a *. d) +. (b *. c) -. 1.0; c *. d |];
-       [| b *. b; 2.0 *. b *. d; (d *. d) -. 1.0 |] |]
-  in
-  let rhs = [| -1.0; 0.0; -1.0 |] in
-  let p = solve_linear sys rhs in
-  Mat.of_arrays [| [| p.(0); p.(1) |]; [| p.(1); p.(2) |] |]
-
-let pnorm p x =
-  let px = Mat.mul_vec p x in
-  sqrt (Float.max 0.0 (Linalg.Vec.dot x px))
-
-let contraction p acl =
-  let m = Mat.mul (Mat.mul (Mat.transpose acl) p) acl in
-  let p11 = Mat.get p 0 0 and p12 = Mat.get p 0 1 and p22 = Mat.get p 1 1 in
-  let m11 = Mat.get m 0 0 and m12 = Mat.get m 0 1 and m22 = Mat.get m 1 1 in
-  let qa = (p11 *. p22) -. (p12 *. p12) in
-  let qb = -.((p11 *. m22) +. (p22 *. m11) -. (2.0 *. p12 *. m12)) in
-  let qc = (m11 *. m22) -. (m12 *. m12) in
-  let disc = Float.max 0.0 ((qb *. qb) -. (4.0 *. qa *. qc)) in
-  let lambda_max = ((-.qb) +. sqrt disc) /. (2.0 *. qa) in
-  sqrt (Float.max 0.0 lambda_max)
-
 (* Support function of the per-step disturbance set along direction r:
    the disturbance is BK [dd; 0] + E w1 + w2 over independent symmetric
    intervals, so the support decomposes into absolute values. *)
@@ -200,31 +130,3 @@ let max_safe_estimation_error ?(tol = 1e-3) params =
     done;
     !lo
   end
-
-let analyse_ellipsoid params ~dd_max =
-  let sys = Acc.system params in
-  let acl = Lti.closed_loop_a sys in
-  let p = lyapunov_2x2 acl in
-  let gamma = contraction p acl in
-  let m =
-    List.fold_left
-      (fun acc d -> Float.max acc (pnorm p d))
-      0.0
-      (Acc.disturbance_vertices params ~dd_max)
-  in
-  let level =
-    if gamma >= 1.0 then infinity
-    else begin
-      let r = m /. (1.0 -. gamma) in
-      r *. r
-    end
-  in
-  let det = (Mat.get p 0 0 *. Mat.get p 1 1) -. (Mat.get p 0 1 ** 2.0) in
-  let inv11 = Mat.get p 1 1 /. det and inv22 = Mat.get p 0 0 /. det in
-  let extent =
-    ( sqrt (Float.max 0.0 (level *. inv11)),
-      sqrt (Float.max 0.0 (level *. inv22)) )
-  in
-  let s1, s2 = Acc.safe_box params in
-  let e1, e2 = extent in
-  { p; gamma; m; level; extent; safe = e1 <= s1 && e2 <= s2 }

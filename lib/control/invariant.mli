@@ -1,21 +1,14 @@
 (** Robust invariant-set verification for the 2-D ACC closed loop.
 
-    Two methods:
-
-    - {!mpi_analysis} (primary, used by the case study): the maximal
-      robust positively invariant subset of the safe box, computed by
-      the classical iteration
-      [S_{k+1} = {x in S_k : Acl x + d in S_k for all d}].  Each step
-      adds the half-planes [H Acl^k x <= h - gamma_k] (with [gamma_k]
-      the accumulated disturbance support) and stops when they are all
-      redundant — redundancy is decided with the library's own LP
-      solver.  The loop is verified safe for an estimation-error bound
-      [dd_max] when the resulting set is non-empty and contains the
-      nominal operating point.
-
-    - {!analyse_ellipsoid} (ablation): quadratic-Lyapunov ellipsoid
-      with a triangle-inequality contraction argument; far more
-      conservative for slowly contracting loops. *)
+    {!mpi_analysis} (used by the case study) computes the maximal
+    robust positively invariant subset of the safe box by the classical
+    iteration [S_{k+1} = {x in S_k : Acl x + d in S_k for all d}].
+    Each step adds the half-planes [H Acl^k x <= h - gamma_k] (with
+    [gamma_k] the accumulated disturbance support) and stops when they
+    are all redundant — redundancy is decided with the library's own LP
+    solver.  The loop is verified safe for an estimation-error bound
+    [dd_max] when the resulting set is non-empty and contains the
+    nominal operating point. *)
 
 type mpi_result = {
   iterations : int;        (** powers of [Acl] processed *)
@@ -34,24 +27,3 @@ val max_safe_estimation_error : ?tol:float -> Acc.params -> float
 (** Largest [dd_max] (bisection, default [tol = 1e-3]) for which
     {!mpi_analysis} verifies safety; 0 when even the undisturbed loop
     fails. *)
-
-type ellipsoid = {
-  p : Linalg.Mat.t;         (** Lyapunov matrix *)
-  gamma : float;            (** P-norm contraction of [Acl] *)
-  m : float;                (** worst-case disturbance P-norm *)
-  level : float;            (** minimal robust invariant level [c*] *)
-  extent : float * float;   (** half-widths of the ellipsoid's box *)
-  safe : bool;
-}
-
-val analyse_ellipsoid : Acc.params -> dd_max:float -> ellipsoid
-
-val lyapunov_2x2 : Linalg.Mat.t -> Linalg.Mat.t
-(** Solves [A' P A - P = -I] for a Schur-stable 2x2 [A].  Raises
-    [Failure] when the system is singular (A not stable). *)
-
-val pnorm : Linalg.Mat.t -> Linalg.Vec.t -> float
-(** [sqrt (x' P x)]. *)
-
-val contraction : Linalg.Mat.t -> Linalg.Mat.t -> float
-(** Smallest [g] with [||Acl x||_P <= g ||x||_P]. *)

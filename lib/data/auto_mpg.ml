@@ -1,9 +1,5 @@
 let n_features = 7
 
-let feature_names =
-  [| "cylinders"; "displacement"; "horsepower"; "weight"; "acceleration";
-     "model_year"; "origin" |]
-
 (* Gaussian from two uniforms *)
 let gaussian rng =
   let u1 = Float.max 1e-12 (Random.State.float rng 1.0) in

@@ -11,8 +11,6 @@ val n_features : int
 (** 7: cylinders, displacement, horsepower, weight, acceleration,
     model year, origin. *)
 
-val feature_names : string array
-
 val generate : ?noise:float -> n:int -> seed:int -> unit -> Dataset.t
 (** [n] samples; [noise] is the target noise std (default 0.02 in
     normalised units). *)

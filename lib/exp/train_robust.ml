@@ -149,6 +149,56 @@ let run ?client ?on_epoch config net ~train ~test =
     net ~xs ~ys;
   List.rev !records
 
+let certified_eps r =
+  match r.recert with
+  | Some rc -> Array.fold_left Float.max 0.0 rc.rc_eps
+  | None -> Float.nan
+
+let epoch_line r =
+  let base =
+    Printf.sprintf "epoch %d: train %.5f test %.5f acc %.3f surrogate %.4g"
+      r.epoch r.train_loss r.metric r.accuracy r.surrogate
+  in
+  match r.recert with
+  | None -> base
+  | Some rc ->
+      Printf.sprintf "%s | eps %.6f cache %d/%d %.2fs (%.1f cells/s)%s" base
+        (certified_eps r) rc.rc_cache_hits rc.rc_cells rc.rc_wall
+        rc.rc_throughput
+        (if rc.rc_degraded then " DEGRADED" else "")
+
+let epoch_json r =
+  let module J = Serve.Json in
+  let num_int n = J.Num (float_of_int n) in
+  let nums a = J.List (Array.to_list (Array.map (fun e -> J.Num e) a)) in
+  let rc_fields =
+    match r.recert with
+    | None -> []
+    | Some rc ->
+        [ ("digest", J.Str rc.rc_digest);
+          ("certified_eps", J.Num (certified_eps r));
+          ("eps", nums rc.rc_eps);
+          ("grid",
+           J.List
+             (Array.to_list
+                (Array.map
+                   (fun (d, eps) ->
+                     J.Obj [ ("delta", J.Num d); ("eps", nums eps) ])
+                   rc.rc_grid)));
+          ("cells", num_int rc.rc_cells);
+          ("cache_hits", num_int rc.rc_cache_hits);
+          ("wall_s", J.Num rc.rc_wall);
+          ("cells_per_s", J.Num rc.rc_throughput);
+          ("degraded", J.Bool rc.rc_degraded) ]
+  in
+  J.Obj
+    ([ ("epoch", num_int r.epoch);
+       ("train_loss", J.Num r.train_loss);
+       ("test_loss", J.Num r.metric);
+       ("accuracy", J.Num r.accuracy);
+       ("surrogate", J.Num r.surrogate) ]
+    @ rc_fields)
+
 type family =
   | Auto_mpg
   | Digits of { image : int }

@@ -87,6 +87,22 @@ val run :
 
 (** {1 Helpers for the CLI, bench and tests} *)
 
+val certified_eps : epoch_record -> float
+(** Largest per-output certified eps at the target delta; [nan] when
+    the epoch was not re-certified. *)
+
+val epoch_line : epoch_record -> string
+(** The one-line epoch report [grc train-robust] and [train-bench]
+    print (no trailing newline). *)
+
+val epoch_json : epoch_record -> Serve.Json.t
+(** The per-epoch JSON record [grc train-robust --json] and
+    [BENCH_train.json] write: losses, accuracy, surrogate and, when
+    re-certified, the digest, [certified_eps] ({!certified_eps}), the
+    per-output [eps], the [grid] cells, cache hits, wall time,
+    throughput and the degraded flag. *)
+
+
 type family =
   | Auto_mpg
   | Digits of { image : int }

@@ -36,14 +36,9 @@ let of_arrays rows_arr =
     init rows cols (fun i j -> rows_arr.(i).(j))
   end
 
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
 let col m j = Array.init m.rows (fun i -> get m i j)
-
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let mul a b =
   if a.cols <> b.rows then

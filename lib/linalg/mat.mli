@@ -23,14 +23,10 @@ val set : t -> int -> int -> float -> unit
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
 
-val to_arrays : t -> float array array
-
 val row : t -> int -> Vec.t
 (** Fresh copy of row [i]. *)
 
 val col : t -> int -> Vec.t
-
-val transpose : t -> t
 
 val mul : t -> t -> t
 (** Matrix product.  Raises [Invalid_argument] on inner-dim mismatch. *)

@@ -30,56 +30,6 @@ let nnz r = List.length r.coeffs
 
 let indices r = List.map fst r.coeffs
 
-let to_pair r =
-  (Array.of_list (List.map fst r.coeffs), Array.of_list (List.map snd r.coeffs))
-
-let scatter_pair idx vals dense =
-  Array.iteri (fun q i -> dense.(i) <- dense.(i) +. vals.(q)) idx
-
-let clear_pair idx dense = Array.iter (fun i -> dense.(i) <- 0.0) idx
-
-let gather_nonzeros dense =
-  let nnz = Array.fold_left (fun a v -> if v <> 0.0 then a + 1 else a) 0 dense in
-  let idx = Array.make nnz 0 and vals = Array.make nnz 0.0 in
-  let q = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v <> 0.0 then begin
-        idx.(!q) <- i;
-        vals.(!q) <- v;
-        incr q
-      end)
-    dense;
-  (idx, vals)
-
-let transpose ~n rows =
-  let count = Array.make n 0 in
-  Array.iter
-    (fun (idx, _) ->
-      Array.iter
-        (fun j ->
-          if j < 0 || j >= n then
-            invalid_arg
-              (Printf.sprintf "Sparse_row.transpose: index %d out of range" j);
-          count.(j) <- count.(j) + 1)
-        idx)
-    rows;
-  let cols =
-    Array.init n (fun j -> (Array.make count.(j) 0, Array.make count.(j) 0.0))
-  in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun i (idx, vals) ->
-      Array.iteri
-        (fun q j ->
-          let ci, cv = cols.(j) in
-          ci.(fill.(j)) <- i;
-          cv.(fill.(j)) <- vals.(q);
-          fill.(j) <- fill.(j) + 1)
-        idx)
-    rows;
-  cols
-
 let pp fmt r =
   Format.fprintf fmt "@[<h>%g" r.const;
   List.iter (fun (i, c) -> Format.fprintf fmt " %+g*x%d" c i) r.coeffs;

@@ -26,36 +26,4 @@ val nnz : t -> int
 
 val indices : t -> int list
 
-(** {2 Packed-pair utilities}
-
-    The LP solver and the {!Lu} core exchange sparse vectors as packed
-    [(indices, values)] pairs; these helpers convert between that form,
-    rows, and dense work vectors. *)
-
-val to_pair : t -> int array * float array
-(** Coefficients as packed parallel arrays, ascending indices; the
-    constant term is dropped. *)
-
-val scatter_pair : int array -> float array -> float array -> unit
-(** [scatter_pair idx vals dense] adds each packed entry into the dense
-    work vector ([dense.(idx.(q)) <- dense.(idx.(q)) +. vals.(q)]);
-    duplicate indices accumulate. *)
-
-val clear_pair : int array -> float array -> unit
-(** [clear_pair idx dense] zeroes exactly the scattered positions, the
-    O(nnz) undo of {!scatter_pair} (assuming the vector was zero
-    outside them). *)
-
-val gather_nonzeros : float array -> int array * float array
-(** Packed copy of the nonzero entries of a dense vector, ascending
-    indices.  Exact zeros are dropped. *)
-
-val transpose : n:int -> (int array * float array) array -> (int array * float array) array
-(** [transpose ~n rows] turns packed rows with column indices in
-    [0, n) into the [n] packed columns holding (row, value) entries —
-    a CSR-to-CSC transpose.  Row order inside each column follows the
-    input row order (ascending if rows are given in order); duplicate
-    entries are kept, not merged.  Raises [Invalid_argument] on an
-    index outside [0, n). *)
-
 val pp : Format.formatter -> t -> unit

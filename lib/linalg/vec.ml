@@ -54,8 +54,6 @@ let norm_inf x =
   Array.iter (fun v -> let a = Float.abs v in if a > !acc then acc := a) x;
   !acc
 
-let norm2 x = sqrt (dot x x)
-
 let dist_inf x y =
   check_dims "dist_inf" x y;
   let acc = ref 0.0 in

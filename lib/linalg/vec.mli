@@ -42,8 +42,6 @@ val axpy : float -> t -> t -> unit
 
 val norm_inf : t -> float
 
-val norm2 : t -> float
-
 val dist_inf : t -> t -> float
 (** [dist_inf x y] is [norm_inf (sub x y)] without allocating. *)
 

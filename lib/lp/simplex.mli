@@ -56,8 +56,8 @@ val reset_kernel_times : unit -> unit
 
 val audit_mode : bool ref
 (** Opt-in self-check switch, initialised from the [GRC_AUDIT]
-    environment variable (any value but ["0"]/empty) and kept in step
-    with [Audit_core.Mode.set].  When on, every {!solve_session} result
+    environment variable (any value but ["0"]/empty).  It is the one
+    audit switch: [Audit_core.Mode.enabled]/[set] read and write it.  When on, every {!solve_session} result
     served from a retained basis is cross-checked against a cold
     {!solve_compiled} of the same query; disagreement drops the basis,
     returns the cold result and increments

@@ -64,9 +64,3 @@ let of_milp stats ~options ?bounds model dir terms =
          even under Limit / Lp_failure *)
       if Float.is_nan r.Milp.bound then None else Some r.Milp.bound
   | Milp.Infeasible | Milp.Unbounded -> None
-
-let of_model stats ~options ~name model =
-  if Model.integer_vars model = [] then
-    of_session stats ~name ~model
-      (Lp.Simplex.create_session (Lp.Simplex.compile model))
-  else of_milp stats ~options model

@@ -48,7 +48,3 @@ val of_milp :
 (** [bounds] overrides the model's structural root bounds (see
     {!Milp.solve}); used to replay a deduplicated integer cone under an
     instance's input intervals. *)
-
-val of_model : stats -> options:Milp.options -> name:string -> Lp.Model.t -> t
-(** Session engine when the model has no integer marks, MILP engine
-    otherwise. *)

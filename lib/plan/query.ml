@@ -7,11 +7,9 @@ type t = {
   neuron : int;
   quantity : quantity;
   dir : dir;
-  cone : string;
 }
 
-let make ?(cone = "") ~layer ~neuron quantity dir =
-  { layer; neuron; quantity; dir; cone }
+let make ~layer ~neuron quantity dir = { layer; neuron; quantity; dir }
 
 let quantity_to_string = function Y -> "y" | Dy -> "dy" | Dx -> "dx"
 
@@ -25,8 +23,3 @@ let to_string q =
 
 let same_cell a b =
   a.layer = b.layer && a.neuron = b.neuron && a.quantity = b.quantity
-
-let compare (a : t) (b : t) =
-  Stdlib.compare
-    (a.layer, a.neuron, a.quantity, a.dir)
-    (b.layer, b.neuron, b.quantity, b.dir)

@@ -4,11 +4,7 @@
     value [Y], its twin distance [Dy] or the post-activation distance
     [Dx] of a specific neuron, in a specific direction.  Queries are
     what a {!Spec} plan promises to answer and what the {!Executor}
-    reports results against; the [cone] field carries the stable
-    signature of the sub-network cone the query is evaluated on (empty
-    when the planner did not compute one), which is the deduplication
-    key: two queries with the same cone signature are answered from a
-    single encoded model. *)
+    reports results against. *)
 
 type quantity = Y | Dy | Dx
 
@@ -19,10 +15,9 @@ type t = {
   neuron : int;           (** output-neuron index within the layer *)
   quantity : quantity;
   dir : dir;
-  cone : string;          (** stable cone signature, or [""] *)
 }
 
-val make : ?cone:string -> layer:int -> neuron:int -> quantity -> dir -> t
+val make : layer:int -> neuron:int -> quantity -> dir -> t
 
 val lp_dir : dir -> Lp.Model.dir
 (** [Hi] asks for a maximum, [Lo] for a minimum. *)
@@ -36,6 +31,3 @@ val to_string : t -> string
 
 val same_cell : t -> t -> bool
 (** Same layer, neuron and quantity (the two directions of one range). *)
-
-val compare : t -> t -> int
-(** Total order ignoring the cone signature. *)

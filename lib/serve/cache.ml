@@ -1,17 +1,11 @@
 type t = {
   mutex : Mutex.t;
-  ns : string option;
   table : (string, float array) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable loaded : int;
   mutable out : out_channel option;
 }
-
-(* Namespaced keys are plain prefixed keys: two daemons sharing one
-   persistence file under different namespaces never serve each
-   other's entries, and the file stays a valid mixed log. *)
-let full t k = match t.ns with None -> k | Some s -> s ^ "@" ^ k
 
 type counters = {
   hits : int;
@@ -79,7 +73,7 @@ let load_file table path =
    with Sys_error _ -> ());
   !n
 
-let create ?ns ?path () =
+let create ?path () =
   let table = Hashtbl.create 256 in
   let loaded = match path with Some p -> load_file table p | None -> 0 in
   let out =
@@ -88,10 +82,9 @@ let create ?ns ?path () =
         Some (open_out_gen [ Open_append; Open_creat ] 0o644 p)
     | None -> None
   in
-  { mutex = Mutex.create (); ns; table; hits = 0; misses = 0; loaded; out }
+  { mutex = Mutex.create (); table; hits = 0; misses = 0; loaded; out }
 
 let find t k =
-  let k = full t k in
   Mutex.lock t.mutex;
   let r =
     match Hashtbl.find_opt t.table k with
@@ -106,7 +99,6 @@ let find t k =
   r
 
 let add t k eps =
-  let k = full t k in
   Mutex.lock t.mutex;
   if not (Hashtbl.mem t.table k) then begin
     Hashtbl.replace t.table k (Array.copy eps);

@@ -20,12 +20,11 @@
 
 type t
 
-val create : ?ns:string -> ?path:string -> unit -> t
+val create : ?path:string -> unit -> t
 (** [path]: persistence file, loaded now (if it exists) and appended to
-    on every {!add}.  [ns]: shard namespace — every key is transparently
-    prefixed with [ns ^ "@"] on {!find}/{!add}, so daemons sharing one
-    persistence file (or one directory synced between shards) never
-    serve each other's entries and per-shard hit rates stay honest. *)
+    on every {!add}.  Daemons may share one file: equal keys hold
+    bitwise-equal answers, so a restarted daemon may reuse any entry it
+    loads, whichever daemon wrote it. *)
 
 val key : digest:string -> Wire.query -> string
 (** Deterministic cache key (single token, no spaces). *)

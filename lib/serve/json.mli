@@ -33,14 +33,10 @@ val of_string : string -> t
 val member : string -> t -> t option
 (** Field of an [Obj]; [None] for absent fields and non-objects. *)
 
-val to_str : t -> string option
-
 val to_num : t -> float option
 
 val to_int : t -> int option
 (** Numbers with an exact integer value only. *)
-
-val to_bool : t -> bool option
 
 val to_list : t -> t list option
 

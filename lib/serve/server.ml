@@ -7,14 +7,13 @@ type config = {
   workers : int;
   queue_cap : int;
   cache_path : string option;
-  cache_ns : string option;
   handle_signals : bool;
   verbose : bool;
   metrics : bool;
 }
 
 let default_config addr =
-  { addr; workers = 2; queue_cap = 64; cache_path = None; cache_ns = None;
+  { addr; workers = 2; queue_cap = 64; cache_path = None;
     handle_signals = true; verbose = false; metrics = false }
 
 (* --- connections ---
@@ -106,7 +105,7 @@ type state = {
 let make_state cfg =
   { cfg;
     queue = Squeue.create ~cap:cfg.queue_cap;
-    cache = Cache.create ?ns:cfg.cache_ns ?path:cfg.cache_path ();
+    cache = Cache.create ?path:cfg.cache_path ();
     models = Hashtbl.create 16;
     models_mutex = Mutex.create ();
     shutdown = Atomic.make false;

@@ -38,9 +38,6 @@ type config = {
   workers : int;               (** worker domains (>= 1) *)
   queue_cap : int;             (** bounded request queue length *)
   cache_path : string option;  (** result-cache persistence file *)
-  cache_ns : string option;    (** result-cache key namespace; set a
-                                   distinct one per shard when daemons
-                                   share a persistence file *)
   handle_signals : bool;       (** install SIGINT/SIGTERM drain handlers
                                    (process-wide — daemons only, not
                                    in-process test servers) *)
@@ -50,7 +47,7 @@ type config = {
 }
 
 val default_config : addr -> config
-(** 2 workers, queue of 64, no persistence, no cache namespace,
+(** 2 workers, queue of 64, no persistence,
     signals on, quiet, no metrics. *)
 
 val run : config -> unit

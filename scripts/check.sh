@@ -311,10 +311,10 @@ s1="_build/grc-shard1.sock"
 front="_build/grc-front.sock"
 shcache="_build/grc-shard-cache.txt"
 rm -f "$s0" "$s1" "$front" "$shcache"
-# two daemons sharing one cache file, kept honest by per-shard namespaces
-"$grc" serve --socket "$s0" --workers 1 --cache "$shcache" --cache-ns shard0 &
+# two daemons appending to one cache file (equal keys hold equal answers)
+"$grc" serve --socket "$s0" --workers 1 --cache "$shcache" &
 d0_pid=$!
-"$grc" serve --socket "$s1" --workers 1 --cache "$shcache" --cache-ns shard1 &
+"$grc" serve --socket "$s1" --workers 1 --cache "$shcache" &
 d1_pid=$!
 router_pid=""
 cleanup_shards() {

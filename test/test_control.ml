@@ -1,4 +1,4 @@
-(* Tests for the LTI substrate, Lyapunov/MPI invariant analysis and the
+(* Tests for the LTI substrate, MPI invariant analysis and the
    closed-loop ACC simulation. *)
 
 module Mat = Linalg.Mat
@@ -30,39 +30,6 @@ let test_closed_loop_stable () =
         ~w2:[| 0.0; 0.0 |]
   done;
   Alcotest.(check bool) "converged" true (Linalg.Vec.norm_inf !x < 0.01)
-
-let test_lyapunov_residual () =
-  let acl = Control.Lti.closed_loop_a (Control.Acc.system params) in
-  let p = Control.Invariant.lyapunov_2x2 acl in
-  (* A' P A - P = -I *)
-  let r =
-    Mat.sub (Mat.mul (Mat.mul (Mat.transpose acl) p) acl) p
-  in
-  Alcotest.(check bool) "residual -I" true
-    (Mat.equal ~eps:1e-6 r (Mat.scale (-1.0) (Mat.identity 2)));
-  (* P positive definite *)
-  Alcotest.(check bool) "p11 > 0" true (Mat.get p 0 0 > 0.0);
-  Alcotest.(check bool) "det > 0" true
-    ((Mat.get p 0 0 *. Mat.get p 1 1) -. (Mat.get p 0 1 ** 2.0) > 0.0)
-
-let test_contraction_bound () =
-  let acl = Control.Lti.closed_loop_a (Control.Acc.system params) in
-  let p = Control.Invariant.lyapunov_2x2 acl in
-  let gamma = Control.Invariant.contraction p acl in
-  Alcotest.(check bool) "gamma < 1" true (gamma < 1.0);
-  (* sampled vectors never contract less than gamma claims *)
-  let rng = Random.State.make [| 4 |] in
-  for _ = 1 to 200 do
-    let x =
-      [| Random.State.float rng 2.0 -. 1.0; Random.State.float rng 2.0 -. 1.0 |]
-    in
-    let n0 = Control.Invariant.pnorm p x in
-    if n0 > 1e-9 then begin
-      let n1 = Control.Invariant.pnorm p (Mat.mul_vec acl x) in
-      Alcotest.(check bool) "||Ax|| <= gamma ||x||" true
-        (n1 <= (gamma *. n0) +. 1e-9)
-    end
-  done
 
 let test_mpi_monotone_in_dd () =
   let safe dd = (Control.Invariant.mpi_analysis params ~dd_max:dd).Control.Invariant.safe in
@@ -116,14 +83,6 @@ let test_max_safe_dd_bracket () =
     (Control.Invariant.mpi_analysis params ~dd_max:(dd +. 0.01))
       .Control.Invariant.safe
 
-let test_ellipsoid_more_conservative () =
-  (* the ellipsoid method must never certify a larger bound than MPI *)
-  let e = Control.Invariant.analyse_ellipsoid params ~dd_max:0.05 in
-  let m = Control.Invariant.mpi_analysis params ~dd_max:0.05 in
-  if e.Control.Invariant.safe then
-    Alcotest.(check bool) "ellipsoid safe implies mpi safe" true
-      m.Control.Invariant.safe
-
 let test_disturbance_vertices_count () =
   let verts = Control.Acc.disturbance_vertices params ~dd_max:0.1 in
   Alcotest.(check int) "16 vertices" 16 (List.length verts)
@@ -175,15 +134,11 @@ let suites =
         Alcotest.test_case "closed loop stable" `Quick
           test_closed_loop_stable ] );
     ( "control:invariant",
-      [ Alcotest.test_case "lyapunov residual" `Quick test_lyapunov_residual;
-        Alcotest.test_case "contraction bound" `Quick test_contraction_bound;
-        Alcotest.test_case "mpi monotone" `Slow test_mpi_monotone_in_dd;
+      [ Alcotest.test_case "mpi monotone" `Slow test_mpi_monotone_in_dd;
         Alcotest.test_case "mpi invariance" `Slow
           test_mpi_invariance_property;
         Alcotest.test_case "max safe dd bracket" `Slow
           test_max_safe_dd_bracket;
-        Alcotest.test_case "ellipsoid conservative" `Quick
-          test_ellipsoid_more_conservative;
         Alcotest.test_case "disturbance vertices" `Quick
           test_disturbance_vertices_count;
         Alcotest.test_case "safe box" `Quick test_safe_box ] );

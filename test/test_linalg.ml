@@ -105,14 +105,17 @@ let test_mat_swap_rows () =
   check_float "swapped" 3.0 (Mat.get m 0 0);
   check_float "swapped2" 2.0 (Mat.get m 1 1)
 
+(* reference transpose built from [Mat.init]/[Mat.get] *)
+let transpose m = Mat.init m.Mat.cols m.Mat.rows (fun i j -> Mat.get m j i)
+
 let mat_props =
   [ qtest "transpose involution" (mat_gen 3 4) (fun m ->
-        Mat.equal (Mat.transpose (Mat.transpose m)) m);
+        Mat.equal (transpose (transpose m)) m);
     qtest "tmul_vec = transpose mul_vec"
       QCheck.Gen.(pair (mat_gen 3 4) (vec_gen 3))
       (fun (m, x) ->
         Vec.equal ~eps:1e-6 (Mat.tmul_vec m x)
-          (Mat.mul_vec (Mat.transpose m) x));
+          (Mat.mul_vec (transpose m) x));
     qtest "mul_vec distributes"
       QCheck.Gen.(triple (mat_gen 3 3) (vec_gen 3) (vec_gen 3))
       (fun (m, x, y) ->
@@ -144,96 +147,6 @@ let test_sparse_scale_zero () =
   let z = Sparse_row.scale 0.0 r in
   Alcotest.(check int) "zero nnz" 0 (Sparse_row.nnz z);
   check_float "zero const" 0.0 z.Sparse_row.const
-
-let test_sparse_to_pair () =
-  let r = Sparse_row.make [ (4, 1.0); (1, -2.0); (4, 0.5) ] 9.0 in
-  let idx, vals = Sparse_row.to_pair r in
-  Alcotest.(check (array int)) "indices" [| 1; 4 |] idx;
-  check_float "val0" (-2.0) vals.(0);
-  check_float "val1" 1.5 vals.(1)
-
-let test_scatter_clear () =
-  let dense = Array.make 6 0.0 in
-  let idx = [| 1; 4; 1 |] and vals = [| 2.0; -1.0; 3.0 |] in
-  Sparse_row.scatter_pair idx vals dense;
-  check_float "accumulated" 5.0 dense.(1);
-  check_float "scattered" (-1.0) dense.(4);
-  check_float "untouched" 0.0 dense.(0);
-  Sparse_row.clear_pair idx dense;
-  Array.iteri (fun i v -> check_float (Printf.sprintf "clear %d" i) 0.0 v) dense
-
-let test_gather_nonzeros () =
-  let idx, vals = Sparse_row.gather_nonzeros [| 0.0; 2.5; 0.0; -1.0; 0.0 |] in
-  Alcotest.(check (array int)) "indices" [| 1; 3 |] idx;
-  check_float "v0" 2.5 vals.(0);
-  check_float "v1" (-1.0) vals.(1)
-
-let test_transpose_known () =
-  (* rows of [[1 0 2]; [0 3 0]] -> columns *)
-  let rows = [| ([| 0; 2 |], [| 1.0; 2.0 |]); ([| 1 |], [| 3.0 |]) |] in
-  let cols = Sparse_row.transpose ~n:3 rows in
-  Alcotest.(check (array int)) "col0 rows" [| 0 |] (fst cols.(0));
-  Alcotest.(check (array int)) "col1 rows" [| 1 |] (fst cols.(1));
-  Alcotest.(check (array int)) "col2 rows" [| 0 |] (fst cols.(2));
-  check_float "col2 val" 2.0 (snd cols.(2)).(0);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Sparse_row.transpose: index 3 out of range") (fun () ->
-      ignore (Sparse_row.transpose ~n:3 [| ([| 3 |], [| 1.0 |]) |]))
-
-(* densify packed columns (rows x cols), summing duplicates *)
-let densify_cols rows cols packed =
-  let d = Array.make_matrix rows cols 0.0 in
-  Array.iteri
-    (fun j (idx, vals) ->
-      Array.iteri (fun q i -> d.(i).(j) <- d.(i).(j) +. vals.(q)) idx)
-    packed;
-  d
-
-let pair_util_props =
-  let row_gen n =
-    QCheck.Gen.(
-      list_size (int_range 0 6)
-        (pair (int_range 0 (n - 1)) (float_range (-5.0) 5.0)))
-  in
-  [ qtest "scatter/gather/clear round-trip"
-      (row_gen 8)
-      (fun entries ->
-        (* a merged row has distinct indices and nonzero values, so the
-           scattered work vector gathers back to exactly the same pair
-           and clears back to all zeros *)
-        let idx, vals = Sparse_row.to_pair (Sparse_row.make entries 0.0) in
-        let dense = Array.make 8 0.0 in
-        Sparse_row.scatter_pair idx vals dense;
-        let gathered = Sparse_row.gather_nonzeros dense in
-        Sparse_row.clear_pair idx dense;
-        gathered = (idx, vals) && Array.for_all (fun v -> v = 0.0) dense);
-    qtest "transpose agrees with dense transpose"
-      QCheck.Gen.(
-        list_size (int_range 0 12)
-          (pair (int_range 0 4) (pair (int_range 0 3) (float_range (-5.0) 5.0))))
-      (fun entries ->
-        (* 5 rows x 4 cols from random (row, (col, v)) triples *)
-        let per_row = Array.make 5 [] in
-        List.iter
-          (fun (i, (j, v)) -> per_row.(i) <- (j, v) :: per_row.(i))
-          entries;
-        let rows =
-          Array.map
-            (fun l -> Sparse_row.to_pair (Sparse_row.make l 0.0))
-            per_row
-        in
-        let cols = Sparse_row.transpose ~n:4 rows in
-        let dense_r = densify_cols 4 5 rows in
-        (* dense_r is cols x rows of the row matrix = its transpose *)
-        let dense_c = densify_cols 5 4 cols in
-        let ok = ref true in
-        for i = 0 to 4 do
-          for j = 0 to 3 do
-            if not (feq ~eps:1e-12 dense_c.(i).(j) dense_r.(j).(i)) then
-              ok := false
-          done
-        done;
-        !ok) ]
 
 let sparse_props =
   [ qtest "add = pointwise eval"
@@ -274,9 +187,5 @@ let suites =
     ( "linalg:sparse_row",
       [ Alcotest.test_case "merge duplicates" `Quick test_sparse_merge;
         Alcotest.test_case "eval_vec" `Quick test_sparse_eval_vec;
-        Alcotest.test_case "scale by zero" `Quick test_sparse_scale_zero;
-        Alcotest.test_case "to_pair" `Quick test_sparse_to_pair;
-        Alcotest.test_case "scatter/clear" `Quick test_scatter_clear;
-        Alcotest.test_case "gather_nonzeros" `Quick test_gather_nonzeros;
-        Alcotest.test_case "transpose known" `Quick test_transpose_known ]
-      @ sparse_props @ pair_util_props ) ]
+        Alcotest.test_case "scale by zero" `Quick test_sparse_scale_zero ]
+      @ sparse_props ) ]

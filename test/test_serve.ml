@@ -498,31 +498,34 @@ let test_cache_persistence () =
             (Serve.Cache.counters c3).Serve.Cache.loaded;
           Serve.Cache.close c3))
 
-let test_cache_namespace () =
-  (* two namespaced caches over one persistence file never serve each
-     other's entries — this is what keeps per-shard caches honest when
-     daemons share a file *)
+let test_cache_shared_file () =
+  (* two daemons may append to one persistence file: a third cache
+     loads both entries, bit for bit *)
   let path = Filename.temp_file "grc-cache" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let a = Serve.Cache.create ~ns:"shard0" ~path () in
-      Serve.Cache.add a "k" [| 0.25 |];
+      let ea = [| 0.1 +. 0.2; Float.pred 1.0 |]
+      and eb = [| Float.min_float; -0.0; 1e300 |] in
+      let a = Serve.Cache.create ~path () in
+      let b = Serve.Cache.create ~path () in
+      Serve.Cache.add a "ka" ea;
+      Serve.Cache.add b "kb" eb;
       Serve.Cache.close a;
-      let b = Serve.Cache.create ~ns:"shard1" ~path () in
-      Alcotest.(check bool) "other namespace misses" true
-        (Serve.Cache.find b "k" = None);
-      Serve.Cache.add b "k" [| 0.5 |];
       Serve.Cache.close b;
-      let a2 = Serve.Cache.create ~ns:"shard0" ~path () in
-      (match Serve.Cache.find a2 "k" with
-       | Some eps -> Alcotest.(check (float 0.0)) "own entry" 0.25 eps.(0)
-       | None -> Alcotest.fail "own entry lost");
-      Serve.Cache.close a2;
-      let plain = Serve.Cache.create ~path () in
-      Alcotest.(check bool) "unnamespaced misses both" true
-        (Serve.Cache.find plain "k" = None);
-      Serve.Cache.close plain)
+      let c = Serve.Cache.create ~path () in
+      Alcotest.(check int) "loaded both" 2
+        (Serve.Cache.counters c).Serve.Cache.loaded;
+      let bits eps = Array.map Int64.bits_of_float eps in
+      List.iter
+        (fun (k, want) ->
+          match Serve.Cache.find c k with
+          | Some got ->
+              Alcotest.(check (array int64)) (k ^ " bitwise") (bits want)
+                (bits got)
+          | None -> Alcotest.failf "%s not loaded" k)
+        [ ("ka", ea); ("kb", eb) ];
+      Serve.Cache.close c)
 
 (* --- daemon end to end --- *)
 
@@ -536,7 +539,7 @@ let with_server ?cache_path ?(workers = 1) ?(queue_cap = 8) f =
   let sock = fresh_sock () in
   let addr = Serve.Server.Unix_path sock in
   let config =
-    { Serve.Server.addr; workers; queue_cap; cache_path; cache_ns = None;
+    { Serve.Server.addr; workers; queue_cap; cache_path;
       handle_signals = false; verbose = false; metrics = true }
   in
   let srv = Domain.spawn (fun () -> Serve.Server.run config) in
@@ -929,7 +932,7 @@ let suites =
         Alcotest.test_case "cache key" `Quick test_cache_key_discriminates;
         Alcotest.test_case "cache key stable" `Quick test_cache_key_stable;
         Alcotest.test_case "cache persistence" `Quick test_cache_persistence;
-        Alcotest.test_case "cache namespaces" `Quick test_cache_namespace
+        Alcotest.test_case "cache shared file" `Quick test_cache_shared_file
       ] );
     ( "serve:client",
       [ Alcotest.test_case "timeout on wedged server" `Quick

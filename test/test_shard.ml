@@ -284,12 +284,11 @@ let test_e2e_two_shard_sweep () =
   in
   let daddrs = List.init 2 (fun _ -> Serve.Server.Unix_path (fresh_sock ())) in
   let daemons =
-    List.mapi
-      (fun i addr ->
+    List.map
+      (fun addr ->
         let cfg =
           { (Serve.Server.default_config addr) with
-            Serve.Server.handle_signals = false; workers = 1;
-            cache_ns = Some (Printf.sprintf "shard%d" i) }
+            Serve.Server.handle_signals = false; workers = 1 }
         in
         Domain.spawn (fun () -> Serve.Server.run cfg))
       daddrs
