@@ -203,7 +203,7 @@ let certify_cmd =
   let meth =
     let doc =
       "Method: algo1 (ours), exact (twin MILP), reluplex (lazy splitting), \
-       interval (bound propagation), symbolic (affine propagation), \
+       interval (bound propagation), symbolic (backward substitution), \
        itne-nd, itne-lpr, btne-nd, btne-lpr."
     in
     Arg.(value
@@ -380,8 +380,8 @@ let lint_cmd =
         let push ds = all := !all @ ds in
         push (Audit.Encoding.intervals bounds);
         push (Audit.Encoding.bounds_soundness ~samples net bounds);
-        (* symbolic pre-analyses: tightness chain, nonempty meet with
-           the certified bounds, sampled soundness *)
+        (* symbolic analysis: containment in interval propagation,
+           nonempty meet with the certified bounds, sampled soundness *)
         push
           (Audit.Symbolic_check.check ~samples ~certified:bounds net ~input
              ~delta);
@@ -418,14 +418,9 @@ let lint_cmd =
           push (Audit_core.Lint.model ~name enc.Cert.Encode.model);
           push (Audit.Encoding.itne ~name ~bounds enc)
         done;
-        let out_dim = Nn.Network.output_dim net in
-        let view =
-          Cert.Subnet.cone net ~last:(n - 1)
-            ~targets:(Array.init out_dim Fun.id) ~window:n
-        in
         let benc =
           Cert.Encode.btne ~split_relus:true ~link_input_dist:true
-            ~mode:Cert.Encode.Relaxed ~bounds view
+            ~mode:Cert.Encode.Relaxed ~bounds (Cert.Subnet.full net)
         in
         push (Audit_core.Lint.model ~name:"btne" benc.Cert.Encode.model);
         push (Audit.Encoding.btne benc);

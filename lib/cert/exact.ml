@@ -15,11 +15,7 @@ type result = {
 let prepare net ~input ~delta =
   let config = { Certifier.default_config with Certifier.margin = 0.0 } in
   let bounds = (Certifier.certify ~config net ~input ~delta).Certifier.bounds in
-  let n = Nn.Network.n_layers net in
-  let out_dim = Nn.Network.output_dim net in
-  let targets = Array.init out_dim Fun.id in
-  let view = Subnet.cone net ~last:(n - 1) ~targets ~window:n in
-  (bounds, view, out_dim)
+  (bounds, Subnet.full net, Nn.Network.output_dim net)
 
 let run_queries ~out_dim ~milp_options ~model ~terms_of =
   let nodes = ref 0 and exact = ref true in

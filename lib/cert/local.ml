@@ -30,38 +30,25 @@ let out_var enc j =
   let cv = Encode.single_vars enc last j in
   match cv.Encode.cx with Some x -> x | None -> cv.Encode.cy
 
-let solve_range ~milp_options model var =
+let solve_range ~milp_options model terms =
   let engine =
     Plan.Engine.of_milp (Plan.Engine.zero_stats ()) ~options:milp_options
       model
   in
-  let hi = engine Model.Maximize [ (var, 1.0) ] in
-  let lo = engine Model.Minimize [ (var, 1.0) ] in
+  let hi = engine Model.Maximize terms in
+  let lo = engine Model.Minimize terms in
   match (lo, hi) with
   | Some lo, Some hi -> Interval.make (Float.min lo hi) (Float.max lo hi)
   | _ -> Interval.top
 
-let exact ?(milp_options = Milp.default_options) ?domain net ~x0 ~delta =
-  let t0 = Unix.gettimeofday () in
-  let input = local_input ?domain net ~x0 ~delta in
-  let bounds = local_bounds net input in
-  let n = Nn.Network.n_layers net in
-  let out_dim = Nn.Network.output_dim net in
-  let view =
-    Subnet.cone net ~last:(n - 1) ~targets:(Array.init out_dim Fun.id)
-      ~window:n
-  in
-  let enc = Encode.single ~mode:Encode.Exact ~bounds view in
-  let range =
-    Array.init out_dim (fun j ->
-        solve_range ~milp_options enc.Encode.model (out_var enc j))
-  in
-  { range; runtime = Unix.gettimeofday () -. t0 }
+let lp_range (engine : Plan.Engine.t) terms fallback =
+  let hi = engine Model.Maximize terms in
+  let lo = engine Model.Minimize terms in
+  match (lo, hi) with
+  | Some lo, Some hi when lo <= hi -> Interval.make lo hi
+  | _ -> fallback
 
-let nd ?(milp_options = Milp.default_options) ?domain ~window net ~x0 ~delta =
-  let t0 = Unix.gettimeofday () in
-  let input = local_input ?domain net ~x0 ~delta in
-  let bounds = local_bounds net input in
+let propagate_boxes ~milp_options ~window net bounds =
   let n = Nn.Network.n_layers net in
   for i = 0 to n - 1 do
     let layer = Nn.Network.layer net i in
@@ -72,7 +59,9 @@ let nd ?(milp_options = Milp.default_options) ?domain ~window net ~x0 ~delta =
     let enc = Encode.single ~mode:Encode.Exact ~bounds view in
     for j = 0 to m - 1 do
       let cv = Encode.single_vars enc i j in
-      let y_iv = solve_range ~milp_options enc.Encode.model cv.Encode.cy in
+      let y_iv =
+        solve_range ~milp_options enc.Encode.model [ (cv.Encode.cy, 1.0) ]
+      in
       (match Interval.meet bounds.Bounds.y.(i).(j) y_iv with
        | Some iv -> bounds.Bounds.y.(i).(j) <- iv
        | None -> ());
@@ -80,8 +69,25 @@ let nd ?(milp_options = Milp.default_options) ?domain ~window net ~x0 ~delta =
         (if layer.Nn.Layer.relu then Interval.relu bounds.Bounds.y.(i).(j)
          else bounds.Bounds.y.(i).(j))
     done
-  done;
-  let range = Array.copy bounds.Bounds.x.(n - 1) in
+  done
+
+let exact ?(milp_options = Milp.default_options) ?domain net ~x0 ~delta =
+  let t0 = Unix.gettimeofday () in
+  let input = local_input ?domain net ~x0 ~delta in
+  let bounds = local_bounds net input in
+  let enc = Encode.single ~mode:Encode.Exact ~bounds (Subnet.full net) in
+  let range =
+    Array.init (Nn.Network.output_dim net) (fun j ->
+        solve_range ~milp_options enc.Encode.model [ (out_var enc j, 1.0) ])
+  in
+  { range; runtime = Unix.gettimeofday () -. t0 }
+
+let nd ?(milp_options = Milp.default_options) ?domain ~window net ~x0 ~delta =
+  let t0 = Unix.gettimeofday () in
+  let input = local_input ?domain net ~x0 ~delta in
+  let bounds = local_bounds net input in
+  propagate_boxes ~milp_options ~window net bounds;
+  let range = Array.copy bounds.Bounds.x.(Nn.Network.n_layers net - 1) in
   { range; runtime = Unix.gettimeofday () -. t0 }
 
 let lpr ?domain net ~x0 ~delta =
@@ -89,12 +95,7 @@ let lpr ?domain net ~x0 ~delta =
   let input = local_input ?domain net ~x0 ~delta in
   let bounds = local_bounds net input in
   let n = Nn.Network.n_layers net in
-  let out_dim = Nn.Network.output_dim net in
-  let view =
-    Subnet.cone net ~last:(n - 1) ~targets:(Array.init out_dim Fun.id)
-      ~window:n
-  in
-  let enc = Encode.single ~mode:Encode.Relaxed ~bounds view in
+  let enc = Encode.single ~mode:Encode.Relaxed ~bounds (Subnet.full net) in
   (* one warm engine serves all 2·out_dim objective-only queries *)
   let engine =
     Plan.Engine.of_session (Plan.Engine.zero_stats ()) ~name:"local-lpr"
@@ -102,12 +103,7 @@ let lpr ?domain net ~x0 ~delta =
       (Lp.Simplex.create_session (Lp.Simplex.compile enc.Encode.model))
   in
   let range =
-    Array.init out_dim (fun j ->
-        let var = out_var enc j in
-        let hi = engine Model.Maximize [ (var, 1.0) ] in
-        let lo = engine Model.Minimize [ (var, 1.0) ] in
-        match (lo, hi) with
-        | Some lo, Some hi when lo <= hi -> Interval.make lo hi
-        | _ -> bounds.Bounds.x.(n - 1).(j))
+    Array.init (Nn.Network.output_dim net) (fun j ->
+        lp_range engine [ (out_var enc j, 1.0) ] bounds.Bounds.x.(n - 1).(j))
   in
   { range; runtime = Unix.gettimeofday () -. t0 }

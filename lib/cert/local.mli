@@ -10,6 +10,26 @@ type result = {
   runtime : float;
 }
 
+val solve_range :
+  milp_options:Milp.options -> Lp.Model.t -> (int * float) list ->
+  Interval.t
+(** Range of a linear objective over a MILP, by one minimisation and
+    one maximisation; {!Interval.top} when either fails. *)
+
+val lp_range :
+  Plan.Engine.t -> (int * float) list -> Interval.t -> Interval.t
+(** Range of a linear objective by one minimisation and one
+    maximisation on a (warm) engine; the given fallback when either
+    fails or the pair is crossed. *)
+
+val propagate_boxes :
+  milp_options:Milp.options -> window:int -> Nn.Network.t -> Bounds.t ->
+  unit
+(** Network decomposition of one copy: tightens every [y] (and the
+    [x] it implies) in place, layer by layer, by exact MILPs over the
+    sliding window ending at that layer.  Distance bounds are left
+    untouched. *)
+
 val exact :
   ?milp_options:Milp.options -> ?domain:Interval.t array ->
   Nn.Network.t -> x0:float array -> delta:float -> result

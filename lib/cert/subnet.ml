@@ -43,4 +43,9 @@ let cone net ~last ~targets ~window =
   { net; first; last; active;
     input_active = Array.of_list (Int_set.elements input_deps) }
 
+let full net =
+  let n = Nn.Network.n_layers net in
+  cone net ~last:(n - 1)
+    ~targets:(Array.init (Nn.Network.output_dim net) Fun.id) ~window:n
+
 let depth v = v.last - v.first + 1

@@ -22,6 +22,10 @@ val cone : Nn.Network.t -> last:int -> targets:int array -> window:int -> view
     [last] with the given target neurons.  Raises [Invalid_argument]
     on out-of-range arguments. *)
 
+val full : Nn.Network.t -> view
+(** The whole network as one window: every layer, in the cone of every
+    output. *)
+
 val depth : view -> int
 (** Number of layers in the window. *)
 

@@ -37,8 +37,9 @@ type propagation_row = {
 
 val propagation_sweep :
   ?widths:int list -> ?delta:float -> unit -> propagation_row list
-(** E11: interval vs symbolic (affine) propagation against Algorithm 1
-    on random nets of growing width. *)
+(** E11: interval propagation vs the symbolic backward substitution
+    ({!Cert.Symbolic.certify}) against Algorithm 1 on random nets of
+    growing width. *)
 
 val print_propagation : Format.formatter -> propagation_row list -> unit
 

@@ -4,8 +4,6 @@ let create rows cols x =
   if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dims";
   { rows; cols; data = Array.make (rows * cols) x }
 
-let zeros rows cols = create rows cols 0.0
-
 let init rows cols f =
   let data = Array.make (rows * cols) 0.0 in
   for i = 0 to rows - 1 do
@@ -15,13 +13,7 @@ let init rows cols f =
   done;
   { rows; cols; data }
 
-let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
-
-let copy m = { m with data = Array.copy m.data }
-
 let get m i j = m.data.((i * m.cols) + j)
-
-let set m i j x = m.data.((i * m.cols) + j) <- x
 
 let of_arrays rows_arr =
   let rows = Array.length rows_arr in
@@ -38,13 +30,11 @@ let of_arrays rows_arr =
 
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
-let col m j = Array.init m.rows (fun i -> get m i j)
-
 let mul a b =
   if a.cols <> b.rows then
     invalid_arg
       (Printf.sprintf "Mat.mul: %dx%d * %dx%d" a.rows a.cols b.rows b.cols);
-  let c = zeros a.rows b.cols in
+  let c = create a.rows b.cols 0.0 in
   for i = 0 to a.rows - 1 do
     for k = 0 to a.cols - 1 do
       let aik = get a i k in
@@ -83,27 +73,10 @@ let tmul_vec a x =
   done;
   y
 
-let lift2 name f a b =
+let add a b =
   if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg (Printf.sprintf "Mat.%s: dimension mismatch" name);
-  { a with data = Array.init (Array.length a.data)
-                    (fun i -> f a.data.(i) b.data.(i)) }
-
-let add a b = lift2 "add" ( +. ) a b
-
-let sub a b = lift2 "sub" ( -. ) a b
-
-let scale k m = { m with data = Array.map (fun v -> k *. v) m.data }
-
-let map f m = { m with data = Array.map f m.data }
-
-let swap_rows m i j =
-  if i <> j then
-    for k = 0 to m.cols - 1 do
-      let t = get m i k in
-      set m i k (get m j k);
-      set m j k t
-    done
+    invalid_arg "Mat.add: dimension mismatch";
+  { a with data = Array.mapi (fun i x -> x +. b.data.(i)) a.data }
 
 let equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
@@ -112,10 +85,3 @@ let equal ?(eps = 1e-9) a b =
         (fun i x -> if Float.abs (x -. b.data.(i)) > eps then ok := false)
         a.data;
       !ok)
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "%a@," Vec.pp (row m i)
-  done;
-  Format.fprintf fmt "@]"

@@ -156,6 +156,25 @@ echo "== audited parallel certification sweep (--domains 4) =="
 GRC_AUDIT=1 dune exec -- grc certify \
   --net _build/lint-artifacts/lint-ci.net --delta 0.001 --domains 4
 
+echo "== audited symbolic bound (no looser than interval propagation) =="
+# Under audit an empty meet between the backward substitution and the
+# stored bounds is fatal; every output's bound must then be <= the
+# interval-propagation bound of the same output.
+GRC_AUDIT=1 dune exec -- grc certify \
+  --net _build/lint-artifacts/lint-ci.net --delta 0.001 --method symbolic \
+  > _build/symbolic-ci.txt
+dune exec -- grc certify \
+  --net _build/lint-artifacts/lint-ci.net --delta 0.001 --method interval \
+  > _build/interval-ci.txt
+if ! awk '/^output/ { if (FNR == NR) { sym[$2] = $NF + 0; ns++; next }
+                      ni++; if (!($2 in sym) || sym[$2] > $NF + 0) bad = 1 }
+          END { exit (bad || ns == 0 || ns != ni) }' \
+    _build/symbolic-ci.txt _build/interval-ci.txt; then
+  echo "symbolic bound looser than interval propagation:" >&2
+  cat _build/symbolic-ci.txt _build/interval-ci.txt >&2
+  exit 1
+fi
+
 echo "== certify parity (sequential and --domains 4) =="
 # Domain parallelism must certify the epsilon the sequential run does.
 seq_eps=$(dune exec -- grc certify \

@@ -207,11 +207,6 @@ let propagated_bounds net =
   Cert.Interval_prop.propagate net bounds;
   bounds
 
-let full_view net =
-  let n = Nn.Network.n_layers net in
-  let targets = Array.init (Nn.Network.output_dim net) Fun.id in
-  Cert.Subnet.cone net ~last:(n - 1) ~targets ~window:n
-
 let test_encoding_clean () =
   let net = small_net () in
   let bounds = propagated_bounds net in
@@ -219,7 +214,7 @@ let test_encoding_clean () =
     (codes (Audit.Encoding.intervals bounds));
   Alcotest.(check string) "soundness" ""
     (codes (Audit.Encoding.bounds_soundness net bounds));
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   let enc = Cert.Encode.itne ~mode:Cert.Encode.Relaxed ~bounds view in
   Alcotest.(check string) "itne" ""
     (codes

@@ -183,7 +183,7 @@ let test_symbolic_sound () =
   Alcotest.(check bool) "symbolic sound" true (sym >= sampled -. 1e-9)
 
 let test_symbolic_forward_containment () =
-  (* forward traces stay within symbolic-tightened bounds *)
+  (* forward traces stay within the analysed bounds *)
   let rng = rng0 () in
   let net = random_net ~rng ~dims:[ 2; 6; 4; 1 ] ~relu_last:false in
   let bounds =
@@ -192,7 +192,7 @@ let test_symbolic_forward_containment () =
       ~input_dist:(Cert.Bounds.uniform_delta net 0.1)
   in
   Cert.Interval_prop.propagate net bounds;
-  Cert.Symbolic.propagate net bounds;
+  Cert.Symbolic.analyse net bounds;
   for _ = 1 to 100 do
     let x = Array.init 2 (fun _ -> Random.State.float rng 2.0 -. 1.0) in
     let pres, _ = Nn.Network.forward_all net x in
@@ -238,17 +238,17 @@ let test_back_unbounded_box_no_nan () =
     [| Interval.make neg_infinity infinity;
        Interval.make neg_infinity infinity |]
   in
-  let eps = (Cert.Symbolic_back.certify net ~input ~delta:0.1).(0) in
+  let eps = (Cert.Symbolic.certify net ~input ~delta:0.1).(0) in
   Alcotest.(check bool) "finite" true (Float.is_finite eps);
   Alcotest.(check bool) "exact |1|+|-2| scaled" true (feq eps 0.3)
 
-(* property: backward bounds are contained in forward bounds, which are
-   contained in interval propagation, per neuron and quantity — all
-   three run independently from the same propagated base *)
+(* property: symbolic bounds are contained in interval propagation,
+   per neuron and quantity — both run independently from the same
+   propagated base *)
 let back_tightness_chain_prop =
   let gen = QCheck.Gen.(pair (int_range 0 100000) (int_range 2 6)) in
   Test_seed.to_alcotest
-    (QCheck.Test.make ~count:15 ~name:"back subset fwd subset interval-prop"
+    (QCheck.Test.make ~count:15 ~name:"back subset interval-prop"
        (QCheck.make gen)
        (fun (seed, width) ->
          let rng = Random.State.make [| seed |] in
@@ -262,10 +262,8 @@ let back_tightness_chain_prop =
              ~input_dist:(Cert.Bounds.uniform_delta net delta)
          in
          Cert.Interval_prop.propagate net base;
-         let fwd = Cert.Bounds.copy base in
-         Cert.Symbolic.propagate net fwd;
          let back = Cert.Bounds.copy base in
-         Cert.Symbolic_back.analyse net back;
+         Cert.Symbolic.analyse net back;
          let subset (a : Interval.t) (b : Interval.t) =
            a.Interval.lo >= b.Interval.lo -. 1e-9
            && a.Interval.hi <= b.Interval.hi +. 1e-9
@@ -276,11 +274,8 @@ let back_tightness_chain_prop =
              (fun i row ->
                Array.iteri
                  (fun j _ ->
-                   if
-                     not
-                       (subset (sel back).(i).(j) (sel fwd).(i).(j)
-                        && subset (sel fwd).(i).(j) (sel base).(i).(j))
-                   then ok := false)
+                   if not (subset (sel back).(i).(j) (sel base).(i).(j)) then
+                     ok := false)
                  row)
              (sel base)
          in
@@ -303,11 +298,34 @@ let back_sound_prop =
          in
          let delta = 0.05 in
          let input = Cert.Bounds.box_domain net ~lo:(-1.0) ~hi:1.0 in
-         let eps = (Cert.Symbolic_back.certify net ~input ~delta).(0) in
+         let eps = (Cert.Symbolic.certify net ~input ~delta).(0) in
          let sampled =
            sample_variation ~rng net ~lo:(-1.0) ~hi:1.0 ~delta ~j:0 ~n:150
          in
          eps >= sampled -. 1e-9))
+
+(* regression: the certified bits on the Table I nets at delta 0.001,
+   over the input boxes [0, 1] and [0, 0.35] *)
+let test_symbolic_pinned_bits () =
+  List.iter
+    (fun (name, net, cases) ->
+      List.iter
+        (fun (hi, expected) ->
+          let input = Cert.Bounds.box_domain net ~lo:0.0 ~hi in
+          let eps = (Cert.Symbolic.certify net ~input ~delta:0.001).(0) in
+          let expected = Float.of_string expected in
+          if Int64.bits_of_float eps <> Int64.bits_of_float expected then
+            Alcotest.failf "%s over [0, %g]: eps %h, pinned %h" name hi eps
+              expected)
+        cases)
+    [ ("dnn2", Test_nets.dnn2 (),
+       [ (1.0, "0x1.5461ee72dc0cbp-7"); (0.35, "0x1.4fd782a24d0efp-7") ]);
+      ("dnn3", Test_nets.dnn3 (),
+       [ (1.0, "0x1.a9a8f67577456p-7"); (0.35, "0x1.a9a8f67577456p-7") ]);
+      ("dnn4", Test_nets.dnn4 (),
+       [ (1.0, "0x1.9f5fc94b57e54p-7"); (0.35, "0x1.8428bf8bf223ep-7") ]);
+      ("dnn5", Test_nets.dnn5 (),
+       [ (1.0, "0x1.5ee56e85e9e0bp-6"); (0.35, "0x1.53c14e209d396p-6") ]) ]
 
 (* --- subnet cones --- *)
 
@@ -734,7 +752,9 @@ let suites =
         Alcotest.test_case "sound" `Quick test_symbolic_sound;
         Alcotest.test_case "forward containment" `Quick
           test_symbolic_forward_containment;
-        Alcotest.test_case "affine eval" `Quick test_symbolic_affine_eval ] );
+        Alcotest.test_case "affine eval" `Quick test_symbolic_affine_eval;
+        Alcotest.test_case "pinned bits on dnn2-dnn5" `Quick
+          test_symbolic_pinned_bits ] );
     ( "cert:symbolic-back",
       [ Alcotest.test_case "zero coeff on unbounded input" `Quick
           test_eval_range_zero_coeff_unbounded;

@@ -148,7 +148,7 @@ let reluplex_vs_milp_prop =
 (* --- (d) certifier-in-the-loop training keeps the ordering each epoch --- *)
 
 (* Every epoch of the robust training loop must sit inside the chain
-   PGD lower bound <= symbolic-back <= interval surrogate: the penalty
+   PGD lower bound <= symbolic <= interval surrogate: the penalty
    being trained against upper-bounds the tighter certificate, which
    upper-bounds anything an attack can realise — on every intermediate
    network, not just the final one. *)
@@ -179,7 +179,7 @@ let test_train_robust_chain () =
     in
     let delta = config.Exp.Train_robust.delta in
     let surrogate = Cert.Interval_prop.certify net ~input ~delta in
-    let sym = Cert.Symbolic_back.certify net ~input ~delta in
+    let sym = Cert.Symbolic.certify net ~input ~delta in
     let pgd =
       Attack.Global_under.sweep ~domain:input ~max_samples:10
         ~seed:(41 + r.Exp.Train_robust.epoch) net ~xs ~delta
@@ -188,11 +188,11 @@ let test_train_robust_chain () =
       (fun j s ->
         if not (s <= surrogate.(j)) then
           Alcotest.failf
-            "epoch %d output %d: symbolic-back %.12g above surrogate %.12g"
+            "epoch %d output %d: symbolic %.12g above surrogate %.12g"
             r.Exp.Train_robust.epoch j s surrogate.(j);
         if not (pgd.Attack.Global_under.eps_under.(j) <= s +. 1e-9) then
           Alcotest.failf
-            "epoch %d output %d: PGD %.12g above symbolic-back %.12g"
+            "epoch %d output %d: PGD %.12g above symbolic %.12g"
             r.Exp.Train_robust.epoch j
             pgd.Attack.Global_under.eps_under.(j)
             s;
@@ -269,7 +269,7 @@ let test_post_train_recertify_bitwise () =
       let certify n =
         let input = Cert.Bounds.box_domain n ~lo:(-1.0) ~hi:1.0 in
         ( Cert.Interval_prop.certify n ~input ~delta,
-          Cert.Symbolic_back.certify n ~input ~delta )
+          Cert.Symbolic.certify n ~input ~delta )
       in
       let iv1, sb1 = certify net and iv2, sb2 = certify net2 in
       let bits name a b =
@@ -281,7 +281,7 @@ let test_post_train_recertify_bitwise () =
           a
       in
       bits "interval" iv1 iv2;
-      bits "symbolic-back" sb1 sb2)
+      bits "symbolic" sb1 sb2)
 
 let suites =
   [ ( "differential",

@@ -23,12 +23,6 @@ let bounds_for net ~lo ~hi ~delta =
   Cert.Interval_prop.propagate net b;
   b
 
-let full_view net =
-  let n = Nn.Network.n_layers net in
-  let out = Nn.Network.output_dim net in
-  Cert.Subnet.cone net ~last:(n - 1) ~targets:(Array.init out Fun.id)
-    ~window:n
-
 (* brute-force the exact dx range of a 1-layer relu net over gridded
    inputs *)
 let brute_dx_range net ~lo ~hi ~delta ~j ~grid =
@@ -64,7 +58,7 @@ let test_itne_exact_single_layer () =
   let net = one_layer_net [| [| 1.0; -0.5 |] |] in
   let delta = 0.2 in
   let bounds = bounds_for net ~lo:(-1.0) ~hi:1.0 ~delta in
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   let enc =
     Cert.Encode.itne ~mode:Cert.Encode.Exact ~include_output_relu:true
       ~bounds view
@@ -89,7 +83,7 @@ let test_relaxed_encloses_exact () =
   let net = one_layer_net [| [| 0.8; 0.6 |]; [| -0.7; 0.9 |] |] in
   let delta = 0.15 in
   let bounds = bounds_for net ~lo:(-1.0) ~hi:1.0 ~delta in
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   let range mode j =
     let enc =
       Cert.Encode.itne ~mode ~include_output_relu:true ~bounds view
@@ -117,7 +111,7 @@ let test_refined_equals_exact () =
   let net = one_layer_net [| [| 1.0; 1.0 |] |] in
   let delta = 0.1 in
   let bounds = bounds_for net ~lo:(-1.0) ~hi:1.0 ~delta in
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   let enc_exact =
     Cert.Encode.itne ~mode:Cert.Encode.Exact ~include_output_relu:true
       ~bounds view
@@ -139,7 +133,7 @@ let test_refined_equals_exact () =
 let test_btne_out_delta_terms () =
   let net = one_layer_net [| [| 1.0; 0.0 |] |] in
   let bounds = bounds_for net ~lo:(-1.0) ~hi:1.0 ~delta:0.1 in
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   let enc =
     Cert.Encode.btne ~link_input_dist:true ~mode:Cert.Encode.Exact ~bounds
       view
@@ -160,7 +154,7 @@ let test_unstable_relu_needs_finite_bounds () =
       ~input_dist:(Cert.Bounds.uniform_delta net 0.1)
   in
   (* no propagation: layer intervals left at top *)
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   (try
      ignore
        (Cert.Encode.itne ~mode:Cert.Encode.Exact ~include_output_relu:true
@@ -171,7 +165,7 @@ let test_unstable_relu_needs_finite_bounds () =
 let test_input_intervals_of_view () =
   let net = one_layer_net [| [| 1.0; -1.0 |] |] in
   let bounds = bounds_for net ~lo:(-2.0) ~hi:3.0 ~delta:0.25 in
-  let view = full_view net in
+  let view = Cert.Subnet.full net in
   let iv = Cert.Encode.input_interval bounds view 0 in
   Alcotest.(check bool) "input interval" true
     (Interval.equal iv (Interval.make (-2.0) 3.0));

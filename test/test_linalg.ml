@@ -28,57 +28,34 @@ let qtest ?(count = 100) name gen prop =
 (* --- Vec --- *)
 
 let test_vec_basics () =
-  let v = Vec.of_list [ 1.0; -2.0; 3.0 ] in
-  check_float "dim" 3.0 (float_of_int (Vec.dim v));
-  check_float "get" (-2.0) (Vec.get v 1);
+  let v = [| 1.0; -2.0; 3.0 |] in
   check_float "norm_inf" 3.0 (Vec.norm_inf v);
-  check_float "min" (-2.0) (Vec.min_elt v);
-  check_float "max" 3.0 (Vec.max_elt v);
   Alcotest.(check int) "argmax" 2 (Vec.argmax v)
 
-let test_vec_dot () =
-  let x = Vec.of_list [ 1.0; 2.0; 3.0 ] in
-  let y = Vec.of_list [ 4.0; -5.0; 6.0 ] in
-  check_float "dot" 12.0 (Vec.dot x y)
-
-let test_vec_axpy () =
-  let x = Vec.of_list [ 1.0; 2.0 ] in
-  let y = Vec.of_list [ 10.0; 20.0 ] in
-  Vec.axpy 2.0 x y;
-  check_float "axpy0" 12.0 y.(0);
-  check_float "axpy1" 24.0 y.(1)
-
 let test_vec_dim_mismatch () =
-  let x = Vec.zeros 2 and y = Vec.zeros 3 in
-  Alcotest.check_raises "dot mismatch"
-    (Invalid_argument "Vec.dot: dimension mismatch (2 vs 3)") (fun () ->
-      ignore (Vec.dot x y))
-
-let test_vec_dist_inf () =
-  let x = Vec.of_list [ 0.0; 1.0 ] and y = Vec.of_list [ 0.5; -1.0 ] in
-  check_float "dist_inf" 2.0 (Vec.dist_inf x y)
+  Alcotest.check_raises "add mismatch"
+    (Invalid_argument "Vec.add: dimension mismatch (2 vs 3)") (fun () ->
+      ignore (Vec.add [| 0.0; 0.0 |] [| 0.0; 0.0; 0.0 |]))
 
 let vec_props =
-  [ qtest "dot commutative"
-      QCheck.Gen.(pair (vec_gen 5) (vec_gen 5))
-      (fun (x, y) -> feq ~eps:1e-6 (Vec.dot x y) (Vec.dot y x));
-    qtest "norm_inf scale"
+  [ qtest "norm_inf scale"
       QCheck.Gen.(pair float_gen (vec_gen 6))
       (fun (a, x) ->
         feq ~eps:1e-6
-          (Vec.norm_inf (Vec.scale a x))
+          (Vec.norm_inf (Array.map (fun v -> a *. v) x))
           (Float.abs a *. Vec.norm_inf x));
     qtest "add sub roundtrip"
       QCheck.Gen.(pair (vec_gen 4) (vec_gen 4))
-      (fun (x, y) -> Vec.equal ~eps:1e-9 (Vec.sub (Vec.add x y) y) x) ]
+      (fun (x, y) ->
+        Vec.equal ~eps:1e-9 (Array.map2 ( -. ) (Vec.add x y) y) x) ]
 
 (* --- Mat --- *)
 
 let test_mat_identity () =
   let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Alcotest.(check bool) "I*m = m" true
-    (Mat.equal (Mat.mul (Mat.identity 2) m) m);
-  Alcotest.(check bool) "m*I = m" true (Mat.equal (Mat.mul m (Mat.identity 2)) m)
+  let id = Mat.init 2 2 (fun i j -> if i = j then 1.0 else 0.0) in
+  Alcotest.(check bool) "I*m = m" true (Mat.equal (Mat.mul id m) m);
+  Alcotest.(check bool) "m*I = m" true (Mat.equal (Mat.mul m id) m)
 
 let test_mat_mul_known () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
@@ -90,7 +67,8 @@ let test_mat_mul_known () =
   check_float "c11" 50.0 (Mat.get c 1 1)
 
 let test_mat_mul_mismatch () =
-  let a = Mat.zeros 2 3 and b = Mat.zeros 2 3 in
+  let a = Mat.init 2 3 (fun _ _ -> 0.0) in
+  let b = Mat.init 2 3 (fun _ _ -> 0.0) in
   Alcotest.check_raises "mul mismatch"
     (Invalid_argument "Mat.mul: 2x3 * 2x3") (fun () -> ignore (Mat.mul a b))
 
@@ -98,12 +76,6 @@ let test_mat_ragged () =
   Alcotest.check_raises "ragged"
     (Invalid_argument "Mat.of_arrays: ragged rows") (fun () ->
       ignore (Mat.of_arrays [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
-
-let test_mat_swap_rows () =
-  let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Mat.swap_rows m 0 1;
-  check_float "swapped" 3.0 (Mat.get m 0 0);
-  check_float "swapped2" 2.0 (Mat.get m 1 1)
 
 (* reference transpose built from [Mat.init]/[Mat.get] *)
 let transpose m = Mat.init m.Mat.cols m.Mat.rows (fun i j -> Mat.get m j i)
@@ -172,17 +144,13 @@ let sparse_props =
 let suites =
   [ ( "linalg:vec",
       [ Alcotest.test_case "basics" `Quick test_vec_basics;
-        Alcotest.test_case "dot" `Quick test_vec_dot;
-        Alcotest.test_case "axpy" `Quick test_vec_axpy;
-        Alcotest.test_case "dim mismatch" `Quick test_vec_dim_mismatch;
-        Alcotest.test_case "dist_inf" `Quick test_vec_dist_inf ]
+        Alcotest.test_case "dim mismatch" `Quick test_vec_dim_mismatch ]
       @ vec_props );
     ( "linalg:mat",
       [ Alcotest.test_case "identity" `Quick test_mat_identity;
         Alcotest.test_case "mul known" `Quick test_mat_mul_known;
         Alcotest.test_case "mul mismatch" `Quick test_mat_mul_mismatch;
-        Alcotest.test_case "ragged" `Quick test_mat_ragged;
-        Alcotest.test_case "swap rows" `Quick test_mat_swap_rows ]
+        Alcotest.test_case "ragged" `Quick test_mat_ragged ]
       @ mat_props );
     ( "linalg:sparse_row",
       [ Alcotest.test_case "merge duplicates" `Quick test_sparse_merge;

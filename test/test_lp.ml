@@ -474,12 +474,10 @@ let test_lu_no_rejections_on_encodings () =
         ~input_dist:(Cert.Bounds.uniform_delta net delta)
     in
     Cert.Interval_prop.propagate net bounds;
-    let n = Nn.Network.n_layers net in
-    let view =
-      Cert.Subnet.cone net ~last:(n - 1)
-        ~targets:(Array.init (Nn.Network.output_dim net) Fun.id) ~window:n
+    let enc =
+      Cert.Encode.itne ~mode:Cert.Encode.Relaxed ~bounds
+        (Cert.Subnet.full net)
     in
-    let enc = Cert.Encode.itne ~mode:Cert.Encode.Relaxed ~bounds view in
     let objectives =
       Hashtbl.fold
         (fun _ (nv : Cert.Encode.neuron_vars) acc ->
