@@ -63,17 +63,26 @@ let eta_growth = 2.0
 let stab_tol = 1e-7
 let session_solves_cap = 256
 
-(* Opt-in FTRAN/BTRAN wall-time accounting for the bench harness; the
-   accumulators are plain refs, so only meaningful single-domain. *)
+(* Opt-in FTRAN/BTRAN wall-time accounting for the bench harness, in
+   integer nanoseconds on two process-wide counters, so concurrent
+   domains lose no update. *)
 let time_kernels = ref false
-let ftran_seconds = ref 0.0
-let btran_seconds = ref 0.0
+let m_ftran_ns = Obs.Metrics.counter "simplex.ftran_ns"
+let m_btran_ns = Obs.Metrics.counter "simplex.btran_ns"
+
+let kernel_start () = if !time_kernels then Obs.Clock.now () else 0.0
+
+let kernel_stop counter t0 =
+  if t0 > 0.0 then
+    Obs.Metrics.add counter (Float.to_int ((Obs.Clock.now () -. t0) *. 1e9))
 
 let reset_kernel_times () =
-  ftran_seconds := 0.0;
-  btran_seconds := 0.0
+  Obs.Metrics.add m_ftran_ns (-Obs.Metrics.get m_ftran_ns);
+  Obs.Metrics.add m_btran_ns (-Obs.Metrics.get m_btran_ns)
 
-let kernel_times () = (!ftran_seconds, !btran_seconds)
+let kernel_times () =
+  (float_of_int (Obs.Metrics.get m_ftran_ns) *. 1e-9,
+   float_of_int (Obs.Metrics.get m_btran_ns) *. 1e-9)
 
 let compile model =
   let n = Model.n_vars model in
@@ -144,14 +153,26 @@ let params_of_objective cp = function
 (* Variable status. *)
 type vstat = At_lower | At_upper | Free_zero | Basic
 
+type session_stats = {
+  mutable solves : int;
+  mutable cold_solves : int;
+  mutable warm_solves : int;
+  mutable fallbacks : int;
+  mutable total_pivots : int;
+  mutable audit_mismatches : int;
+  mutable lu_rejections : int;
+}
+
 (* Mutable solver state.  Variables are indexed 0..nt-1 where
    [0, n)        structural,
    [n, n+m)      slacks,
    [n+m, nt)     artificials (phase 1 only; fixed to 0 afterwards).
    The basis is held as a sparse LU factorisation with its eta file
-   ([Linalg.Lu]), behind FTRAN/BTRAN. *)
+   ([Linalg.Lu]), behind FTRAN/BTRAN.  Pivots and LU rejections are
+   counted where they happen, into the owning session's [stats]. *)
 type state = {
   cp : compiled;
+  stats : session_stats;
   nt : int;
   all_cols : (int array * float array) array;
   lo : float array;
@@ -166,61 +187,33 @@ type state = {
   pi : float array;           (* scratch: simplex multipliers *)
   cb : float array;           (* scratch: basic costs, basis-row order *)
   rho : float array;          (* scratch: one row of B^-1 (dual pricing) *)
-  mutable pivots : int;
-  mutable refactors : int;         (* non-initial refactorisations *)
-  mutable eta_updates : int;       (* eta terms pushed *)
-  mutable lu_rejections : int;     (* bases the LU declined *)
 }
 
-(* A state of [cp] over [all_cols] and [basis], not yet factorised: its
-   LU is that of the empty basis until [refactor ~initial:true] runs
-   (and stays so when the model has no rows). *)
-let make_state cp ~nt ~all_cols ~lo ~hi ~stat ~value ~basis ~pos =
-  let m = cp.m in
-  { cp; nt; all_cols; lo; hi; stat; value; basis; pos;
-    lu = Option.get (Linalg.Lu.factor ~m:0 [||]);
-    xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
-    cb = Array.make m 0.0; rho = Array.make m 0.0;
-    pivots = 0; refactors = 0; eta_updates = 0; lu_rejections = 0 }
-
 let ftran st col =
-  let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
+  let t0 = kernel_start () in
   let idx, vals = col in
   Linalg.Lu.ftran_pair st.lu idx vals st.y;
   Obs.Metrics.add m_ftrans 1;
-  if !time_kernels then
-    ftran_seconds := !ftran_seconds +. (Obs.Clock.now () -. t0)
+  kernel_stop m_ftran_ns t0
 
 (* pi = cB^T B^-1 for the given full cost vector *)
 let compute_pi st cost =
-  let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
+  let t0 = kernel_start () in
   for i = 0 to st.cp.m - 1 do
     st.cb.(i) <- cost.(st.basis.(i))
   done;
   Linalg.Lu.btran_dense st.lu st.cb st.pi;
   Obs.Metrics.add m_btrans 1;
-  if !time_kernels then
-    btran_seconds := !btran_seconds +. (Obs.Clock.now () -. t0)
+  kernel_stop m_btran_ns t0
 
 (* Row [r] of B^-1, for the dual-simplex pricing row, in the [rho]
    scratch: valid until the next kernel call on [st]. *)
 let basis_row st r =
-  let t0 = if !time_kernels then Obs.Clock.now () else 0.0 in
+  let t0 = kernel_start () in
   Linalg.Lu.btran_unit st.lu r st.rho;
   Obs.Metrics.add m_btrans 1;
-  if !time_kernels then
-    btran_seconds := !btran_seconds +. (Obs.Clock.now () -. t0);
+  kernel_stop m_btran_ns t0;
   st.rho
-
-(* Fold a pivot on basic row [r] into the factorisation as an eta
-   term; [st.y] must hold the FTRAN of the entering column (the
-   ratio-test vector). *)
-let basis_replace st r =
-  let quality = Linalg.Lu.push_eta st.lu ~r ~y:st.y in
-  st.eta_updates <- st.eta_updates + 1;
-  Obs.Metrics.add m_eta_updates 1;
-  if quality < stab_tol then Linalg.Lu.flag_unstable st.lu;
-  st.pivots <- st.pivots + 1
 
 (* Is the factorisation due for a refactorisation?  It is on the
    stability flag, eta-file length, or eta fill outgrowing the factors
@@ -263,7 +256,6 @@ let refactor ?(initial = false) st =
   if m = 0 then true
   else begin
     if not initial then begin
-      st.refactors <- st.refactors + 1;
       Obs.Metrics.add m_refactors 1;
       if Obs.Trace.enabled () then Obs.Trace.count "refactor" 1
     end;
@@ -276,10 +268,51 @@ let refactor ?(initial = false) st =
         recompute_xb st;
         true
     | None ->
-        st.lu_rejections <- st.lu_rejections + 1;
+        st.stats.lu_rejections <- st.stats.lu_rejections + 1;
         Obs.Metrics.add m_lu_rejections 1;
         false
   end
+
+(* Where a nonbasic variable sits under bounds [lo]/[hi]: on the bound
+   its status names when that bound is finite, otherwise on the finite
+   one (the one closer to zero when both are), else free at zero. *)
+let place stat ~lo ~hi =
+  if lo > neg_infinity && hi < infinity then
+    match stat with
+    | At_upper -> (At_upper, hi)
+    | At_lower -> (At_lower, lo)
+    | Free_zero | Basic ->
+        if Float.abs hi < Float.abs lo then (At_upper, hi) else (At_lower, lo)
+  else if lo > neg_infinity then (At_lower, lo)
+  else if hi < infinity then (At_upper, hi)
+  else (Free_zero, 0.0)
+
+(* Nonbasic variable [j] on the bound its status names. *)
+let bound_value st j =
+  match st.stat.(j) with
+  | At_lower -> st.lo.(j)
+  | At_upper -> st.hi.(j)
+  | Free_zero -> 0.0
+  | Basic -> assert false
+
+(* Basis exchange on row [r]: [j] enters at value [x] and the variable
+   basic in row [r] leaves to its bound [at].  The pivot is folded into
+   the factorisation as an eta term, so [st.y] must hold the FTRAN of
+   [j]'s column (the ratio-test vector). *)
+let exchange st r j ~x ~at =
+  let leaving = st.basis.(r) in
+  st.stat.(leaving) <- at;
+  st.value.(leaving) <- bound_value st leaving;
+  st.pos.(leaving) <- -1;
+  st.basis.(r) <- j;
+  st.pos.(j) <- r;
+  st.stat.(j) <- Basic;
+  st.value.(j) <- 0.0;
+  st.xb.(r) <- x;
+  let quality = Linalg.Lu.push_eta st.lu ~r ~y:st.y in
+  Obs.Metrics.add m_eta_updates 1;
+  if quality < stab_tol then Linalg.Lu.flag_unstable st.lu;
+  st.stats.total_pivots <- st.stats.total_pivots + 1
 
 (* One phase of bounded-variable simplex, minimising [cost].  Returns
    [`Optimal], [`Unbounded] or [`Iteration_limit]. *)
@@ -356,14 +389,7 @@ let run_phase st cost max_iter =
           for i = 0 to m - 1 do
             st.xb.(i) <- st.xb.(i) +. (-.sigma *. st.y.(i) *. t)
           done;
-          let start =
-            match st.stat.(j) with
-            | At_lower -> st.lo.(j)
-            | At_upper -> st.hi.(j)
-            | Free_zero -> 0.0
-            | Basic -> assert false
-          in
-          let new_val = start +. (sigma *. t) in
+          let new_val = bound_value st j +. (sigma *. t) in
           if !leave < 0 then begin
             (* bound flip: entering variable hits its own other bound *)
             st.value.(j) <- new_val;
@@ -371,18 +397,9 @@ let run_phase st cost max_iter =
           end
           else begin
             let r = !leave in
-            let leaving = st.basis.(r) in
             let d_r = -.sigma *. st.y.(r) in
-            st.stat.(leaving) <- (if d_r < 0.0 then At_lower else At_upper);
-            st.value.(leaving) <-
-              (if d_r < 0.0 then st.lo.(leaving) else st.hi.(leaving));
-            st.pos.(leaving) <- -1;
-            st.basis.(r) <- j;
-            st.pos.(j) <- r;
-            st.stat.(j) <- Basic;
-            st.value.(j) <- 0.0;
-            st.xb.(r) <- new_val;
-            basis_replace st r
+            exchange st r j ~x:new_val
+              ~at:(if d_r < 0.0 then At_lower else At_upper)
           end
         end
       end
@@ -464,25 +481,12 @@ let run_dual st cost max_iter =
               result := Some `Iteration_limit
             else begin
               let t = (st.xb.(r) -. target) /. aq in
-              let v_q =
-                match st.stat.(q) with
-                | At_lower -> st.lo.(q)
-                | At_upper -> st.hi.(q)
-                | Free_zero -> 0.0
-                | Basic -> assert false
-              in
+              let v_q = bound_value st q in
               for i = 0 to m - 1 do
                 st.xb.(i) <- st.xb.(i) -. (st.y.(i) *. t)
               done;
-              st.stat.(bi) <- (if below then At_lower else At_upper);
-              st.value.(bi) <- target;
-              st.pos.(bi) <- -1;
-              st.basis.(r) <- q;
-              st.pos.(q) <- r;
-              st.stat.(q) <- Basic;
-              st.value.(q) <- 0.0;
-              st.xb.(r) <- v_q +. t;
-              basis_replace st r
+              exchange st r q ~x:(v_q +. t)
+                ~at:(if below then At_lower else At_upper)
             end
           end
         end
@@ -506,205 +510,82 @@ let extract_x st =
   Array.init st.cp.n (fun j ->
       if st.stat.(j) = Basic then st.xb.(st.pos.(j)) else st.value.(j))
 
-(* Build a fresh solver state for [cp] under structural bounds [lo]/[hi]:
-   slacks basic, structural variables at their gentlest bound,
-   artificial columns patching any row whose slack starts out of range.
-   Returns [None] if the initial basis cannot be factorised. *)
-let build_state cp ~lo ~hi =
+(* The one state constructor: basis [basis] over the columns [all_cols]
+   (structurals, slacks, then any artificials, ranged [0, art_hi]),
+   every nonbasic variable placed by [place] from its status in [stat]
+   under the structural bounds [lo]/[hi], then factorised.  [None] when
+   the LU rejects the basis. *)
+let make_state cp stats ~all_cols ~art_hi ~lo ~hi ~stat ~basis =
   let m = cp.m and n = cp.n in
-  let nt0 = n + m in
-  let lo_all = Array.make nt0 0.0 and hi_all = Array.make nt0 0.0 in
+  let nt = Array.length all_cols in
+  let lo_all = Array.make nt 0.0 and hi_all = Array.make nt art_hi in
   Array.blit lo 0 lo_all 0 n;
   Array.blit hi 0 hi_all 0 n;
   Array.blit cp.slack_lo 0 lo_all n m;
   Array.blit cp.slack_hi 0 hi_all n m;
-  let stat = Array.make nt0 At_lower in
-  let value = Array.make nt0 0.0 in
-  for j = 0 to n - 1 do
-    if lo_all.(j) > neg_infinity then begin
-      (* prefer the bound closer to zero for a gentler start *)
-      if hi_all.(j) < infinity
-         && Float.abs hi_all.(j) < Float.abs lo_all.(j)
-      then begin stat.(j) <- At_upper; value.(j) <- hi_all.(j) end
-      else begin stat.(j) <- At_lower; value.(j) <- lo_all.(j) end
+  let value = Array.make nt 0.0 and pos = Array.make nt (-1) in
+  Array.iteri (fun i j -> pos.(j) <- i; stat.(j) <- Basic) basis;
+  for j = 0 to nt - 1 do
+    if stat.(j) <> Basic then begin
+      let s, v = place stat.(j) ~lo:lo_all.(j) ~hi:hi_all.(j) in
+      stat.(j) <- s;
+      value.(j) <- v
     end
-    else if hi_all.(j) < infinity then begin
-      stat.(j) <- At_upper; value.(j) <- hi_all.(j)
-    end
-    else begin stat.(j) <- Free_zero; value.(j) <- 0.0 end
   done;
-  (* slack basic values with identity basis *)
+  let st =
+    { cp; stats; nt; all_cols; lo = lo_all; hi = hi_all; stat; value; basis;
+      pos; lu = Option.get (Linalg.Lu.factor ~m:0 [||]);
+      xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
+      cb = Array.make m 0.0; rho = Array.make m 0.0 }
+  in
+  if refactor ~initial:true st then Some st else None
+
+(* The cold start under structural bounds [lo]/[hi]: every structural
+   nonbasic on its bound nearer zero ([place] from [Free_zero]) and
+   each row's slack basic, except where the slack would start out of
+   range: there an artificial column is basic instead and the slack
+   nonbasic on its violated bound. *)
+let build_state cp stats ~lo ~hi =
+  let m = cp.m and n = cp.n in
   let slack_val = Array.copy cp.b in
   for j = 0 to n - 1 do
-    if value.(j) <> 0.0 then begin
+    let v = snd (place Free_zero ~lo:lo.(j) ~hi:hi.(j)) in
+    if v <> 0.0 then begin
       let idx, vals = cp.cols.(j) in
       for k = 0 to Array.length idx - 1 do
-        slack_val.(idx.(k)) <- slack_val.(idx.(k)) -. (vals.(k) *. value.(j))
+        slack_val.(idx.(k)) <- slack_val.(idx.(k)) -. (vals.(k) *. v)
       done
     end
   done;
-  (* rows whose slack violates its bounds need an artificial *)
-  let artificials = ref [] in
-  for i = 0 to m - 1 do
-    let s = slack_val.(i) in
-    if s < cp.slack_lo.(i) -. feas_tol || s > cp.slack_hi.(i) +. feas_tol
-    then artificials := i :: !artificials
-  done;
-  let art_rows = Array.of_list (List.rev !artificials) in
-  let n_art = Array.length art_rows in
-  let nt = nt0 + n_art in
+  let art_rows =
+    List.filter
+      (fun i ->
+        let s = slack_val.(i) in
+        s < cp.slack_lo.(i) -. feas_tol || s > cp.slack_hi.(i) +. feas_tol)
+      (List.init m Fun.id)
+    |> Array.of_list
+  in
+  let nt0 = n + m in
+  let nt = nt0 + Array.length art_rows in
+  (* an artificial absorbs its row's excess over the slack's range, or
+     the shortfall under it *)
   let all_cols =
     Array.init nt (fun j ->
         if j < nt0 then cp.cols.(j)
         else begin
           let i = art_rows.(j - nt0) in
-          let s = slack_val.(i) in
-          let clamped =
-            Float.max cp.slack_lo.(i) (Float.min cp.slack_hi.(i) s)
-          in
-          let sign = if s -. clamped >= 0.0 then 1.0 else -1.0 in
+          let sign = if slack_val.(i) > cp.slack_hi.(i) then 1.0 else -1.0 in
           ([| i |], [| sign |])
         end)
   in
-  let lo_full = Array.make nt 0.0 and hi_full = Array.make nt infinity in
-  Array.blit lo_all 0 lo_full 0 nt0;
-  Array.blit hi_all 0 hi_full 0 nt0;
-  let stat_full = Array.make nt At_lower in
-  Array.blit stat 0 stat_full 0 nt0;
-  let value_full = Array.make nt 0.0 in
-  Array.blit value 0 value_full 0 nt0;
-  (* basis: slack per row, replaced by the artificial where infeasible;
-     the displaced slack goes nonbasic at its nearest bound *)
   let basis = Array.init m (fun i -> n + i) in
-  Array.iteri
-    (fun k i ->
-      basis.(i) <- nt0 + k;
-      let s = slack_val.(i) in
-      let clamped = Float.max cp.slack_lo.(i) (Float.min cp.slack_hi.(i) s) in
-      stat_full.(n + i) <-
-        (if clamped = cp.slack_lo.(i) then At_lower else At_upper);
-      value_full.(n + i) <- clamped)
-    art_rows;
-  let pos = Array.make nt (-1) in
-  Array.iteri (fun i j -> pos.(j) <- i; stat_full.(j) <- Basic) basis;
-  let st =
-    make_state cp ~nt ~all_cols ~lo:lo_full ~hi:hi_full ~stat:stat_full
-      ~value:value_full ~basis ~pos
-  in
-  if refactor ~initial:true st then Some (st, n_art) else None
-
-(* Two-phase cold solve on a freshly built state. *)
-let solve_on_state st ~n_art ~prm ~max_iter =
-  let cp = st.cp in
-  let n = cp.n and nt = st.nt in
-  let nt0 = n + cp.m in
-  let cost_full = Array.make nt 0.0 in
-  let finish status =
-    { status; obj = nan; x = extract_x st; pivots = st.pivots; duals = [||] }
-  in
-  let phase2 () =
-    Array.fill cost_full 0 nt 0.0;
-    Array.blit prm.pc 0 cost_full 0 n;
-    Obs.Metrics.add m_phase2 1;
-    match
-      Obs.Trace.with_span "simplex.phase2" (fun () ->
-          run_phase st cost_full max_iter)
-    with
-    | `Optimal ->
-        (* the optimum is read from a fresh factorisation *)
-        if refactor st then begin
-          let raw = objective_value st cost_full +.
-                    (if prm.pnegate then -.prm.pconst else prm.pconst) in
-          let obj = if prm.pnegate then -.raw else raw in
-          compute_pi st cost_full;
-          { status = Optimal; obj; x = extract_x st; pivots = st.pivots;
-            duals = Array.copy st.pi }
-        end
-        else finish Iteration_limit
-    | `Unbounded -> finish Unbounded
-    | `Iteration_limit -> finish Iteration_limit
-  in
-  if n_art = 0 then phase2 ()
-  else begin
-    for k = 0 to n_art - 1 do
-      cost_full.(nt0 + k) <- 1.0
-    done;
-    Obs.Metrics.add m_phase1 1;
-    match
-      Obs.Trace.with_span "simplex.phase1" (fun () ->
-          run_phase st cost_full max_iter)
-    with
-    | `Unbounded ->
-        (* phase-1 objective is bounded below by 0: numerically impossible,
-           report infeasible conservatively *)
-        finish Infeasible
-    | `Iteration_limit -> finish Iteration_limit
-    | `Optimal ->
-        let infeas = objective_value st cost_full in
-        if infeas > 1e-6 then finish Infeasible
-        else begin
-          (* pin artificials to zero for phase 2 *)
-          for k = 0 to n_art - 1 do
-            let j = nt0 + k in
-            st.lo.(j) <- 0.0;
-            st.hi.(j) <- 0.0;
-            if st.stat.(j) <> Basic then st.value.(j) <- 0.0
-          done;
-          phase2 ()
-        end
-  end
+  Array.iteri (fun k i -> basis.(i) <- nt0 + k) art_rows;
+  make_state cp stats ~all_cols ~art_hi:infinity ~lo ~hi
+    ~stat:(Array.make nt Free_zero) ~basis
 
 let default_max_iter cp = 20000 + (60 * (cp.m + cp.n))
 
-let solve_compiled_inner ?max_iter ?objective cp ~lo ~hi =
-  let prm = params_of_objective cp objective in
-  let n = cp.n in
-  if Array.length lo <> n || Array.length hi <> n then
-    invalid_arg "Simplex.solve_compiled: bounds length mismatch";
-  let max_iter =
-    match max_iter with Some k -> k | None -> default_max_iter cp
-  in
-  let fail_bounds = ref false in
-  Array.iteri (fun j l -> if l > hi.(j) then fail_bounds := true) lo;
-  if !fail_bounds then
-    { status = Infeasible; obj = nan; x = Array.make n nan; pivots = 0;
-      duals = [||] }
-  else
-    match build_state cp ~lo ~hi with
-    | None ->
-        { status = Infeasible; obj = nan; x = Array.make n nan; pivots = 0;
-          duals = [||] }
-    | Some (st, n_art) -> solve_on_state st ~n_art ~prm ~max_iter
-
-let solve_compiled ?max_iter ?objective cp ~lo ~hi =
-  Obs.Trace.with_span "simplex.solve" (fun () ->
-      let res = solve_compiled_inner ?max_iter ?objective cp ~lo ~hi in
-      Obs.Metrics.add m_solves 1;
-      Obs.Metrics.add m_cold 1;
-      Obs.Metrics.add m_pivots res.pivots;
-      Obs.Trace.count "pivots" res.pivots;
-      Obs.Trace.count "cold" 1;
-      res)
-
-let solve ?max_iter model =
-  let cp = compile model in
-  let lo, hi = default_bounds cp in
-  solve_compiled ?max_iter cp ~lo ~hi
-
-(* --- persistent sessions: basis reuse across solves --- *)
-
-type session_stats = {
-  mutable solves : int;
-  mutable cold_solves : int;
-  mutable warm_solves : int;
-  mutable dual_restarts : int;
-  mutable fallbacks : int;
-  mutable total_pivots : int;
-  mutable audit_mismatches : int;
-  mutable refactors : int;
-  mutable eta_updates : int;
-  mutable lu_rejections : int;
-}
+(* --- sessions: every solve is a session solve --- *)
 
 (* A basis snapshot: everything but the bounds and the factorisation.
    [b_cols] keeps the artificial columns of the state's phase 1 (pinned
@@ -713,8 +594,7 @@ type saved = {
   b_cols : (int array * float array) array;
   b_basis : int array;
   b_stat : vstat array;
-  b_last_c : float array option;
-  b_dual_ok : bool;
+  b_dual_c : float array option;
 }
 
 type basis = saved option
@@ -726,11 +606,10 @@ type session = {
   mutable sstate : state option;    (* factorised basis, or None *)
   mutable pending : saved option;
       (* a restored basis, installed over the bounds of the next solve *)
-  mutable last_c : float array option;
+  mutable dual_c : float array option;
       (* structural phase-2 cost of the last solve that ended [Optimal]
-         (or proved infeasibility by dual pivots); the basis' reduced
-         costs are dual feasible for it *)
-  mutable dual_ok : bool;
+         (kept by one that proved infeasibility by dual pivots): the
+         retained basis' reduced costs are dual feasible for it *)
   mutable inverted : int;           (* #vars with lo > hi *)
   mutable solves_since_refactor : int;
   mutable restored : bool;          (* this solve started from a snapshot *)
@@ -738,38 +617,26 @@ type session = {
 }
 
 let create_session ?lo ?hi cp =
-  let dlo, dhi = default_bounds cp in
-  let s_lo = match lo with Some a -> Array.copy a | None -> dlo in
-  let s_hi = match hi with Some a -> Array.copy a | None -> dhi in
+  let s_lo = Array.copy (Option.value lo ~default:cp.model_lo) in
+  let s_hi = Array.copy (Option.value hi ~default:cp.model_hi) in
   if Array.length s_lo <> cp.n || Array.length s_hi <> cp.n then
     invalid_arg "Simplex.create_session: bounds length mismatch";
+  if Array.exists Float.is_nan s_lo || Array.exists Float.is_nan s_hi then
+    invalid_arg "Simplex.create_session: NaN bound";
   let inverted = ref 0 in
   Array.iteri (fun j l -> if l > s_hi.(j) then incr inverted) s_lo;
-  { scp = cp; s_lo; s_hi; sstate = None; pending = None; last_c = None;
-    dual_ok = false;
+  { scp = cp; s_lo; s_hi; sstate = None; pending = None; dual_c = None;
     inverted = !inverted; solves_since_refactor = 0; restored = false;
-    stats = { solves = 0; cold_solves = 0; warm_solves = 0;
-              dual_restarts = 0; fallbacks = 0; total_pivots = 0;
-              audit_mismatches = 0; refactors = 0; eta_updates = 0;
-              lu_rejections = 0 } }
+    stats = { solves = 0; cold_solves = 0; warm_solves = 0; fallbacks = 0;
+              total_pivots = 0; audit_mismatches = 0; lu_rejections = 0 } }
 
 let session_stats sn = sn.stats
 
 let session_bounds sn = (Array.copy sn.s_lo, Array.copy sn.s_hi)
 
-(* Where a nonbasic variable sits under bounds [lo]/[hi]: on the bound
-   its status names when that bound is finite, otherwise on the finite
-   one (the one closer to zero when both are), else free at zero. *)
-let place stat ~lo ~hi =
-  if lo > neg_infinity && hi < infinity then
-    match stat with
-    | At_upper -> (At_upper, hi)
-    | At_lower -> (At_lower, lo)
-    | Free_zero | Basic ->
-        if Float.abs hi < Float.abs lo then (At_upper, hi) else (At_lower, lo)
-  else if lo > neg_infinity then (At_lower, lo)
-  else if hi < infinity then (At_upper, hi)
-  else (Free_zero, 0.0)
+let forget sn =
+  sn.sstate <- None;
+  sn.dual_c <- None
 
 let set_var_bounds sn j ~lo ~hi =
   if j < 0 || j >= sn.scp.n then
@@ -821,16 +688,13 @@ let snapshot sn =
   | None, Some st ->
       Some
         { b_cols = st.all_cols; b_basis = Array.copy st.basis;
-          b_stat = Array.copy st.stat; b_last_c = sn.last_c;
-          b_dual_ok = sn.dual_ok }
+          b_stat = Array.copy st.stat; b_dual_c = sn.dual_c }
 
 (* The retained state is dropped at once, so bound changes before the
    next solve cost nothing; that solve rebuilds the state from the
    snapshot and its own bounds alone. *)
 let restore sn b =
-  sn.sstate <- None;
-  sn.dual_ok <- false;
-  sn.last_c <- None;
+  forget sn;
   sn.pending <- b
 
 (* Rebuild a solver state from snapshot [b] under the session's current
@@ -839,251 +703,227 @@ let restore sn b =
    incrementally updated value survives from any earlier solve.  A
    basis the LU rejects leaves no state (the solve then runs cold). *)
 let install sn b =
-  let cp = sn.scp in
-  let n = cp.n and m = cp.m in
-  let nt = Array.length b.b_cols in
-  let lo = Array.make nt 0.0 and hi = Array.make nt 0.0 in
-  Array.blit sn.s_lo 0 lo 0 n;
-  Array.blit sn.s_hi 0 hi 0 n;
-  Array.blit cp.slack_lo 0 lo n m;
-  Array.blit cp.slack_hi 0 hi n m;
-  let stat = Array.copy b.b_stat and value = Array.make nt 0.0 in
-  for j = 0 to nt - 1 do
-    if stat.(j) <> Basic then begin
-      let s, v = place stat.(j) ~lo:lo.(j) ~hi:hi.(j) in
-      stat.(j) <- s;
-      value.(j) <- v
-    end
-  done;
-  let basis = Array.copy b.b_basis in
-  let pos = Array.make nt (-1) in
-  Array.iteri (fun i j -> pos.(j) <- i) basis;
-  let st =
-    make_state cp ~nt ~all_cols:b.b_cols ~lo ~hi ~stat ~value ~basis ~pos
-  in
   sn.solves_since_refactor <- 0;
   sn.restored <- true;
-  if refactor ~initial:true st then begin
-    sn.sstate <- Some st;
-    sn.dual_ok <- b.b_dual_ok;
-    sn.last_c <- b.b_last_c
-  end
-  else sn.stats.lu_rejections <- sn.stats.lu_rejections + 1
+  match
+    make_state sn.scp sn.stats ~all_cols:b.b_cols ~art_hi:0.0 ~lo:sn.s_lo
+      ~hi:sn.s_hi ~stat:(Array.copy b.b_stat) ~basis:(Array.copy b.b_basis)
+  with
+  | Some st ->
+      sn.sstate <- Some st;
+      sn.dual_c <- b.b_dual_c
+  | None -> ()
 
-let array_eq a b =
-  Array.length a = Array.length b
-  &&
-  (let ok = ref true in
-   Array.iteri (fun i v -> if v <> b.(i) then ok := false) a;
-   !ok)
+let infeasible ~pivots n =
+  { status = Infeasible; obj = nan; x = Array.make n nan; pivots;
+    duals = [||] }
 
-let solve_session_inner ?max_iter ?objective sn =
-  let cp = sn.scp in
-  let prm = params_of_objective cp objective in
-  let n = cp.n and m = cp.m in
-  let max_iter =
-    match max_iter with Some k -> k | None -> default_max_iter cp
+(* A solve that ended short of an optimum, at [st]'s current point. *)
+let stopped st status ~pivots =
+  { status; obj = nan; x = extract_x st; pivots; duals = [||] }
+
+(* The phase-2 cost of structural costs [c] over all of [st]'s
+   columns. *)
+let full_cost st c =
+  let cost = Array.make st.nt 0.0 in
+  Array.blit c 0 cost 0 st.cp.n;
+  cost
+
+(* Primal phase 2 of [prm] from the primal-feasible basis of [st], then
+   what every solve ends with: the basis is retained after [Optimal]
+   (dual feasible for [prm]) and [Unbounded] (still primal feasible; a
+   later objective may be bounded), dropped otherwise, and an optimum
+   is read from the final basis.  A cold solve always refactorises
+   there; a warm one when due — a restored basis, the adaptive
+   staleness triggers, or [session_solves_cap] solves since the last,
+   which bounds drift of the incrementally maintained xb.  A restored
+   solve so reads its value from the final basis alone, not from the
+   pivots that led there (an incremental xb can leave 1e-19 where a
+   cold solve reads an exact 0, and a sign decided there moves the
+   certifier's later encodings).  [p0] is the session's pivot count
+   when this solve's path began. *)
+let finish sn st prm ~cold ~p0 ~max_iter =
+  let cost = full_cost st prm.pc in
+  let outcome =
+    if cold then begin
+      Obs.Metrics.add m_phase2 1;
+      Obs.Trace.with_span "simplex.phase2" (fun () ->
+          run_phase st cost max_iter)
+    end
+    else run_phase st cost max_iter
   in
-  sn.stats.solves <- sn.stats.solves + 1;
-  if sn.inverted > 0 then
-    { status = Infeasible; obj = nan; x = Array.make n nan; pivots = 0;
-      duals = [||] }
+  let status =
+    match outcome with
+    | `Optimal ->
+        sn.solves_since_refactor <- sn.solves_since_refactor + 1;
+        let due =
+          cold || sn.restored || basis_stale st
+          || sn.solves_since_refactor >= session_solves_cap
+        in
+        if due && not (refactor st) then Iteration_limit
+        else begin
+          if due then sn.solves_since_refactor <- 0;
+          Optimal
+        end
+    | `Unbounded -> Unbounded
+    | `Iteration_limit -> Iteration_limit
+  in
+  let pivots = sn.stats.total_pivots - p0 in
+  match status with
+  | Optimal ->
+      sn.sstate <- Some st;
+      sn.dual_c <- Some (Array.copy prm.pc);
+      let raw = objective_value st cost +.
+                (if prm.pnegate then -.prm.pconst else prm.pconst) in
+      let obj = if prm.pnegate then -.raw else raw in
+      compute_pi st cost;
+      { status; obj; x = extract_x st; pivots; duals = Array.copy st.pi }
+  | Unbounded ->
+      sn.sstate <- Some st;
+      sn.dual_c <- None;
+      stopped st status ~pivots
+  | Infeasible | Iteration_limit ->
+      forget sn;
+      stopped st status ~pivots
+
+(* Two-phase solve from [build_state]'s basis under the session's
+   bounds; phase 1 runs only when that basis holds artificials. *)
+let cold sn prm ~max_iter =
+  let cp = sn.scp and stats = sn.stats in
+  stats.cold_solves <- stats.cold_solves + 1;
+  Obs.Metrics.add m_cold 1;
+  Obs.Trace.count "cold" 1;
+  forget sn;
+  sn.solves_since_refactor <- 0;
+  let p0 = stats.total_pivots in
+  let nt0 = cp.n + cp.m in
+  match build_state cp stats ~lo:sn.s_lo ~hi:sn.s_hi with
+  | None -> infeasible ~pivots:0 cp.n
+  | Some st when st.nt = nt0 -> finish sn st prm ~cold:true ~p0 ~max_iter
+  | Some st -> (
+      let cost = Array.init st.nt (fun j -> if j < nt0 then 0.0 else 1.0) in
+      Obs.Metrics.add m_phase1 1;
+      match
+        Obs.Trace.with_span "simplex.phase1" (fun () ->
+            run_phase st cost max_iter)
+      with
+      | `Optimal when objective_value st cost > 1e-6 ->
+          infeasible ~pivots:(stats.total_pivots - p0) cp.n
+      | `Optimal ->
+          (* pin artificials to zero for phase 2 *)
+          for j = nt0 to st.nt - 1 do
+            st.lo.(j) <- 0.0;
+            st.hi.(j) <- 0.0;
+            if st.stat.(j) <> Basic then st.value.(j) <- 0.0
+          done;
+          finish sn st prm ~cold:true ~p0 ~max_iter
+      | `Unbounded ->
+          (* phase-1 objective is bounded below by 0: numerically
+             impossible, report infeasible conservatively *)
+          infeasible ~pivots:(stats.total_pivots - p0) cp.n
+      | `Iteration_limit ->
+          stopped st Iteration_limit ~pivots:(stats.total_pivots - p0))
+
+(* In audit mode, every result served from a retained basis is
+   cross-checked against [reference ()], a cold solve of the same query;
+   on disagreement the retained basis is dropped and the cold result
+   returned, so a warm-start bug cannot corrupt a certification. *)
+let audit_cross_check sn ~reference res =
+  if not !audit_mode then res
   else begin
-    sn.restored <- false;
-    (match sn.pending with
-     | Some b ->
-         sn.pending <- None;
-         install sn b
-     | None -> ());
-    (* In audit mode, every result served from a retained basis is
-       cross-checked against a cold solve of the same query; on
-       disagreement the retained basis is dropped and the cold result
-       returned, so a warm-start bug cannot corrupt a certification. *)
-    let audit_cross_check res =
-      if not !audit_mode then res
-      else begin
-        let cold_sol =
-          solve_compiled ~max_iter ?objective cp ~lo:sn.s_lo ~hi:sn.s_hi
-        in
-        let agree =
-          match (res.status, cold_sol.status) with
-          | Optimal, Optimal ->
-              Float.abs (res.obj -. cold_sol.obj)
-              <= 5e-5 *. Float.max 1.0 (Float.abs cold_sol.obj)
-          | a, b -> a = b
-        in
-        if agree then res
-        else begin
-          sn.stats.audit_mismatches <- sn.stats.audit_mismatches + 1;
-          sn.sstate <- None;
-          sn.dual_ok <- false;
-          sn.last_c <- None;
-          Printf.eprintf
-            "[audit] Simplex warm solve disagrees with cold re-solve \
-             (warm: obj %g, cold: obj %g); dropping the retained basis\n%!"
-            res.obj cold_sol.obj;
-          cold_sol
-        end
-      end
+    let cold_sol = reference () in
+    let agree =
+      match (res.status, cold_sol.status) with
+      | Optimal, Optimal ->
+          Float.abs (res.obj -. cold_sol.obj)
+          <= 5e-5 *. Float.max 1.0 (Float.abs cold_sol.obj)
+      | a, b -> a = b
     in
-    let cold () =
-      sn.stats.cold_solves <- sn.stats.cold_solves + 1;
-      sn.sstate <- None;
-      sn.dual_ok <- false;
-      sn.last_c <- None;
-      sn.solves_since_refactor <- 0;
-      match build_state cp ~lo:sn.s_lo ~hi:sn.s_hi with
-      | None ->
-          { status = Infeasible; obj = nan; x = Array.make n nan; pivots = 0;
-            duals = [||] }
-      | Some (st, n_art) ->
-          let res = solve_on_state st ~n_art ~prm ~max_iter in
-          sn.stats.total_pivots <- sn.stats.total_pivots + st.pivots;
-          sn.stats.refactors <- sn.stats.refactors + st.refactors;
-          sn.stats.eta_updates <- sn.stats.eta_updates + st.eta_updates;
-          sn.stats.lu_rejections <-
-            sn.stats.lu_rejections + st.lu_rejections;
-          (match res.status with
-           | Optimal ->
-               sn.sstate <- Some st;
-               sn.dual_ok <- true;
-               sn.last_c <- Some (Array.copy prm.pc)
-           | Unbounded ->
-               (* the basis is still primal feasible; a later objective
-                  may be bounded *)
-               sn.sstate <- Some st
-           | Infeasible | Iteration_limit -> ());
-          res
-    in
-    match sn.sstate with
-    | None -> cold ()
-    | Some st ->
-        let cost_full = Array.make st.nt 0.0 in
-        Array.blit prm.pc 0 cost_full 0 n;
-        let pivots0 = st.pivots in
-        let refactors0 = st.refactors and etas0 = st.eta_updates in
-        let rejections0 = st.lu_rejections in
-        let charge () =
-          sn.stats.total_pivots <-
-            sn.stats.total_pivots + (st.pivots - pivots0);
-          sn.stats.refactors <- sn.stats.refactors + (st.refactors - refactors0);
-          sn.stats.eta_updates <-
-            sn.stats.eta_updates + (st.eta_updates - etas0);
-          sn.stats.lu_rejections <-
-            sn.stats.lu_rejections + (st.lu_rejections - rejections0)
-        in
-        let limit () =
-          charge ();
-          sn.sstate <- None;
-          sn.dual_ok <- false;
-          sn.last_c <- None;
-          { status = Iteration_limit; obj = nan; x = extract_x st;
-            pivots = st.pivots - pivots0; duals = [||] }
-        in
-        let primal_finish () =
-          match run_phase st cost_full max_iter with
-          | `Optimal ->
-              sn.solves_since_refactor <- sn.solves_since_refactor + 1;
-              (* The adaptive staleness triggers, plus a generous safety
-                 cap bounding drift of the incrementally maintained xb.
-                 A restored solve always ends on a fresh factorisation,
-                 as a cold solve does, so its value is read from the
-                 final basis alone, not from the pivots that led there
-                 (an incremental xb can leave 1e-19 where a cold solve
-                 reads an exact 0, and a sign decided there moves the
-                 certifier's later encodings). *)
-              let due =
-                sn.restored || basis_stale st
-                || sn.solves_since_refactor >= session_solves_cap
-              in
-              if due && not (refactor st) then limit ()
-              else begin
-                if due then sn.solves_since_refactor <- 0;
-                sn.dual_ok <- true;
-                sn.last_c <- Some (Array.copy prm.pc);
-                let raw = objective_value st cost_full +.
-                          (if prm.pnegate then -.prm.pconst else prm.pconst) in
-                let obj = if prm.pnegate then -.raw else raw in
-                compute_pi st cost_full;
-                charge ();
-                { status = Optimal; obj; x = extract_x st;
-                  pivots = st.pivots - pivots0; duals = Array.copy st.pi }
-              end
-          | `Unbounded ->
-              sn.dual_ok <- false;
-              sn.last_c <- None;
-              charge ();
-              { status = Unbounded; obj = nan; x = extract_x st;
-                pivots = st.pivots - pivots0; duals = [||] }
-          | `Iteration_limit -> limit ()
-        in
-        (* primal feasibility of the retained basis under current bounds *)
-        let feas = ref true in
-        for i = 0 to m - 1 do
-          let bi = st.basis.(i) in
-          if st.xb.(i) < st.lo.(bi) -. feas_tol
-             || st.xb.(i) > st.hi.(bi) +. feas_tol
-          then feas := false
-        done;
-        if !feas then begin
-          (* objective-only hot start: re-price, primal phase 2 *)
-          sn.stats.warm_solves <- sn.stats.warm_solves + 1;
-          audit_cross_check (primal_finish ())
-        end
-        else if sn.dual_ok then begin
-          (* bound-change restart: dual phase under the last optimal
-             cost (for which the basis is dual feasible), then primal
-             phase 2 under the requested cost *)
-          sn.stats.warm_solves <- sn.stats.warm_solves + 1;
-          sn.stats.dual_restarts <- sn.stats.dual_restarts + 1;
-          let dual_cost =
-            match sn.last_c with
-            | Some c0 when not (array_eq c0 prm.pc) ->
-                let c = Array.make st.nt 0.0 in
-                Array.blit c0 0 c 0 n;
-                c
-            | _ -> cost_full
-          in
-          match run_dual st dual_cost max_iter with
-          | `Feasible -> audit_cross_check (primal_finish ())
-          | `Infeasible ->
-              (* dual unbounded: no feasible point under these bounds;
-                 the basis stays dual feasible for [last_c] *)
-              charge ();
-              audit_cross_check
-                { status = Infeasible; obj = nan; x = Array.make n nan;
-                  pivots = st.pivots - pivots0; duals = [||] }
-          | `Iteration_limit ->
-              charge ();
-              sn.stats.warm_solves <- sn.stats.warm_solves - 1;
-              sn.stats.fallbacks <- sn.stats.fallbacks + 1;
-              cold ()
-        end
-        else begin
-          sn.stats.fallbacks <- sn.stats.fallbacks + 1;
-          cold ()
-        end
+    if agree then res
+    else begin
+      sn.stats.audit_mismatches <- sn.stats.audit_mismatches + 1;
+      forget sn;
+      Printf.eprintf
+        "[audit] Simplex warm solve disagrees with cold re-solve \
+         (warm: obj %g, cold: obj %g); dropping the retained basis\n%!"
+        res.obj cold_sol.obj;
+      cold_sol
+    end
   end
 
-let solve_session ?max_iter ?objective sn =
+(* A solve from the retained basis [st]: an objective-only hot start
+   (re-price, primal phase 2) while the basis is primal feasible under
+   the current bounds, else a bound-change restart (dual phase under
+   the cost the basis is dual feasible for, then primal phase 2).  A
+   restart that cannot run or stalls falls back to a cold solve. *)
+let warm sn st prm ~max_iter ~reference =
+  let stats = sn.stats in
+  let p0 = stats.total_pivots in
+  let served res =
+    stats.warm_solves <- stats.warm_solves + 1;
+    Obs.Metrics.add m_warm 1;
+    Obs.Trace.count "warm" 1;
+    audit_cross_check sn ~reference res
+  in
+  let fallback () =
+    stats.fallbacks <- stats.fallbacks + 1;
+    Obs.Metrics.add m_fallbacks 1;
+    cold sn prm ~max_iter
+  in
+  let feas = ref true in
+  for i = 0 to st.cp.m - 1 do
+    let bi = st.basis.(i) in
+    if st.xb.(i) < st.lo.(bi) -. feas_tol
+       || st.xb.(i) > st.hi.(bi) +. feas_tol
+    then feas := false
+  done;
+  if !feas then served (finish sn st prm ~cold:false ~p0 ~max_iter)
+  else
+    match sn.dual_c with
+    | None -> fallback ()
+    | Some c -> (
+        Obs.Metrics.add m_dual_restarts 1;
+        Obs.Trace.count "dual_restarts" 1;
+        match run_dual st (full_cost st c) max_iter with
+        | `Feasible -> served (finish sn st prm ~cold:false ~p0 ~max_iter)
+        | `Infeasible ->
+            (* dual unbounded: no feasible point under these bounds; the
+               basis stays dual feasible for [c] *)
+            served (infeasible ~pivots:(stats.total_pivots - p0) st.cp.n)
+        | `Iteration_limit -> fallback ())
+
+let rec solve_session ?max_iter ?objective sn =
   Obs.Trace.with_span "simplex.solve" (fun () ->
-      let st0 = sn.stats in
-      let warm0 = st0.warm_solves
-      and cold0 = st0.cold_solves
-      and dual0 = st0.dual_restarts
-      and fall0 = st0.fallbacks in
-      let res = solve_session_inner ?max_iter ?objective sn in
+      let cp = sn.scp in
+      let prm = params_of_objective cp objective in
+      let max_iter = Option.value max_iter ~default:(default_max_iter cp) in
+      sn.stats.solves <- sn.stats.solves + 1;
       Obs.Metrics.add m_solves 1;
+      let res =
+        if sn.inverted > 0 then infeasible ~pivots:0 cp.n
+        else begin
+          sn.restored <- false;
+          Option.iter
+            (fun b ->
+              sn.pending <- None;
+              install sn b)
+            sn.pending;
+          match sn.sstate with
+          | None -> cold sn prm ~max_iter
+          | Some st ->
+              warm sn st prm ~max_iter ~reference:(fun () ->
+                  solve_compiled ~max_iter ?objective cp ~lo:sn.s_lo
+                    ~hi:sn.s_hi)
+        end
+      in
       Obs.Metrics.add m_pivots res.pivots;
-      Obs.Metrics.add m_warm (st0.warm_solves - warm0);
-      Obs.Metrics.add m_cold (st0.cold_solves - cold0);
-      Obs.Metrics.add m_dual_restarts (st0.dual_restarts - dual0);
-      Obs.Metrics.add m_fallbacks (st0.fallbacks - fall0);
-      if Obs.Trace.enabled () then begin
-        Obs.Trace.count "pivots" res.pivots;
-        Obs.Trace.count "warm" (st0.warm_solves - warm0);
-        Obs.Trace.count "cold" (st0.cold_solves - cold0);
-        if st0.dual_restarts > dual0 then
-          Obs.Trace.count "dual_restarts" (st0.dual_restarts - dual0)
-      end;
+      Obs.Trace.count "pivots" res.pivots;
       res)
+
+(* A fresh session's first solve is cold, so the audit reference above
+   never recurses further. *)
+and solve_compiled ?max_iter ?objective cp ~lo ~hi =
+  solve_session ?max_iter ?objective (create_session ~lo ~hi cp)
+
+let solve ?max_iter model =
+  solve_session ?max_iter (create_session (compile model))

@@ -12,13 +12,18 @@
     moderate-size, mostly-finitely-bounded, very sparse LPs produced by
     robustness certification.
 
-    Besides one-shot solves, the module offers persistent {!session}s
-    that keep the optimal basis factorised between solves: an
+    Every solve is a {!session} solve: {!solve} and {!solve_compiled}
+    are the first, always cold, solve of a fresh session.  A session
+    keeps the optimal basis factorised between solves: an
     objective-only hot start (re-price and run primal phase 2, covering
     the certifier's per-neuron min/max sweeps over one matrix) and a
     bound-change restart (nonbasic variables ride along with their
     bounds and a dual-simplex phase recovers feasibility, covering
-    branch & bound child nodes and case-splitting re-solves).
+    branch & bound child nodes and case-splitting re-solves).  Cold and
+    warm solves share one state constructor, one phase-2 finish and one
+    basis exchange, and each event is counted once, where it happens,
+    into the session's {!session_stats} and the process-wide
+    ["simplex.*"] metrics.
 
     Integer marks on variables are ignored here; see {!module:Milp}. *)
 
@@ -32,7 +37,9 @@ type solution = {
   status : status;
   obj : float;      (** objective in the model's direction; meaningful only
                         when [status = Optimal] *)
-  x : float array;  (** structural variable values, model index order *)
+  x : float array;
+      (** structural variable values, model index order; all NaN when
+          [status = Infeasible] *)
   pivots : int;     (** simplex pivots performed by this solve *)
   duals : float array;
       (** row multipliers at the optimum, one per constraint, in the
@@ -45,14 +52,17 @@ type solution = {
 }
 
 val time_kernels : bool ref
-(** When on, FTRAN/BTRAN wall time is accumulated into
-    {!kernel_times} (single-domain accounting; default off). *)
+(** When on, FTRAN/BTRAN wall time is accumulated into {!kernel_times}
+    (default off).  The time is counted in integer nanoseconds on the
+    ["simplex.ftran_ns"] and ["simplex.btran_ns"] metrics, so solves on
+    several domains add up without losing updates. *)
 
 val kernel_times : unit -> float * float
 (** [(ftran_seconds, btran_seconds)] accumulated while
     {!time_kernels} was on. *)
 
 val reset_kernel_times : unit -> unit
+(** Zero {!kernel_times}. *)
 
 val audit_mode : bool ref
 (** Opt-in self-check switch, initialised from the [GRC_AUDIT]
@@ -64,6 +74,7 @@ val audit_mode : bool ref
     [session_stats.audit_mismatches]. *)
 
 val solve : ?max_iter:int -> Model.t -> solution
+(** [solve_compiled] of the compiled model under its own bounds. *)
 
 (** {1 Compiled form}
 
@@ -84,11 +95,12 @@ val solve_compiled :
   ?objective:Model.dir * (int * float) list ->
   compiled -> lo:float array -> hi:float array -> solution
 (** Solve with overridden structural bounds (arrays of length
-    [n_struct]).  [objective] replaces the model's objective (constant
-    term 0) — certification solves many min/max queries over one
-    encoded model.  The [compiled] value is not mutated and may be
-    shared.  Every solve is cold (fresh basis); use a {!session} to
-    amortise work across related solves. *)
+    [n_struct]): the first solve of [create_session ~lo ~hi], so it is
+    always cold (fresh basis) and raises as {!create_session} does.
+    [objective] replaces the model's objective (constant term 0) —
+    certification solves many min/max queries over one encoded model.
+    The [compiled] value is not mutated and may be shared; keep a
+    {!session} to amortise work across related solves. *)
 
 (** {1 Sessions: warm-started solves}
 
@@ -115,7 +127,8 @@ type session
 val create_session :
   ?lo:float array -> ?hi:float array -> compiled -> session
 (** Bounds default to the model's bounds at compile time; the arrays
-    are copied. *)
+    are copied.  Raises [Invalid_argument] on a length mismatch or a NaN
+    bound. *)
 
 val set_var_bounds : session -> int -> lo:float -> hi:float -> unit
 (** Replace one structural variable's bounds.  Cheap: O(m·nnz(col))
@@ -165,25 +178,33 @@ val restore : session -> basis -> unit
     the same [compiled]. *)
 
 type session_stats = {
-  mutable solves : int;          (** total [solve_session] calls *)
-  mutable cold_solves : int;     (** full two-phase solves *)
-  mutable warm_solves : int;     (** solves served from the retained basis *)
-  mutable dual_restarts : int;   (** warm solves that needed a dual phase *)
-  mutable fallbacks : int;       (** warm attempts abandoned to a cold solve *)
-  mutable total_pivots : int;    (** pivots across all solves *)
+  mutable solves : int;
+      (** total [solve_session] calls (["simplex.solves"]) *)
+  mutable cold_solves : int;
+      (** full two-phase solves (["simplex.cold_solves"]); a solve under
+          an empty range runs none *)
+  mutable warm_solves : int;
+      (** solves served from the retained basis (["simplex.warm_solves"]) *)
+  mutable fallbacks : int;
+      (** warm attempts abandoned to a cold solve (["simplex.fallbacks"]) *)
+  mutable total_pivots : int;
+      (** pivots across all solves, counted per basis exchange; a
+          solution's [pivots] (and ["simplex.pivots"]) leaves out those
+          of a warm attempt that fell back *)
   mutable audit_mismatches : int;
       (** warm results contradicted by the audit-mode cold cross-check *)
-  mutable refactors : int;
-      (** basis refactorisations beyond the initial build (also counted
-          process-wide as the "lp:refactor" metric and as a ["refactor"]
-          count on trace spans) *)
-  mutable eta_updates : int;     (** eta terms pushed *)
   mutable lu_rejections : int;
-      (** bases the LU rejected as singular, each ending its solve with
-          [Iteration_limit] (a restored basis falls back to a cold
-          solve instead); 0 on every benchmarked net (asserted by the
-          [lp:session] test "no LU rejections on encodings") *)
+      (** bases the LU rejected as singular (["simplex.lu_rejections"]),
+          each ending its solve with [Iteration_limit] (a restored basis
+          falls back to a cold solve instead, and a rejected cold start
+          reports [Infeasible]); 0 on every benchmarked
+          net (asserted by the [lp:session] test "no LU rejections on
+          encodings") *)
 }
+(** Dual restarts, refactorisations and eta updates are counted only
+    process-wide, as the ["simplex.dual_restarts"], ["lp:refactor"] (and
+    a ["refactor"] count on the enclosing trace span) and
+    ["simplex.eta_updates"] metrics. *)
 
 val session_stats : session -> session_stats
 (** Live counters (not a snapshot); treat as read-only. *)

@@ -10,7 +10,9 @@ echo "== dune build @all =="
 dune build @all
 
 echo "== dune runtest =="
+runtest_start=$(date +%s)
 dune runtest
+echo "tier-1 dune runtest wall: $(( $(date +%s) - runtest_start )) s"
 
 echo "== dune runtest (GRC_AUDIT=1) =="
 GRC_AUDIT=1 dune runtest --force

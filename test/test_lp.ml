@@ -68,8 +68,12 @@ let test_infeasible_constraints () =
   Model.add_constr m [ (x, 1.0) ] Model.Ge 2.0;
   Model.add_constr m [ (x, 1.0) ] Model.Le 1.0;
   Model.set_objective m Model.Minimize [ (x, 1.0) ];
-  check_status "infeasible2" Simplex.Infeasible
-    (Simplex.solve m).Simplex.status
+  let sol = Simplex.solve m in
+  check_status "infeasible2" Simplex.Infeasible sol.Simplex.status;
+  (* phase 1 proves this one infeasible; x is all NaN as on every
+     other Infeasible path *)
+  Alcotest.(check bool) "x is NaN" true
+    (Array.for_all Float.is_nan sol.Simplex.x)
 
 let test_unbounded () =
   let m = Model.create () in
@@ -151,6 +155,23 @@ let test_compiled_reuse () =
     (Simplex.solve_compiled
        ~objective:(Model.Minimize, [ (y, 1.0) ])
        cp ~lo ~hi)
+
+(* A NaN bound is rejected when the session is created, as
+   [set_var_bounds] rejects it later: a NaN lower bound fails every
+   [lo < hi] pricing test, so minimising x over [nan, 1] would report
+   a wrong optimum of 1. *)
+let test_nan_bounds_rejected () =
+  let m = Model.create () in
+  let x = Model.add_var ~lo:0.0 ~hi:1.0 m in
+  Model.set_objective m Model.Minimize [ (x, 1.0) ];
+  let cp = Simplex.compile m in
+  let nan_bound = Invalid_argument "Simplex.create_session: NaN bound" in
+  Alcotest.check_raises "solve_compiled lo" nan_bound (fun () ->
+      ignore (Simplex.solve_compiled cp ~lo:[| nan |] ~hi:[| 1.0 |]));
+  Alcotest.check_raises "solve_compiled hi" nan_bound (fun () ->
+      ignore (Simplex.solve_compiled cp ~lo:[| 0.0 |] ~hi:[| nan |]));
+  Alcotest.check_raises "create_session" nan_bound (fun () ->
+      ignore (Simplex.create_session ~lo:[| nan |] cp))
 
 let test_feasibility_of_solution () =
   (* returned x must satisfy all constraints *)
@@ -370,6 +391,62 @@ let test_session_bound_changes () =
   let lo, hi = Simplex.session_bounds sn in
   Alcotest.(check bool) "bounds restored" true
     (lo.(0) = 0.0 && hi.(0) = 4.0 && lo.(1) = 0.0 && hi.(1) = 4.0)
+
+(* A bound change that leaves the retained basis primal infeasible
+   starts a dual restart; one that cannot pivot ([max_iter] 0) falls
+   back to a cold solve, which is counted as cold, not warm. *)
+let test_session_dual_fallback_counts () =
+  let m = Model.create () in
+  let x = Model.add_var ~lo:0.0 ~hi:4.0 m in
+  let y = Model.add_var ~lo:0.0 ~hi:4.0 m in
+  Model.add_constr m [ (x, 1.0); (y, 1.0) ] Model.Le 5.0;
+  Model.set_objective m Model.Maximize [ (x, 1.0); (y, 1.0) ];
+  let cp = Simplex.compile m in
+  let sn = Simplex.create_session cp in
+  check_obj "initial" 5.0 (Simplex.solve_session sn);
+  (* x + y = 5 at the optimum: whichever of x, y is basic leaves [0, 1] *)
+  Simplex.set_var_bounds sn x ~lo:0.0 ~hi:1.0;
+  Simplex.set_var_bounds sn y ~lo:0.0 ~hi:1.0;
+  let st = Simplex.session_stats sn in
+  let solves0 = st.Simplex.solves and warm0 = st.Simplex.warm_solves
+  and fallbacks0 = st.Simplex.fallbacks and cold0 = st.Simplex.cold_solves in
+  let metric name = Obs.Metrics.get (Obs.Metrics.counter name) in
+  let m_fallbacks0 = metric "simplex.fallbacks"
+  and m_warm0 = metric "simplex.warm_solves"
+  and m_dual0 = metric "simplex.dual_restarts" in
+  check_status "no pivots allowed" Simplex.Iteration_limit
+    (Simplex.solve_session ~max_iter:0 sn).Simplex.status;
+  Alcotest.(check int) "solves" (solves0 + 1) st.Simplex.solves;
+  Alcotest.(check int) "warm solves" warm0 st.Simplex.warm_solves;
+  Alcotest.(check int) "fallbacks" (fallbacks0 + 1) st.Simplex.fallbacks;
+  Alcotest.(check int) "cold solves" (cold0 + 1) st.Simplex.cold_solves;
+  Alcotest.(check int) "fallbacks metric" (m_fallbacks0 + 1)
+    (metric "simplex.fallbacks");
+  Alcotest.(check int) "warm metric" m_warm0 (metric "simplex.warm_solves");
+  Alcotest.(check int) "dual restart attempted" (m_dual0 + 1)
+    (metric "simplex.dual_restarts")
+
+(* An [Unbounded] solve keeps its (primal feasible) basis, as an
+   [Optimal] one does: the next objective is served warm. *)
+let test_session_unbounded_keeps_basis () =
+  let m = Model.create () in
+  let x = Model.add_var ~lo:0.0 ~hi:infinity m in
+  let y = Model.add_var ~lo:0.0 ~hi:2.0 m in
+  Model.add_constr m [ (y, 1.0); (x, -1.0) ] Model.Le 1.0;
+  Model.set_objective m Model.Maximize [ (x, 1.0) ];
+  let cp = Simplex.compile m in
+  let sn = Simplex.create_session cp in
+  check_status "max x" Simplex.Unbounded
+    (Simplex.solve_session sn).Simplex.status;
+  let objective = (Model.Minimize, [ (x, 1.0); (y, -1.0) ]) in
+  let warm = Simplex.solve_session ~objective sn in
+  let lo, hi = Simplex.default_bounds cp in
+  let cold = Simplex.solve_compiled ~objective cp ~lo ~hi in
+  check_obj "min x - y" cold.Simplex.obj warm;
+  check_obj "cold min x - y" (-1.0) cold;
+  let st = Simplex.session_stats sn in
+  Alcotest.(check int) "cold solves" 1 st.Simplex.cold_solves;
+  Alcotest.(check int) "warm solves" 1 st.Simplex.warm_solves
 
 (* property: an arbitrary interleaving of objective swaps and bound
    changes solved warm must agree with a cold solve of every state, and
@@ -809,12 +886,18 @@ let suites =
           test_compiled_reuse;
         Alcotest.test_case "solution feasibility" `Quick
           test_feasibility_of_solution;
+        Alcotest.test_case "NaN bounds rejected" `Quick
+          test_nan_bounds_rejected;
         random_lp_agrees;
         random_lp_sound ] );
     ( "lp:session",
       [ Alcotest.test_case "objective sweep" `Quick
           test_session_objective_sweep;
         Alcotest.test_case "bound changes" `Quick test_session_bound_changes;
+        Alcotest.test_case "dual-restart fallback counts" `Quick
+          test_session_dual_fallback_counts;
+        Alcotest.test_case "unbounded keeps its basis" `Quick
+          test_session_unbounded_keeps_basis;
         random_session_agrees;
         restore_history_independent;
         Alcotest.test_case "no LU rejections on encodings" `Slow
