@@ -12,13 +12,24 @@
     columns are processed in ascending-fill order and the pivot row of
     each column is the sparsest row whose magnitude is within a
     threshold factor [tau] of the largest eligible entry (threshold
-    partial pivoting).  After a simplex pivot replaces one basis
-    column, {!push_eta} appends a product-form eta term instead of
-    refactorising; the solves replay the eta file after (FTRAN) or
-    before (BTRAN) the triangular solves.  The caller decides when the
-    eta file has grown or degraded enough to warrant a fresh
-    {!factor} — see {!eta_count}, {!eta_nnz}, {!lu_nnz} and
-    {!unstable}.
+    partial pivoting).  Each column is eliminated only against the
+    earlier steps its pattern reaches through L (Gilbert & Peierls),
+    visited in ascending step order, so a factorisation costs
+    O(nnz + fill + reach) rather than O(m^2) and performs the same
+    floating-point operations as a scan over every earlier step.
+    L, U and the eta file are stored as flat column-compressed arrays.
+
+    After a simplex pivot replaces one basis column, {!push_eta}
+    appends a product-form eta term instead of refactorising; the
+    solves replay the eta file after (FTRAN) or before (BTRAN) the
+    triangular solves.  The caller decides when the eta file has grown
+    or degraded enough to warrant a fresh {!factor} — see
+    {!eta_count}, {!eta_nnz}, {!lu_nnz} and {!unstable}.
+
+    A value of type [t] is a reusable workspace: {!factor} refactorises
+    it in place, and its buffers (grown by doubling, never shrunk) serve
+    every later factorisation and eta push, so a steady-state
+    refactorisation allocates nothing.
 
     Index spaces: the matrix columns are given (and FTRAN results
     returned) in {e basis-position} space [0..m-1]; column entries and
@@ -27,16 +38,23 @@
 
 type t
 
-val factor : ?tau:float -> m:int -> (int array * float array) array -> t option
-(** [factor ~m cols] LU-factorises the [m] x [m] matrix whose [k]-th
-    column has the (row, coefficient) entries [cols.(k)].  Duplicate
-    row entries are summed.  [tau] (default 0.01) is the threshold
-    pivoting factor: rows within [tau] of the column's largest
-    magnitude are pivot candidates, the sparsest wins.  Returns [None]
-    when the matrix is singular to working precision (no candidate
-    above [1e-12] in some column).
+val create : int -> t
+(** [create m] is a workspace for [m] x [m] bases holding no
+    factorisation yet: call {!factor} before any solve. *)
 
-    Raises [Invalid_argument] on a row index outside [0, m). *)
+val factor : ?tau:float -> t -> (int -> int array * float array) -> bool
+(** [factor t col] LU-factorises, in place, the [m] x [m] matrix whose
+    [k]-th column has the (row, coefficient) entries [col k]; the eta
+    file is emptied and the {!unstable} flag cleared.  Duplicate row
+    entries are summed.  [tau] (default 0.01) is the threshold pivoting
+    factor: rows within [tau] of the column's largest magnitude are
+    pivot candidates, the sparsest wins.  Returns [false] when the
+    matrix is singular to working precision (no candidate above
+    [1e-12] in some column); [t] then holds no usable factorisation
+    until the next successful [factor], which may reuse it.
+
+    Raises [Invalid_argument] on a row index outside [0, m), before
+    touching [t]. *)
 
 val ftran_pair : t -> int array -> float array -> float array -> unit
 (** [ftran_pair t idx vals dst] solves [B y = a] for the sparse

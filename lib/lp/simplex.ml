@@ -63,12 +63,13 @@ let eta_growth = 2.0
 let stab_tol = 1e-7
 let session_solves_cap = 256
 
-(* Opt-in FTRAN/BTRAN wall-time accounting for the bench harness, in
-   integer nanoseconds on two process-wide counters, so concurrent
-   domains lose no update. *)
+(* Opt-in FTRAN/BTRAN/factorisation wall-time accounting for the bench
+   harness, in integer nanoseconds on process-wide counters, so
+   concurrent domains lose no update. *)
 let time_kernels = ref false
 let m_ftran_ns = Obs.Metrics.counter "simplex.ftran_ns"
 let m_btran_ns = Obs.Metrics.counter "simplex.btran_ns"
+let m_factor_ns = Obs.Metrics.counter "simplex.factor_ns"
 
 let kernel_start () = if !time_kernels then Obs.Clock.now () else 0.0
 
@@ -77,8 +78,9 @@ let kernel_stop counter t0 =
     Obs.Metrics.add counter (Float.to_int ((Obs.Clock.now () -. t0) *. 1e9))
 
 let reset_kernel_times () =
-  Obs.Metrics.add m_ftran_ns (-Obs.Metrics.get m_ftran_ns);
-  Obs.Metrics.add m_btran_ns (-Obs.Metrics.get m_btran_ns)
+  List.iter
+    (fun c -> Obs.Metrics.add c (-Obs.Metrics.get c))
+    [ m_ftran_ns; m_btran_ns; m_factor_ns ]
 
 let kernel_times () =
   (float_of_int (Obs.Metrics.get m_ftran_ns) *. 1e-9,
@@ -168,7 +170,8 @@ type session_stats = {
    [n, n+m)      slacks,
    [n+m, nt)     artificials (phase 1 only; fixed to 0 afterwards).
    The basis is held as a sparse LU factorisation with its eta file
-   ([Linalg.Lu]), behind FTRAN/BTRAN.  Pivots and LU rejections are
+   ([Linalg.Lu]), behind FTRAN/BTRAN; the LU workspace is the owning
+   session's, refactorised in place.  Pivots and LU rejections are
    counted where they happen, into the owning session's [stats]. *)
 type state = {
   cp : compiled;
@@ -181,7 +184,7 @@ type state = {
   value : float array;        (* nonbasic values; basics live in xb *)
   basis : int array;          (* length m, var in each row *)
   pos : int array;            (* var -> basic row, or -1 *)
-  mutable lu : Linalg.Lu.t;
+  lu : Linalg.Lu.t;
   xb : float array;           (* basic variable values *)
   y : float array;            (* scratch: entering column in basis coords *)
   pi : float array;           (* scratch: simplex multipliers *)
@@ -248,9 +251,8 @@ let recompute_xb st =
 
 (* Factorise the basis afresh and recompute basic values.  Returns
    false, counted ([lu_rejections], "simplex.lu_rejections"), when the
-   LU declines the basis as singular to working precision; the caller
-   then abandons the solve, or the state if this was its first
-   factorisation. *)
+   LU declines the basis as singular to working precision; the
+   factorisation is then unusable and the caller abandons the state. *)
 let refactor ?(initial = false) st =
   let m = st.cp.m in
   if m = 0 then true
@@ -259,18 +261,19 @@ let refactor ?(initial = false) st =
       Obs.Metrics.add m_refactors 1;
       if Obs.Trace.enabled () then Obs.Trace.count "refactor" 1
     end;
-    match
-      Linalg.Lu.factor ~m (Array.init m (fun i -> st.all_cols.(st.basis.(i))))
-    with
-    | Some lu ->
-        Obs.Metrics.add m_lu_factors 1;
-        st.lu <- lu;
-        recompute_xb st;
-        true
-    | None ->
-        st.stats.lu_rejections <- st.stats.lu_rejections + 1;
-        Obs.Metrics.add m_lu_rejections 1;
-        false
+    let t0 = kernel_start () in
+    let ok = Linalg.Lu.factor st.lu (fun i -> st.all_cols.(st.basis.(i))) in
+    kernel_stop m_factor_ns t0;
+    if ok then begin
+      Obs.Metrics.add m_lu_factors 1;
+      recompute_xb st;
+      true
+    end
+    else begin
+      st.stats.lu_rejections <- st.stats.lu_rejections + 1;
+      Obs.Metrics.add m_lu_rejections 1;
+      false
+    end
   end
 
 (* Where a nonbasic variable sits under bounds [lo]/[hi]: on the bound
@@ -411,15 +414,22 @@ let run_phase st cost max_iter =
    dual feasible for [cost] but whose basic values may violate their
    bounds (after a bound change), pivot until primal feasibility is
    recovered.  Returns [`Feasible], [`Infeasible] (dual unbounded, so
-   the primal has no feasible point) or [`Iteration_limit]. *)
+   the primal has no feasible point) or [`Iteration_limit], at
+   [max_iter] or after [stall_threshold] pivots: the phase has no
+   anti-cycling rule, so a restart that long is taken as stalled and
+   its caller falls back at once to the cold solve it would otherwise
+   reach only at [max_iter]. *)
 let run_dual st cost max_iter =
   let m = st.cp.m in
   if m = 0 then `Feasible
   else begin
     let iter = ref 0 in
     let result = ref None in
+    let stall_threshold = max 1000 (10 * m) in
     while !result = None do
-      if !iter >= max_iter || (basis_stale st && not (refactor st)) then
+      if !iter >= max_iter || !iter >= stall_threshold
+         || (basis_stale st && not (refactor st))
+      then
         result := Some `Iteration_limit
       else begin
         incr iter;
@@ -513,9 +523,9 @@ let extract_x st =
 (* The one state constructor: basis [basis] over the columns [all_cols]
    (structurals, slacks, then any artificials, ranged [0, art_hi]),
    every nonbasic variable placed by [place] from its status in [stat]
-   under the structural bounds [lo]/[hi], then factorised.  [None] when
-   the LU rejects the basis. *)
-let make_state cp stats ~all_cols ~art_hi ~lo ~hi ~stat ~basis =
+   under the structural bounds [lo]/[hi], then factorised into [lu].
+   [None] when the LU rejects the basis. *)
+let make_state cp stats lu ~all_cols ~art_hi ~lo ~hi ~stat ~basis =
   let m = cp.m and n = cp.n in
   let nt = Array.length all_cols in
   let lo_all = Array.make nt 0.0 and hi_all = Array.make nt art_hi in
@@ -534,7 +544,7 @@ let make_state cp stats ~all_cols ~art_hi ~lo ~hi ~stat ~basis =
   done;
   let st =
     { cp; stats; nt; all_cols; lo = lo_all; hi = hi_all; stat; value; basis;
-      pos; lu = Option.get (Linalg.Lu.factor ~m:0 [||]);
+      pos; lu;
       xb = Array.make m 0.0; y = Array.make m 0.0; pi = Array.make m 0.0;
       cb = Array.make m 0.0; rho = Array.make m 0.0 }
   in
@@ -545,7 +555,7 @@ let make_state cp stats ~all_cols ~art_hi ~lo ~hi ~stat ~basis =
    each row's slack basic, except where the slack would start out of
    range: there an artificial column is basic instead and the slack
    nonbasic on its violated bound. *)
-let build_state cp stats ~lo ~hi =
+let build_state cp stats lu ~lo ~hi =
   let m = cp.m and n = cp.n in
   let slack_val = Array.copy cp.b in
   for j = 0 to n - 1 do
@@ -580,7 +590,7 @@ let build_state cp stats ~lo ~hi =
   in
   let basis = Array.init m (fun i -> n + i) in
   Array.iteri (fun k i -> basis.(i) <- nt0 + k) art_rows;
-  make_state cp stats ~all_cols ~art_hi:infinity ~lo ~hi
+  make_state cp stats lu ~all_cols ~art_hi:infinity ~lo ~hi
     ~stat:(Array.make nt Free_zero) ~basis
 
 let default_max_iter cp = 20000 + (60 * (cp.m + cp.n))
@@ -614,6 +624,9 @@ type session = {
   mutable solves_since_refactor : int;
   mutable restored : bool;          (* this solve started from a snapshot *)
   stats : session_stats;
+  slu : Linalg.Lu.t;
+      (* the LU workspace of every state this session builds; a new
+         state refactorises it in place, so at most one state is live *)
 }
 
 let create_session ?lo ?hi cp =
@@ -628,7 +641,8 @@ let create_session ?lo ?hi cp =
   { scp = cp; s_lo; s_hi; sstate = None; pending = None; dual_c = None;
     inverted = !inverted; solves_since_refactor = 0; restored = false;
     stats = { solves = 0; cold_solves = 0; warm_solves = 0; fallbacks = 0;
-              total_pivots = 0; audit_mismatches = 0; lu_rejections = 0 } }
+              total_pivots = 0; audit_mismatches = 0; lu_rejections = 0 };
+    slu = Linalg.Lu.create cp.m }
 
 let session_stats sn = sn.stats
 
@@ -706,7 +720,7 @@ let install sn b =
   sn.solves_since_refactor <- 0;
   sn.restored <- true;
   match
-    make_state sn.scp sn.stats ~all_cols:b.b_cols ~art_hi:0.0 ~lo:sn.s_lo
+    make_state sn.scp sn.stats sn.slu ~all_cols:b.b_cols ~art_hi:0.0 ~lo:sn.s_lo
       ~hi:sn.s_hi ~stat:(Array.copy b.b_stat) ~basis:(Array.copy b.b_basis)
   with
   | Some st ->
@@ -797,7 +811,7 @@ let cold sn prm ~max_iter =
   sn.solves_since_refactor <- 0;
   let p0 = stats.total_pivots in
   let nt0 = cp.n + cp.m in
-  match build_state cp stats ~lo:sn.s_lo ~hi:sn.s_hi with
+  match build_state cp stats sn.slu ~lo:sn.s_lo ~hi:sn.s_hi with
   | None -> infeasible ~pivots:0 cp.n
   | Some st when st.nt = nt0 -> finish sn st prm ~cold:true ~p0 ~max_iter
   | Some st -> (
@@ -855,7 +869,8 @@ let audit_cross_check sn ~reference res =
    (re-price, primal phase 2) while the basis is primal feasible under
    the current bounds, else a bound-change restart (dual phase under
    the cost the basis is dual feasible for, then primal phase 2).  A
-   restart that cannot run or stalls falls back to a cold solve. *)
+   restart that cannot run or stalls falls back to a cold solve, whose
+   result counts the restart's pivots too. *)
 let warm sn st prm ~max_iter ~reference =
   let stats = sn.stats in
   let p0 = stats.total_pivots in
@@ -868,7 +883,9 @@ let warm sn st prm ~max_iter ~reference =
   let fallback () =
     stats.fallbacks <- stats.fallbacks + 1;
     Obs.Metrics.add m_fallbacks 1;
-    cold sn prm ~max_iter
+    let wasted = stats.total_pivots - p0 in
+    let res = cold sn prm ~max_iter in
+    { res with pivots = res.pivots + wasted }
   in
   let feas = ref true in
   for i = 0 to st.cp.m - 1 do

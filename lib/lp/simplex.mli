@@ -19,7 +19,11 @@
     the certifier's per-neuron min/max sweeps over one matrix) and a
     bound-change restart (nonbasic variables ride along with their
     bounds and a dual-simplex phase recovers feasibility, covering
-    branch & bound child nodes and case-splitting re-solves).  Cold and
+    branch & bound child nodes and case-splitting re-solves).  A
+    restart still infeasible after [max 1000 (10 m)] dual pivots
+    ([m] rows) is taken as stalled and falls back to a cold solve.
+    The session's LU workspace is refactorised in place by every state
+    it builds.  Cold and
     warm solves share one state constructor, one phase-2 finish and one
     basis exchange, and each event is counted once, where it happens,
     into the session's {!session_stats} and the process-wide
@@ -53,16 +57,18 @@ type solution = {
 
 val time_kernels : bool ref
 (** When on, FTRAN/BTRAN wall time is accumulated into {!kernel_times}
+    and LU factorisation time into the ["simplex.factor_ns"] metric
     (default off).  The time is counted in integer nanoseconds on the
-    ["simplex.ftran_ns"] and ["simplex.btran_ns"] metrics, so solves on
-    several domains add up without losing updates. *)
+    ["simplex.ftran_ns"], ["simplex.btran_ns"] and
+    ["simplex.factor_ns"] metrics, so solves on several domains add up
+    without losing updates. *)
 
 val kernel_times : unit -> float * float
 (** [(ftran_seconds, btran_seconds)] accumulated while
     {!time_kernels} was on. *)
 
 val reset_kernel_times : unit -> unit
-(** Zero {!kernel_times}. *)
+(** Zero {!kernel_times} and ["simplex.factor_ns"]. *)
 
 val audit_mode : bool ref
 (** Opt-in self-check switch, initialised from the [GRC_AUDIT]
@@ -188,9 +194,11 @@ type session_stats = {
   mutable fallbacks : int;
       (** warm attempts abandoned to a cold solve (["simplex.fallbacks"]) *)
   mutable total_pivots : int;
-      (** pivots across all solves, counted per basis exchange; a
-          solution's [pivots] (and ["simplex.pivots"]) leaves out those
-          of a warm attempt that fell back *)
+      (** pivots across all solves, counted per basis exchange (one
+          ["simplex.eta_updates"] each); a solution's [pivots], summed
+          into ["simplex.pivots"], counts those of a warm attempt that
+          fell back to a cold solve as well, so the two metrics
+          agree *)
   mutable audit_mismatches : int;
       (** warm results contradicted by the audit-mode cold cross-check *)
   mutable lu_rejections : int;

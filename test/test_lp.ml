@@ -424,7 +424,27 @@ let test_session_dual_fallback_counts () =
     (metric "simplex.fallbacks");
   Alcotest.(check int) "warm metric" m_warm0 (metric "simplex.warm_solves");
   Alcotest.(check int) "dual restart attempted" (m_dual0 + 1)
-    (metric "simplex.dual_restarts")
+    (metric "simplex.dual_restarts");
+  (* a restart that pivots once, hits the limit and falls back: its
+     pivot counts in the answer and in "simplex.pivots", so the pivot
+     and eta-update metrics move together *)
+  Simplex.set_var_bounds sn x ~lo:0.0 ~hi:4.0;
+  Simplex.set_var_bounds sn y ~lo:0.0 ~hi:4.0;
+  check_obj "re-solved" 5.0 (Simplex.solve_session sn);
+  Simplex.set_var_bounds sn x ~lo:0.0 ~hi:1.0;
+  Simplex.set_var_bounds sn y ~lo:0.0 ~hi:1.0;
+  let fallbacks1 = st.Simplex.fallbacks
+  and pivots0 = metric "simplex.pivots"
+  and etas0 = metric "simplex.eta_updates" in
+  let res = Simplex.solve_session ~max_iter:1 sn in
+  check_status "one pivot allowed" Simplex.Iteration_limit res.Simplex.status;
+  Alcotest.(check int) "fell back" (fallbacks1 + 1) st.Simplex.fallbacks;
+  Alcotest.(check bool) "the restart pivoted" true (res.Simplex.pivots >= 1);
+  Alcotest.(check int) "answer counts every pivot"
+    (metric "simplex.eta_updates" - etas0) res.Simplex.pivots;
+  Alcotest.(check int) "pivots metric = eta updates"
+    (metric "simplex.eta_updates" - etas0)
+    (metric "simplex.pivots" - pivots0)
 
 (* An [Unbounded] solve keeps its (primal feasible) basis, as an
    [Optimal] one does: the next objective is served warm. *)
@@ -673,6 +693,11 @@ let restore_history_independent =
 
 module Lu = Linalg.Lu
 
+(* A fresh workspace factorising [cols], or [None] when singular. *)
+let lu_of cols =
+  let lu = Lu.create (Array.length cols) in
+  if Lu.factor lu (Array.get cols) then Some lu else None
+
 (* Random sparse basis with a strong diagonal plus a few off-diagonal
    entries per column: nonsingular with overwhelming probability, and
    shaped like the slack-heavy bases the simplex actually factorises. *)
@@ -732,7 +757,7 @@ let lu_roundtrip =
        (fun (m, seed) ->
          let rng = Random.State.make [| seed; 11 |] in
          let cols = rand_basis rng m in
-         match Lu.factor ~m cols with
+         match lu_of cols with
          | None -> true (* vanishing probability; rejection is legal *)
          | Some lu ->
              let rv () =
@@ -760,19 +785,19 @@ let test_lu_singular () =
   let rng = Random.State.make [| 7 |] in
   let cols = rand_basis rng 8 in
   cols.(2) <- cols.(6);
-  (match Lu.factor ~m:8 cols with
+  (match lu_of cols with
    | Some _ -> Alcotest.fail "exactly singular basis accepted"
    | None -> ());
   (* near-singular: the duplicate perturbed at relative 1e-15 is still
      far below the 1e-12 pivot tolerance *)
   let idx, vals = cols.(6) in
   cols.(2) <- (Array.copy idx, Array.map (fun v -> v *. (1.0 +. 1e-15)) vals);
-  (match Lu.factor ~m:8 cols with
+  (match lu_of cols with
    | Some _ -> Alcotest.fail "near-singular basis accepted"
    | None -> ());
   Alcotest.check_raises "row out of range"
     (Invalid_argument "Lu.factor: row 9 out of range") (fun () ->
-      ignore (Lu.factor ~m:8 (Array.init 8 (fun _ -> ([| 9 |], [| 1.0 |])))))
+      ignore (lu_of (Array.init 8 (fun _ -> ([| 9 |], [| 1.0 |])))))
 
 let lu_eta_equivalence =
   let gen = QCheck.Gen.(pair (int_range 2 25) (int_range 0 1000000)) in
@@ -783,7 +808,7 @@ let lu_eta_equivalence =
        (fun (m, seed) ->
          let rng = Random.State.make [| seed; 13 |] in
          let cols = rand_basis rng m in
-         match Lu.factor ~m cols with
+         match lu_of cols with
          | None -> true
          | Some lu ->
              (* k simplex-style column replacements through the eta file *)
@@ -800,7 +825,7 @@ let lu_eta_equivalence =
              done;
              (* the updated factorisation must agree with refactorising
                 the replaced basis from scratch *)
-             match Lu.factor ~m cols with
+             match lu_of cols with
              | None -> true
              | Some fresh ->
                  let rv () =
@@ -822,6 +847,181 @@ let lu_eta_equivalence =
                  && max_abs_diff y1 y2 <= 1e-9
                  && max_abs_diff p1 p2 <= 1e-9
                  && max_abs_diff u1 u2 <= 1e-9))
+
+(* A basis shaped like a twin-network LP's: slack singletons plus a
+   layered block where each neuron column holds its own definition row
+   and a few weights into the next layer's rows (lower triangular in
+   row order), with now and then a weight into an earlier layer so
+   the elimination creates fill.  Columns are canonical (ascending
+   rows, no duplicates, no zeros) and their basis positions
+   shuffled. *)
+let twin_basis rng m =
+  let layer = Array.make m 0 in
+  let starts = ref [ 0 ] and l = ref 0 and i = ref 0 in
+  while !i < m do
+    let size = 4 + Random.State.int rng 21 in
+    for r = !i to min m (!i + size) - 1 do
+      layer.(r) <- !l
+    done;
+    i := !i + size;
+    incr l;
+    if !i < m then starts := !i :: !starts
+  done;
+  let starts = Array.of_list (List.rev !starts) in
+  let rows_of l =
+    if l >= Array.length starts then None
+    else
+      let hi = if l + 1 < Array.length starts then starts.(l + 1) else m in
+      Some (starts.(l), hi - starts.(l))
+  in
+  let pick (lo, n) = lo + Random.State.int rng n in
+  let cols =
+    Array.init m (fun r ->
+        if Random.State.float rng 1.0 < 0.35 then ([| r |], [| 1.0 |])
+        else begin
+          let entries = Hashtbl.create 4 in
+          Hashtbl.replace entries r (1.0 +. Random.State.float rng 1.0);
+          (match rows_of (layer.(r) + 1) with
+           | None -> ()
+           | Some blk ->
+               for _ = 1 to 1 + Random.State.int rng 3 do
+                 Hashtbl.replace entries (pick blk)
+                   (Random.State.float rng 1.0 -. 0.5)
+               done);
+          (if layer.(r) > 0 && Random.State.float rng 1.0 < 0.15 then
+             match rows_of (layer.(r) - 1) with
+             | None -> ()
+             | Some blk ->
+                 Hashtbl.replace entries (pick blk)
+                   (Random.State.float rng 0.4 -. 0.2));
+          let es =
+            Hashtbl.fold (fun i v acc -> (i, v) :: acc) entries []
+            |> List.filter (fun (_, v) -> v <> 0.0)
+            |> List.sort compare
+          in
+          (Array.of_list (List.map fst es), Array.of_list (List.map snd es))
+        end)
+  in
+  (* shuffle basis positions *)
+  for j = m - 1 downto 1 do
+    let k = Random.State.int rng (j + 1) in
+    let c = cols.(j) in
+    cols.(j) <- cols.(k);
+    cols.(k) <- c
+  done;
+  cols
+
+(* Worst FTRAN (dense and sparse right-hand side), BTRAN and
+   [btran_unit] residual of [lu] against the basis [cols]. *)
+let lu_residual rng lu cols =
+  let m = Array.length cols in
+  let rv () = Array.init m (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  let b = rv () and y = Array.make m 0.0 in
+  Lu.ftran_dense lu b y;
+  let ftran = max_abs_diff (basis_mat_vec m cols y) b in
+  let r = Random.State.int rng m in
+  let idx = [| r; (r * 7) mod m |] and vals = [| 1.5; -0.5 |] in
+  Lu.ftran_pair lu idx vals y;
+  let a = Array.make m 0.0 in
+  Array.iteri (fun q i -> a.(i) <- a.(i) +. vals.(q)) idx;
+  let pair = max_abs_diff (basis_mat_vec m cols y) a in
+  let c = rv () and pi = Array.make m 0.0 in
+  Lu.btran_dense lu c pi;
+  let btran = max_abs_diff (basis_mat_tvec m cols pi) c in
+  Lu.btran_unit lu r pi;
+  let e_r = Array.init m (fun i -> if i = r then 1.0 else 0.0) in
+  let unit = max_abs_diff (basis_mat_tvec m cols pi) e_r in
+  Float.max (Float.max ftran pair) (Float.max btran unit)
+
+let lu_twin_roundtrip =
+  let gen = QCheck.Gen.(pair (int_range 2 200) (int_range 0 1000000)) in
+  Test_seed.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"LU on twin-network-shaped bases, before and after etas"
+       (QCheck.make gen)
+       (fun (m, seed) ->
+         let rng = Random.State.make [| seed; 17 |] in
+         let cols = twin_basis rng m in
+         match lu_of cols with
+         | None -> true (* rejection is legal *)
+         | Some lu ->
+             let before = lu_residual rng lu cols in
+             (* column replacements through the eta file: a slack
+                singleton or a fresh neuron column *)
+             for _ = 1 to 1 + Random.State.int rng 8 do
+               let r = Random.State.int rng m in
+               let i = Random.State.int rng m in
+               let ((nidx, nvals) as col) =
+                 if Random.State.bool rng then ([| i |], [| 1.0 |])
+                 else
+                   let k = (i + 1 + Random.State.int rng (m - 1)) mod m in
+                   if i < k then ([| i; k |], [| 1.5; -0.3 |])
+                   else ([| k; i |], [| -0.3; 1.5 |])
+               in
+               let y = Array.make m 0.0 in
+               Lu.ftran_pair lu nidx nvals y;
+               if Float.abs y.(r) > 1e-3 then begin
+                 ignore (Lu.push_eta lu ~r ~y);
+                 cols.(r) <- col
+               end
+             done;
+             let after = lu_residual rng lu cols in
+             if before > 1e-9 || after > 1e-9 then
+               QCheck.Test.fail_reportf "residual %g before, %g after etas"
+                 before after;
+             true))
+
+(* A workspace refactorised after a factorisation that stopped at a
+   singular column gives bit-for-bit the solves of its first
+   factorisation: nothing of the failed one, nor of the eta file, is
+   left behind. *)
+let test_lu_reuse_after_singular () =
+  let rng = Random.State.make [| 23 |] in
+  let m = 60 in
+  let a = twin_basis rng m in
+  (* b: a copy of a in which the last two-entry column repeats the
+     first, so elimination stops there with earlier steps' fill in the
+     workspace *)
+  let b = Array.copy a in
+  let nnz j = Array.length (fst a.(j)) in
+  let twins = List.filter (fun j -> nnz j = 2) (List.init m Fun.id) in
+  (match twins with
+   | j0 :: (_ :: _ as rest) -> b.(List.hd (List.rev rest)) <- a.(j0)
+   | _ -> Alcotest.fail "basis has too few two-entry columns");
+  let lu = Lu.create m in
+  let solves () =
+    let rhs = Array.init m (fun i -> float_of_int ((i * 37 mod 11) - 5)) in
+    let out () = Array.make m 0.0 in
+    let f = out () and p = out () and d = out () and u = out () in
+    Lu.ftran_dense lu rhs f;
+    Lu.ftran_pair lu [| 3; 17; 3 |] [| 1.0; -2.0; 0.5 |] p;
+    Lu.btran_dense lu rhs d;
+    Lu.btran_unit lu 5 u;
+    Array.map Int64.bits_of_float (Array.concat [ f; p; d; u ])
+  in
+  Alcotest.(check bool) "a factorises" true (Lu.factor lu (Array.get a));
+  let first = solves () and nnz_first = Lu.lu_nnz lu in
+  let y = Array.make m 0.0 in
+  Lu.ftran_pair lu [| 0 |] [| 1.0 |] y;
+  ignore (Lu.push_eta lu ~r:0 ~y);
+  Lu.flag_unstable lu;
+  Alcotest.(check bool) "b is singular" false (Lu.factor lu (Array.get b));
+  Alcotest.(check bool) "a factorises again" true
+    (Lu.factor lu (Array.get a));
+  Alcotest.(check bool) "same bits" true (first = solves ());
+  Alcotest.(check int) "same nonzeros" nnz_first (Lu.lu_nnz lu);
+  Alcotest.(check int) "eta file emptied" 0 (Lu.eta_count lu);
+  Alcotest.(check bool) "stability flag cleared" false (Lu.unstable lu);
+  (* a fresh workspace agrees too *)
+  match lu_of a with
+  | None -> Alcotest.fail "a rejected by a fresh workspace"
+  | Some fresh ->
+      let rhs = Array.init m (fun i -> float_of_int (i mod 3)) in
+      let y1 = Array.make m 0.0 and y2 = Array.make m 0.0 in
+      Lu.ftran_dense lu rhs y1;
+      Lu.ftran_dense fresh rhs y2;
+      Alcotest.(check bool) "fresh workspace, same bits" true
+        (Array.map Int64.bits_of_float y1 = Array.map Int64.bits_of_float y2)
 
 (* --- model validation --- *)
 
@@ -905,4 +1105,7 @@ let suites =
     ( "lp:basis",
       [ lu_roundtrip;
         Alcotest.test_case "singular rejection" `Quick test_lu_singular;
-        lu_eta_equivalence ] ) ]
+        lu_eta_equivalence;
+        lu_twin_roundtrip;
+        Alcotest.test_case "reuse after a singular basis" `Quick
+          test_lu_reuse_after_singular ] ) ]
