@@ -231,7 +231,6 @@ let certify_cmd =
     let net = Nn.Io.load net_path in
     let input = Cert.Bounds.box_domain net ~lo ~hi in
     let t0 = Unix.gettimeofday () in
-    let plan_stats = ref None in
     let eps =
       match meth with
       | `Algo1 ->
@@ -240,9 +239,8 @@ let certify_cmd =
               Cert.Certifier.window; refine; domains;
               dedup = not no_dedup }
           in
-          let r = Cert.Certifier.certify ~config net ~input ~delta in
-          plan_stats := Some r;
-          r.Cert.Certifier.eps
+          (Cert.Certifier.certify ~config net ~input ~delta)
+            .Cert.Certifier.eps
       | `Exact ->
           (Cert.Exact.global_btne net ~input ~delta).Cert.Exact.eps
       | `Reluplex ->
@@ -268,15 +266,19 @@ let certify_cmd =
     Array.iteri
       (fun j e -> Printf.printf "output %d: eps <= %.6f\n" j e)
       eps;
-    (match !plan_stats with
-     | Some r ->
-         Printf.printf
-           "plan: %d queries, %d encodes, %d dedup hits; %d LP solves \
-            (%d warm), %d MILP solves\n"
-           r.Cert.Certifier.bound_queries r.Cert.Certifier.encoded_models
-           r.Cert.Certifier.dedup_hits r.Cert.Certifier.lp_solves
-           r.Cert.Certifier.lp_warm_solves r.Cert.Certifier.milp_solves
-     | None -> ());
+    (* this process certifies once, so the registry holds that run's
+       counts *)
+    if meth = `Algo1 then begin
+      let count name =
+        int_of_float (Option.value ~default:0.0 (Obs.Metrics.find name))
+      in
+      Printf.printf
+        "plan: %d queries, %d encodes, %d dedup hits; %d LP solves, %d MILP \
+         solves\n"
+        (count "certifier.bound_queries") (count "certifier.encoded_models")
+        (count "certifier.dedup_hits") (count "engine.lp_queries")
+        (count "engine.milp_queries")
+    end;
     Printf.printf "time: %.2fs\n" dt;
     match trace with
     | None -> ()
@@ -496,8 +498,8 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "metrics" ]
              ~doc:"Include the process-wide solver metrics registry \
-                   (pivots, warm/cold splits, dedup counters) in \
-                   $(b,stats) responses.")
+                   (queries, pivots, warm/cold splits, dedup counters) in \
+                   $(b,stats) responses; the daemon's only solve counts.")
   in
   let run socket port workers queue_cap cache verbose metrics =
     match resolve_addr socket port with
@@ -577,12 +579,8 @@ let submit_cmd =
     Array.iteri
       (fun j e -> Printf.printf "output %d: eps <= %.6f\n" j e)
       r.Serve.Wire.r_eps;
-    Printf.printf
-      "digest: %s\ncached: %b\nserver time: %.2fms; %d LP solves (%d warm), \
-       %d MILP solves\n"
+    Printf.printf "digest: %s\ncached: %b\nserver time: %.2fms\n"
       r.Serve.Wire.r_digest r.Serve.Wire.r_cached r.Serve.Wire.r_time_ms
-      r.Serve.Wire.r_lp_solves r.Serve.Wire.r_lp_warm
-      r.Serve.Wire.r_milp_solves
   in
   let run socket port net digest delta (lo, hi) window q_refine no_cache
       deadline_ms timeout_s stats ping shutdown =

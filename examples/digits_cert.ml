@@ -35,9 +35,14 @@ let () =
   Array.iteri
     (fun j e -> Printf.printf "  logit %d: eps <= %.4f\n" j e)
     report.Cert.Certifier.eps;
+  (* solve counts live in the metrics registry; this is the process's
+     first certify, so the registry holds exactly its counts *)
+  let count name =
+    int_of_float (Option.value ~default:0.0 (Obs.Metrics.find name))
+  in
   Printf.printf "  (%.1fs, %d LPs, %d MILPs)\n\n"
-    report.Cert.Certifier.runtime report.Cert.Certifier.lp_solves
-    report.Cert.Certifier.milp_solves;
+    report.Cert.Certifier.runtime (count "engine.lp_queries")
+    (count "engine.milp_queries");
 
   (* PGD says how much of that bound is real *)
   let under =

@@ -2,12 +2,12 @@ module Diag = Audit_core.Diag
 
 let pass = "plan"
 
-(* Static consistency audit of a query plan: the planner's counters
-   must agree with the plan's actual contents, and every variable a
-   unit touches (objective terms, bound overrides) must exist in its
-   task's model.  A violation means the executor would either crash or
-   silently solve the wrong LP, so everything here is Error-severity
-   except the advisory notes at the end. *)
+(* Static consistency audit of a query plan: every unit must point at
+   a task, and every variable it touches (objective terms, bound
+   overrides) must exist in that task's model.  A violation means the
+   executor would either crash or silently solve the wrong LP, so
+   everything here is Error-severity except the advisory notes at the
+   end. *)
 let check ?(name = "plan") (plan : Plan.t) =
   let diags = ref [] in
   let push severity ~code ~loc msg =
@@ -15,16 +15,10 @@ let check ?(name = "plan") (plan : Plan.t) =
   in
   let tasks = plan.Plan.tasks in
   let n_tasks = Array.length tasks in
-  if plan.Plan.n_encodes <> n_tasks then
-    push Diag.Error ~code:"encode-count" ~loc:(Diag.loc name)
-      (Printf.sprintf "n_encodes = %d but plan holds %d tasks"
-         plan.Plan.n_encodes n_tasks);
   let replayed = Array.make (max 1 n_tasks) 0 in
-  let queries = ref 0 and replays = ref 0 in
   Array.iteri
     (fun u (unit_ : Plan.unit_of_work) ->
       let loc = Diag.loc ~row:u name in
-      queries := !queries + Array.length unit_.Plan.queries;
       if unit_.Plan.task_id < 0 || unit_.Plan.task_id >= n_tasks then
         push Diag.Error ~code:"task-id-range" ~loc
           (Printf.sprintf "unit %d references task %d of %d" u
@@ -46,7 +40,6 @@ let check ?(name = "plan") (plan : Plan.t) =
               qs.Plan.terms)
           unit_.Plan.queries;
         if unit_.Plan.overrides <> [] then begin
-          incr replays;
           replayed.(unit_.Plan.task_id) <- replayed.(unit_.Plan.task_id) + 1;
           if task.Plan.signature = "" then
             push Diag.Error ~code:"replay-unsigned" ~loc
@@ -71,15 +64,6 @@ let check ?(name = "plan") (plan : Plan.t) =
         end
       end)
     plan.Plan.units;
-  if plan.Plan.n_queries <> !queries then
-    push Diag.Error ~code:"query-count" ~loc:(Diag.loc name)
-      (Printf.sprintf "n_queries = %d but units carry %d queries"
-         plan.Plan.n_queries !queries);
-  if plan.Plan.dedup_hits <> !replays then
-    push Diag.Error ~code:"dedup-count" ~loc:(Diag.loc name)
-      (Printf.sprintf
-         "dedup_hits = %d but %d units carry bound overrides"
-         plan.Plan.dedup_hits !replays);
   Array.iteri
     (fun i (a : Plan.affine) ->
       List.iter

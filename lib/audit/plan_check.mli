@@ -1,12 +1,11 @@
 (** Static consistency audit of certification query plans.
 
-    Validates a {!Plan.t} before (or instead of) execution: planner
-    counters must match the plan's contents ([n_encodes] = task count,
-    [n_queries] = total queries across units, [dedup_hits] = units with
-    bound overrides); every variable referenced by a unit's objective
-    terms or bound overrides must exist in its task's model; override
-    and affine input ranges must be non-empty; replayed units must
-    point at a signed (deduplicable) task.  Never raises. *)
+    Validates a {!Plan.t} before (or instead of) execution: every unit
+    must reference an existing task; every variable referenced by a
+    unit's objective terms or bound overrides must exist in its task's
+    model; override and affine input ranges must be non-empty;
+    replayed units must point at a signed (deduplicable) task.  Never
+    raises. *)
 
 val check : ?name:string -> Plan.t -> Audit_core.Diag.t list
 (** [check ?name plan] returns all findings, [Error]-severity for

@@ -17,10 +17,7 @@ let check ?(name = "symbolic") ?(samples = 32) ?(tol = 1e-6) ?certified net
   let add d = diags := d :: !diags in
   let add_all ds = List.iter add ds in
   (* two independent analyses over the same propagated base *)
-  let b_ip =
-    Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
-  in
-  Cert.Interval_prop.propagate net b_ip;
+  let b_ip = Cert.Interval_prop.propagate_box net ~input ~delta in
   let b_sym = Bounds.copy b_ip in
   Cert.Symbolic.analyse net b_sym;
   (* 1. well-formedness of every symbolic interval *)

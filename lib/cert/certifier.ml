@@ -17,13 +17,6 @@ let default_config =
 type report = {
   eps : float array;
   bounds : Bounds.t;
-  lp_solves : int;
-  milp_solves : int;
-  lp_pivots : int;
-  lp_warm_solves : int;
-  bound_queries : int;
-  encoded_models : int;
-  dedup_hits : int;
   runtime : float;
 }
 
@@ -54,12 +47,7 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
   Obs.Trace.with_span "certify" @@ fun () ->
   Obs.Metrics.add m_certifies 1;
   let t0 = Unix.gettimeofday () in
-  let stats = Plan.Engine.zero_stats () in
-  let bound_queries = ref 0 and encoded_models = ref 0 and dedup_hits = ref 0 in
-  let bounds =
-    Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
-  in
-  Interval_prop.propagate net bounds;
+  let bounds = Interval_prop.propagate_box net ~input ~delta in
   let pconfig =
     { Planner.window = config.window; refine = config.refine;
       mode = config.mode; dedup = config.dedup }
@@ -76,17 +64,14 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
   in
   (* run one layer-pass plan and fold its answers into [bounds] *)
   let run_plan plan =
-    bound_queries := !bound_queries + plan.Plan.n_queries;
-    encoded_models := !encoded_models + plan.Plan.n_encodes;
-    dedup_hits := !dedup_hits + plan.Plan.dedup_hits;
-    Obs.Metrics.add m_bound_queries plan.Plan.n_queries;
-    Obs.Metrics.add m_encoded_models plan.Plan.n_encodes;
-    Obs.Metrics.add m_dedup_hits plan.Plan.dedup_hits;
-    Obs.Trace.count "bound_queries" plan.Plan.n_queries;
-    Obs.Trace.count "encoded_models" plan.Plan.n_encodes;
-    Obs.Trace.count "dedup_hits" plan.Plan.dedup_hits;
+    let record metric name n =
+      Obs.Metrics.add metric n;
+      Obs.Trace.count name n
+    in
+    record m_bound_queries "bound_queries" (Plan.n_queries plan);
+    record m_encoded_models "encoded_models" (Plan.n_encodes plan);
+    record m_dedup_hits "dedup_hits" (Plan.dedup_hits plan);
     let outcome = Plan.Executor.run ?hook:solve_hook exec_config plan in
-    Plan.Engine.merge_stats ~into:stats outcome.Plan.Executor.stats;
     (* affine fast-path answers are exact: intersect *)
     Array.iter
       (fun ((a : Plan.affine), (r : Plan.range)) ->
@@ -153,15 +138,7 @@ let certify ?(config = default_config) ?solve_hook net ~input ~delta =
       (fun iv -> Interval.abs_max iv +. config.margin)
       (Bounds.output_dist bounds net)
   in
-  { eps; bounds;
-    lp_solves = stats.Plan.Engine.lp_solves;
-    milp_solves = stats.Plan.Engine.milp_solves;
-    lp_pivots = stats.Plan.Engine.lp_pivots;
-    lp_warm_solves = stats.Plan.Engine.lp_warm;
-    bound_queries = !bound_queries;
-    encoded_models = !encoded_models;
-    dedup_hits = !dedup_hits;
-    runtime = Unix.gettimeofday () -. t0 }
+  { eps; bounds; runtime = Unix.gettimeofday () -. t0 }
 
 let certify_box ?config ?solve_hook net ~lo ~hi ~delta =
   certify ?config ?solve_hook net

@@ -12,8 +12,8 @@
 
     Each layer pass is planned by {!Planner} (affine fast path, shared
     dense encodings, per-neuron conv cones, cone deduplication) and run
-    by {!Plan.Executor} (domain fan-out, warm solver sessions, solve
-    accounting); this module only applies the answers to {!Bounds}. *)
+    by {!Plan.Executor} (domain fan-out, warm solver sessions); this
+    module only applies the answers to {!Bounds}. *)
 
 type refine_rule = Refine.rule =
   | No_refine
@@ -62,20 +62,14 @@ type report = {
   eps : float array;        (** per network output: certified bound on
                                 [|F(x')_j - F(x)_j|] *)
   bounds : Bounds.t;        (** all intermediate ranges *)
-  lp_solves : int;
-  milp_solves : int;
-  lp_pivots : int;          (** simplex pivots across all LP and MILP-node
-                                solves *)
-  lp_warm_solves : int;     (** LP queries served from a retained basis
-                                instead of a cold two-phase solve *)
-  bound_queries : int;      (** LP/MILP bound queries planned *)
-  encoded_models : int;     (** distinct models actually encoded; strictly
-                                less than [bound_queries] whenever cone
-                                deduplication fired *)
-  dedup_hits : int;         (** cones answered by replaying another cone's
-                                encoding *)
   runtime : float;          (** seconds *)
 }
+(** How much work a call did is recorded in {!Obs.Metrics} only:
+    [certifier.bound_queries] (LP/MILP bound queries planned),
+    [certifier.encoded_models] (distinct models encoded; fewer than the
+    queries whenever cone deduplication fired), [certifier.dedup_hits]
+    (units answered by replaying another cone's encoding), and the
+    [engine.*], [milp.*] and [simplex.*] solve counters beneath them. *)
 
 val certify :
   ?config:config ->

@@ -103,14 +103,6 @@ let interval_clip_relu_dist ~y_iv ~dy_iv stored =
   | Some iv -> iv
   | None -> stored
 
-let input_interval (bounds : Bounds.t) (view : Subnet.view) id =
-  if view.Subnet.first = 0 then bounds.Bounds.input.(id)
-  else bounds.Bounds.x.(view.Subnet.first - 1).(id)
-
-let input_dist_interval (bounds : Bounds.t) (view : Subnet.view) id =
-  if view.Subnet.first = 0 then bounds.Bounds.input_dist.(id)
-  else bounds.Bounds.dx.(view.Subnet.first - 1).(id)
-
 let itne ?(refined = []) ?(include_output_relu = false) ~mode
     ~(bounds : Bounds.t) (view : Subnet.view) =
   let model = Model.create () in
@@ -121,12 +113,13 @@ let itne ?(refined = []) ?(include_output_relu = false) ~mode
      order — the first variables of the model, a creation-order
      invariant the cone-deduplication replay relies on *)
   let in_val = Hashtbl.create 16 and in_dist = Hashtbl.create 16 in
+  let first = view.Subnet.first in
   let in_vars =
     Array.map
       (fun id ->
-        let iv = input_interval bounds view id in
+        let iv = Bounds.val_in bounds first id in
         let v = var_of_interval model iv in
-        let d = var_of_interval model (input_dist_interval bounds view id) in
+        let d = var_of_interval model (Bounds.dist_in bounds first id) in
         (* The implicit second copy's window input, [w = v + d], ranges
            over the same value interval as the first copy's: both twin
            inputs lie in the input domain (and, at an interior window
@@ -303,15 +296,16 @@ let btne ?(split_relus = false) ~link_input_dist ~mode
   let split_a = Hashtbl.create 16 and split_b = Hashtbl.create 16 in
   let splits t = if split_relus then Some t else None in
   let in_a = Hashtbl.create 16 and in_b = Hashtbl.create 16 in
+  let first = view.Subnet.first in
   Array.iter
     (fun id ->
-      let iv = input_interval bounds view id in
+      let iv = Bounds.val_in bounds first id in
       let va = var_of_interval model iv in
       let vb = var_of_interval model iv in
       Hashtbl.replace in_a id va;
       Hashtbl.replace in_b id vb;
       if link_input_dist then begin
-        let d = var_of_interval model (input_dist_interval bounds view id) in
+        let d = var_of_interval model (Bounds.dist_in bounds first id) in
         Model.add_constr model [ (vb, 1.0); (va, -1.0); (d, -1.0) ] Model.Eq
           0.0
       end)
@@ -347,7 +341,7 @@ let single ~mode ~(bounds : Bounds.t) (view : Subnet.view) =
   Array.iter
     (fun id ->
       Hashtbl.replace in_val id
-        (var_of_interval model (input_interval bounds view id)))
+        (var_of_interval model (Bounds.val_in bounds view.Subnet.first id)))
     view.Subnet.input_active;
   encode_copy model view ~bounds ~mode ~input_var:(Hashtbl.find in_val)
     ~table:svars;

@@ -19,12 +19,6 @@
 
 type mode = Exact | Relaxed
 
-val input_interval : Bounds.t -> Subnet.view -> int -> Interval.t
-(** Value interval of a window-input neuron (the network input domain
-    when the window starts at layer 0). *)
-
-val input_dist_interval : Bounds.t -> Subnet.view -> int -> Interval.t
-
 type neuron_vars = {
   y : Lp.Model.var;
   dy : Lp.Model.var;

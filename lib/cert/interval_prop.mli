@@ -10,6 +10,12 @@ val propagate : Nn.Network.t -> Bounds.t -> unit
     and [input_dist], layer by layer.  Existing intervals are
     overwritten only if the propagated ones are tighter ([meet]). *)
 
+val propagate_box :
+  Nn.Network.t -> input:Interval.t array -> delta:float -> Bounds.t
+(** A fresh {!Bounds.t} over the input box with uniform input distance
+    [\[-delta, delta\]], filled by {!propagate}: the starting point of
+    every global-robustness analysis. *)
+
 val certify : Nn.Network.t -> input:Interval.t array -> delta:float ->
   float array
 (** Convenience: full interval-only global-robustness bound; returns

@@ -31,10 +31,7 @@ let out_var enc j =
   match cv.Encode.cx with Some x -> x | None -> cv.Encode.cy
 
 let solve_range ~milp_options model terms =
-  let engine =
-    Plan.Engine.of_milp (Plan.Engine.zero_stats ()) ~options:milp_options
-      model
-  in
+  let engine = Plan.Engine.of_milp ~options:milp_options model in
   let hi = engine Model.Maximize terms in
   let lo = engine Model.Minimize terms in
   match (lo, hi) with
@@ -98,7 +95,7 @@ let lpr ?domain net ~x0 ~delta =
   let enc = Encode.single ~mode:Encode.Relaxed ~bounds (Subnet.full net) in
   (* one warm engine serves all 2·out_dim objective-only queries *)
   let engine =
-    Plan.Engine.of_session (Plan.Engine.zero_stats ()) ~name:"local-lpr"
+    Plan.Engine.of_session ~name:"local-lpr"
       ~model:enc.Encode.model
       (Lp.Simplex.create_session (Lp.Simplex.compile enc.Encode.model))
   in

@@ -193,23 +193,21 @@ let emit_cone builder cache ~dedup ~mode ~label
           rep;
       (* the replay re-imposes this instance's own stored input
          intervals on the representative's input variables *)
+      let first = view.Subnet.first in
       let overrides =
         List.concat
           (Array.to_list
              (Array.mapi
                 (fun p (v, d, w) ->
                   let id = view.Subnet.input_active.(p) in
-                  let value = plan_range (Encode.input_interval bounds view id)
-                  and dist =
-                    plan_range (Encode.input_dist_interval bounds view id)
-                  in
+                  let value = plan_range (Bounds.val_in bounds first id)
+                  and dist = plan_range (Bounds.dist_in bounds first id) in
                   [ (v, value); (d, dist); (w, value) ])
                 rep.r_enc.Encode.in_vars))
       in
       Array.iter
         (fun queries ->
-          Plan.add_unit ~dedup:true builder ~task_id:rep.r_task ~overrides
-            queries)
+          Plan.add_unit builder ~task_id:rep.r_task ~overrides queries)
         (queries_per_target rep.r_enc)
   | None ->
       let enc = Encode.itne ~refined ~include_output_relu ~mode ~bounds view in
@@ -244,17 +242,18 @@ let plan_values config (bounds : Bounds.t) net ~layer:i =
             let drow = compose_affine view j ~with_bias:false in
             let terms lookup row =
               List.map
-                (fun (id, c) -> (c, plan_range (lookup bounds view id)))
+                (fun (id, c) ->
+                  (c, plan_range (lookup bounds view.Subnet.first id)))
                 row.Sparse_row.coeffs
             in
             Plan.add_affine builder
               { Plan.a_layer = i; a_neuron = j; a_quantity = Query.Y;
                 a_const = vrow.Sparse_row.const;
-                a_terms = terms Encode.input_interval vrow };
+                a_terms = terms Bounds.val_in vrow };
             Plan.add_affine builder
               { Plan.a_layer = i; a_neuron = j; a_quantity = Query.Dy;
                 a_const = drow.Sparse_row.const;
-                a_terms = terms Encode.input_dist_interval drow })
+                a_terms = terms Bounds.dist_in drow })
           targets
       else begin
         let candidates = interior_relu_neurons view in

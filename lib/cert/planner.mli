@@ -1,8 +1,7 @@
 (** Layer-pass planner: turns the certifier's per-layer work into a
     declarative {!Plan.t}.
 
-    The planner owns every planning decision the monolithic certifier
-    used to make inline while solving:
+    The planner owns every planning decision of a layer pass:
 
     - the {b affine fast path}: a window with no interior ReLU is
       composed into one exact row per target and emitted as
@@ -17,8 +16,7 @@
       as variable-bound overrides ({!signature}).
 
     Executing a plan with {!Plan.Executor.run} and applying the results
-    reproduces the legacy inline pass bit-for-bit, with or without
-    deduplication. *)
+    certifies the same bits with or without deduplication. *)
 
 type config = {
   window : int;

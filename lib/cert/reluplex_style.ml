@@ -5,7 +5,6 @@ type result = {
   per_output : Interval.t array;
   exact : bool;
   nodes : int;
-  pivots : int;
   completed : bool array;
   runtime : float;
 }
@@ -44,7 +43,7 @@ type edge = Root | Phase of bool * (int * int)
    a cold two-phase solve per node.  [eval_true xa xb] evaluates the
    objective on a real forward pass, providing feasible incumbents for
    pruning.  Returns (exact_max_or_upper_bound, completed). *)
-let maximise net bounds (enc : Encode.btne_enc) session stats ~columns
+let maximise net bounds (enc : Encode.btne_enc) session ~columns
     ~max_nodes ~search_stats ~terms ~eval_true =
   let input_dim = Nn.Network.input_dim net in
   let best = ref neg_infinity in
@@ -75,10 +74,10 @@ let maximise net bounds (enc : Encode.btne_enc) session stats ~columns
   let visit node =
     Search.Cursor.goto cursor node;
     sync_dynamic node;
-    (* counted, audited solve returning the full solution: the
-       optimiser's point drives incumbents and split selection *)
+    (* audited solve returning the full solution: the optimiser's point
+       drives incumbents and split selection *)
     let sol =
-      Plan.Engine.session_solution stats ~name:"reluplex-node"
+      Plan.Engine.session_solution ~name:"reluplex-node"
         ~model:enc.Encode.model session
         ~objective:(Model.Maximize, terms)
     in
@@ -183,7 +182,6 @@ let global ?(max_nodes = 200_000) net ~input ~delta =
   let session =
     Lp.Simplex.create_session (Lp.Simplex.compile enc.Encode.model)
   in
-  let stats = Plan.Engine.zero_stats () in
   let search_stats = Search.zero_stats () in
   (* column slices of the slack variables, for weighting each split
      candidate by its |dual| sensitivity *)
@@ -213,11 +211,11 @@ let global ?(max_nodes = 200_000) net ~input ~delta =
           sign *. (fb.(j) -. fa.(j))
         in
         let hi, ok1 =
-          maximise net bounds enc session stats ~columns ~max_nodes:slice
+          maximise net bounds enc session ~columns ~max_nodes:slice
             ~search_stats ~terms:(terms 1.0) ~eval_true:(eval_true 1.0)
         in
         let neg_lo, ok2 =
-          maximise net bounds enc session stats ~columns ~max_nodes:slice
+          maximise net bounds enc session ~columns ~max_nodes:slice
             ~search_stats ~terms:(terms (-1.0)) ~eval_true:(eval_true (-1.0))
         in
         completed.(j) <- ok1 && ok2;
@@ -236,6 +234,5 @@ let global ?(max_nodes = 200_000) net ~input ~delta =
     per_output;
     exact = !all_exact;
     nodes = search_stats.Search.nodes;
-    pivots = stats.Plan.Engine.lp_pivots;
     completed;
     runtime = Unix.gettimeofday () -. t0 }

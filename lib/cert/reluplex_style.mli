@@ -20,7 +20,6 @@ type result = {
   per_output : Interval.t array;
   exact : bool;        (** every output's search completed *)
   nodes : int;         (** LP relaxations solved, all outputs *)
-  pivots : int;        (** simplex pivots across all node LPs *)
   completed : bool array;
       (** per output: both directional searches exhausted their trees
           within the output's node-budget slice.  [eps.(j)] is exact iff

@@ -230,9 +230,6 @@ let analyse net (bounds : Bounds.t) =
   Obs.Trace.count "back_subs" !subs
 
 let certify net ~input ~delta =
-  let bounds =
-    Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
-  in
-  Interval_prop.propagate net bounds;
+  let bounds = Interval_prop.propagate_box net ~input ~delta in
   analyse net bounds;
   Array.map Interval.abs_max (Bounds.output_dist bounds net)

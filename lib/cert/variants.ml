@@ -1,15 +1,8 @@
 type result = { delta_out : Interval.t array; runtime : float }
 
-let global_bounds net ~input ~delta =
-  let bounds =
-    Bounds.create net ~input ~input_dist:(Bounds.uniform_delta net delta)
-  in
-  Interval_prop.propagate net bounds;
-  bounds
-
 let btne_nd ?(milp_options = Milp.default_options) ~window net ~input ~delta =
   let t0 = Unix.gettimeofday () in
-  let bounds = global_bounds net ~input ~delta in
+  let bounds = Interval_prop.propagate_box net ~input ~delta in
   (* per-copy boxes: identical for both copies, so computed once *)
   Local.propagate_boxes ~milp_options ~window net bounds;
   let n = Nn.Network.n_layers net in
@@ -32,12 +25,12 @@ let btne_nd ?(milp_options = Milp.default_options) ~window net ~input ~delta =
 
 let btne_lpr net ~input ~delta =
   let t0 = Unix.gettimeofday () in
-  let bounds = global_bounds net ~input ~delta in
+  let bounds = Interval_prop.propagate_box net ~input ~delta in
   let view = Subnet.full net in
   let enc = Encode.btne ~link_input_dist:true ~mode:Encode.Relaxed ~bounds
       view in
   let engine =
-    Plan.Engine.of_session (Plan.Engine.zero_stats ()) ~name:"btne-lpr"
+    Plan.Engine.of_session ~name:"btne-lpr"
       ~model:enc.Encode.model
       (Lp.Simplex.create_session (Lp.Simplex.compile enc.Encode.model))
   in
@@ -67,13 +60,13 @@ let itne_nd ?(milp_options = Milp.default_options) ~window net ~input ~delta =
 
 let itne_lpr net ~input ~delta =
   let t0 = Unix.gettimeofday () in
-  let bounds = global_bounds net ~input ~delta in
+  let bounds = Interval_prop.propagate_box net ~input ~delta in
   let view = Subnet.full net in
   let enc =
     Encode.itne ~mode:Encode.Relaxed ~include_output_relu:true ~bounds view
   in
   let engine =
-    Plan.Engine.of_session (Plan.Engine.zero_stats ()) ~name:"itne-lpr"
+    Plan.Engine.of_session ~name:"itne-lpr"
       ~model:enc.Encode.model
       (Lp.Simplex.create_session (Lp.Simplex.compile enc.Encode.model))
   in

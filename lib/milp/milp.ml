@@ -6,7 +6,6 @@ type result = {
   bound : float;
   x : float array;
   nodes : int;
-  pivots : int;
 }
 
 type options = {
@@ -448,30 +447,24 @@ let solve_inner ?(options = default_options) ?objective ?bounds model =
   in
   let proven_key = Float.min (Float.min !best_key heap_key) !failed_bound in
   let incumbent_obj = if !have_incumbent then of_key !best_key else nan in
-  let pivots =
-    (Lp.Simplex.session_stats session).Lp.Simplex.total_pivots
-    + (if Lazy.is_val canon then
-         (Lp.Simplex.session_stats (Lazy.force canon)).Lp.Simplex.total_pivots
-       else 0)
-  in
   let result =
     if !unbounded then
       { status = Unbounded; obj = nan; bound = of_key neg_infinity;
-        x = Array.make n nan; nodes; pivots }
+        x = Array.make n nan; nodes }
     else if !lp_failed then
       { status = Lp_failure; obj = incumbent_obj; bound = of_key proven_key;
-        x = !best_x; nodes; pivots }
+        x = !best_x; nodes }
     else if exhausted then begin
       if !have_incumbent then
         { status = Optimal; obj = of_key !best_key; bound = of_key !best_key;
-          x = !best_x; nodes; pivots }
+          x = !best_x; nodes }
       else
         { status = Infeasible; obj = nan; bound = nan;
-          x = Array.make n nan; nodes; pivots }
+          x = Array.make n nan; nodes }
     end
     else
       { status = Limit; obj = incumbent_obj; bound = of_key proven_key;
-        x = !best_x; nodes; pivots }
+        x = !best_x; nodes }
   in
   if Audit_core.Mode.enabled () then audit_incumbent ?objective model result;
   result
@@ -482,5 +475,4 @@ let solve ?options ?objective ?bounds model =
       Obs.Metrics.add m_solves 1;
       Obs.Metrics.add m_nodes r.nodes;
       Obs.Trace.count "nodes" r.nodes;
-      Obs.Trace.count "pivots" r.pivots;
       r)

@@ -38,7 +38,6 @@ type result = {
                           upper bound when maximising, lower when minimising *)
   x : float array;    (** incumbent point; all-[nan] if none *)
   nodes : int;        (** LP relaxations solved *)
-  pivots : int;       (** simplex pivots across all node LPs *)
 }
 
 type options = {

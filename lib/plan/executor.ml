@@ -5,20 +5,16 @@ module Model = Lp.Model
    worker only reads shared state (compiled matrices, the plan itself);
    results are applied sequentially after the join.
 
-   [init] builds one context per worker (solver sessions plus a
-   statistics record): warm starts need per-worker mutable state, and
-   the contexts are returned so the caller can merge the statistics.
+   [init] builds one context per worker (its solver sessions): warm
+   starts need per-worker mutable state.
 
    If a worker raises, every spawned domain is still joined before the
    first exception is re-raised with its backtrace, so no domain
    outlives the call. *)
 let parallel_map n_domains ~(init : unit -> 'c) (items : 'a array)
-    (f : 'c -> 'a -> 'b) : 'b array * 'c list =
+    (f : 'c -> 'a -> 'b) : 'b array =
   let n = Array.length items in
-  if n_domains <= 1 || n <= 1 then begin
-    let ctx = init () in
-    (Array.map (f ctx) items, [ ctx ])
-  end
+  if n_domains <= 1 || n <= 1 then Array.map (f (init ())) items
   else begin
     let k = min n_domains n in
     let chunk d =
@@ -35,34 +31,29 @@ let parallel_map n_domains ~(init : unit -> 'c) (items : 'a array)
           Domain.spawn (fun () ->
               Obs.Trace.with_span "executor.worker" @@ fun () ->
               let ctx = init () in
-              let res =
-                match
-                  let start, stop = chunk d in
-                  List.init (stop - start) (fun i ->
-                      (start + i, f ctx items.(start + i)))
-                with
-                | rs -> Ok rs
-                | exception e -> Error (e, Printexc.get_raw_backtrace ())
-              in
-              (res, ctx)))
+              match
+                let start, stop = chunk d in
+                List.init (stop - start) (fun i ->
+                    (start + i, f ctx items.(start + i)))
+              with
+              | rs -> Ok rs
+              | exception e -> Error (e, Printexc.get_raw_backtrace ())))
     in
     (* join everything before deciding the outcome: re-raising at the
        first failed join would leave later domains running *)
     let joined = List.map Domain.join workers in
     match
-      List.find_map
-        (function Error e, _ -> Some e | Ok _, _ -> None)
-        joined
+      List.find_map (function Error e -> Some e | Ok _ -> None) joined
     with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None ->
         let out = Array.make n None in
         List.iter
           (function
-            | Ok rs, _ -> List.iter (fun (i, r) -> out.(i) <- Some r) rs
-            | Error _, _ -> ())
+            | Ok rs -> List.iter (fun (i, r) -> out.(i) <- Some r) rs
+            | Error _ -> ())
           joined;
-        (Array.map Option.get out, List.map snd joined)
+        Array.map Option.get out
   end
 
 type config = {
@@ -85,7 +76,6 @@ type solve = request -> float option
 type outcome = {
   affine : (Spec.affine * Spec.range) array;
   solved : (Query.t * float option) array;
-  stats : Engine.stats;
 }
 
 (* Bounds arrays for a replayed unit: the task model's own structural
@@ -119,7 +109,7 @@ let run ?hook config (plan : Spec.t) =
         else Some (Lp.Simplex.compile t.Spec.model))
       plan.Spec.tasks
   in
-  let engine_for (stats, cache) (u : Spec.unit_of_work) =
+  let engine_for cache (u : Spec.unit_of_work) =
     let task = plan.Spec.tasks.(u.Spec.task_id) in
     if u.Spec.overrides = [] then begin
       (* the task's defining instance: one persistent engine per worker
@@ -131,12 +121,11 @@ let run ?hook config (plan : Spec.t) =
           let e =
             match compiled.(u.Spec.task_id) with
             | Some cp ->
-                Engine.of_session stats ~name:task.Spec.label
+                Engine.of_session ~name:task.Spec.label
                   ~model:task.Spec.model
                   (Lp.Simplex.create_session cp)
             | None ->
-                Engine.of_milp stats ~options:config.milp_options
-                  task.Spec.model
+                Engine.of_milp ~options:config.milp_options task.Spec.model
           in
           Hashtbl.add cache u.Spec.task_id e;
           e
@@ -148,14 +137,14 @@ let run ?hook config (plan : Spec.t) =
       let lo, hi = override_bounds task.Spec.model u.Spec.overrides in
       match compiled.(u.Spec.task_id) with
       | Some cp ->
-          Engine.of_session stats ~name:task.Spec.label ~model:task.Spec.model
+          Engine.of_session ~name:task.Spec.label ~model:task.Spec.model
             (Lp.Simplex.create_session ~lo ~hi cp)
       | None ->
-          Engine.of_milp stats ~options:config.milp_options ~bounds:(lo, hi)
+          Engine.of_milp ~options:config.milp_options ~bounds:(lo, hi)
             task.Spec.model
     end
   in
-  let init () = (Engine.zero_stats (), Hashtbl.create 8) in
+  let init () = Hashtbl.create 8 in
   let compute ctx (u : Spec.unit_of_work) =
     Obs.Trace.with_span "executor.unit" @@ fun () ->
     let engine = engine_for ctx u in
@@ -171,12 +160,5 @@ let run ?hook config (plan : Spec.t) =
         (qs.Spec.q, solve req))
       u.Spec.queries
   in
-  let per_unit, ctxs =
-    parallel_map config.domains ~init plan.Spec.units compute
-  in
-  let stats = Engine.zero_stats () in
-  List.iter (fun (local, _) -> Engine.merge_stats ~into:stats local) ctxs;
-  let solved = Array.concat (Array.to_list per_unit) in
-  Obs.Trace.count "lp_solves" stats.Engine.lp_solves;
-  Obs.Trace.count "milp_solves" stats.Engine.milp_solves;
-  { affine; solved; stats }
+  let per_unit = parallel_map config.domains ~init plan.Spec.units compute in
+  { affine; solved = Array.concat (Array.to_list per_unit) }

@@ -1,19 +1,18 @@
 (** Plan executor: runs a {!Spec.t} over a pool of domain workers.
 
-    The executor owns everything execution-side that used to live
-    inline in the certifier: the chunked [Domain] fan-out, per-worker
-    warm-started solver sessions, replay of deduplicated cones under
-    overridden bounds, statistics merging and audit wiring (via
-    {!Engine}).  Callers get back the raw per-query answers and apply
-    them to their own state. *)
+    The executor owns everything execution-side: the chunked [Domain]
+    fan-out, per-worker warm-started solver sessions, and replay of
+    deduplicated cones under overridden bounds; query counting and
+    audit wiring live in {!Engine}.  Callers get back the raw
+    per-query answers and apply them to their own state. *)
 
 val parallel_map :
-  int -> init:(unit -> 'c) -> 'a array -> ('c -> 'a -> 'b) -> 'b array * 'c list
+  int -> init:(unit -> 'c) -> 'a array -> ('c -> 'a -> 'b) -> 'b array
 (** [parallel_map n_domains ~init items f] maps [f] over [items] in
     contiguous chunks, one chunk per spawned domain (capped at the item
     count; [n_domains <= 1] or a single item runs in the calling
-    domain).  [init] builds one worker context; the contexts are
-    returned for the caller to merge.  Result order follows [items]
+    domain).  [init] builds one worker context (its mutable state,
+    e.g. warm solver sessions).  Result order follows [items]
     regardless of worker scheduling.  Total over all valid inputs,
     including [n_domains] exceeding the item count.
 
@@ -42,7 +41,6 @@ type outcome = {
   solved : (Query.t * float option) array;
       (** one entry per planned query, in plan order (units in order,
           each unit's queries in order) *)
-  stats : Engine.stats;   (** every worker context's counters, merged *)
 }
 
 val run : ?hook:(solve -> solve) -> config -> Spec.t -> outcome
@@ -51,7 +49,7 @@ val run : ?hook:(solve -> solve) -> config -> Spec.t -> outcome
     cooperative cancellation — the certification daemon's deadline
     checks raise from here); it runs inside worker domains, so it must
     be thread-safe.  An exception from the hook propagates once every
-    worker is joined, and the run's statistics go with it.
+    worker is joined.
 
     Execution contract, relied on for reproducibility:
     - LP task matrices are compiled once per run and shared read-only;

@@ -9,8 +9,8 @@ type affine = {
 }
 
 (* Mirrors the certifier's interval arithmetic exactly (Interval.point /
-   scale / add): the affine fast path must produce bit-identical floats
-   whether it is evaluated here or by the legacy inline loop. *)
+   scale / add), so the affine fast path produces the same floats as
+   interval evaluation of the composed row. *)
 let eval_affine a =
   List.fold_left
     (fun acc (c, r) ->
@@ -47,14 +47,15 @@ type t = {
   affine : affine array;
   tasks : task array;
   units : unit_of_work array;
-  n_queries : int;
-  n_encodes : int;
-  dedup_hits : int;
 }
 
-let empty =
-  { affine = [||]; tasks = [||]; units = [||]; n_queries = 0; n_encodes = 0;
-    dedup_hits = 0 }
+let n_queries p =
+  Array.fold_left (fun n u -> n + Array.length u.queries) 0 p.units
+
+let n_encodes p = Array.length p.tasks
+
+let dedup_hits p =
+  Array.fold_left (fun n u -> if u.overrides = [] then n else n + 1) 0 p.units
 
 (* --- builder --- *)
 
@@ -63,13 +64,9 @@ type builder = {
   mutable b_tasks : task list;
   mutable b_n_tasks : int;
   mutable b_units : unit_of_work list;
-  mutable b_n_queries : int;
-  mutable b_dedup_hits : int;
 }
 
-let builder () =
-  { b_affine = []; b_tasks = []; b_n_tasks = 0; b_units = [];
-    b_n_queries = 0; b_dedup_hits = 0 }
+let builder () = { b_affine = []; b_tasks = []; b_n_tasks = 0; b_units = [] }
 
 let add_affine b a = b.b_affine <- a :: b.b_affine
 
@@ -81,15 +78,10 @@ let add_task b ~label ~signature model =
   b.b_n_tasks <- id + 1;
   id
 
-let add_unit ?(dedup = false) b ~task_id ~overrides queries =
-  b.b_units <- { task_id; overrides; queries } :: b.b_units;
-  b.b_n_queries <- b.b_n_queries + Array.length queries;
-  if dedup then b.b_dedup_hits <- b.b_dedup_hits + 1
+let add_unit b ~task_id ~overrides queries =
+  b.b_units <- { task_id; overrides; queries } :: b.b_units
 
 let finish b =
   { affine = Array.of_list (List.rev b.b_affine);
     tasks = Array.of_list (List.rev b.b_tasks);
-    units = Array.of_list (List.rev b.b_units);
-    n_queries = b.b_n_queries;
-    n_encodes = b.b_n_tasks;
-    dedup_hits = b.b_dedup_hits }
+    units = Array.of_list (List.rev b.b_units) }

@@ -54,12 +54,17 @@ type t = {
   affine : affine array;
   tasks : task array;
   units : unit_of_work array;
-  n_queries : int;     (** LP/MILP bound queries across all units *)
-  n_encodes : int;     (** distinct models encoded ([= length tasks]) *)
-  dedup_hits : int;    (** units replayed against another cone's model *)
 }
 
-val empty : t
+val n_queries : t -> int
+(** LP/MILP bound queries across all units. *)
+
+val n_encodes : t -> int
+(** Distinct models encoded: the task count. *)
+
+val dedup_hits : t -> int
+(** Units replayed against another cone's model: those with bound
+    [overrides]. *)
 
 (** {1 Builder} *)
 
@@ -74,11 +79,8 @@ val add_task : builder -> label:string -> signature:string -> Lp.Model.t -> int
     flag is derived from the model's integrality marks. *)
 
 val add_unit :
-  ?dedup:bool ->
   builder -> task_id:int -> overrides:(Lp.Model.var * range) list ->
   query_spec array -> unit
-(** [dedup] marks the unit as a replay of an existing encoding (counted
-    in {!t.dedup_hits}). *)
 
 val finish : builder -> t
 (** Items appear in insertion order. *)

@@ -92,10 +92,6 @@ type state = {
   served_cached : int Atomic.t;
   errors : int Atomic.t;
   expired_n : int Atomic.t;
-  lp_solves : int Atomic.t;
-  lp_warm : int Atomic.t;
-  lp_pivots : int Atomic.t;
-  milp_solves : int Atomic.t;
   hist_all : Hist.t;       (* enqueue -> response, every certify *)
   hist_hit : Hist.t;       (* cache hits only *)
   hist_solve : Hist.t;     (* actual certifier solve time *)
@@ -116,10 +112,6 @@ let make_state cfg =
     served_cached = Atomic.make 0;
     errors = Atomic.make 0;
     expired_n = Atomic.make 0;
-    lp_solves = Atomic.make 0;
-    lp_warm = Atomic.make 0;
-    lp_pivots = Atomic.make 0;
-    milp_solves = Atomic.make 0;
     hist_all = Hist.create ();
     hist_hit = Hist.create ();
     hist_solve = Hist.create ();
@@ -229,7 +221,7 @@ let handle_job state job =
         respond_job state job (Wire.Error msg)
     | Ok (digest, net) -> (
         let key = Cache.key ~digest q in
-        let finish ~cached ~lp ~warm ~milp eps =
+        let finish ~cached eps =
           let dt = Unix.gettimeofday () -. job.j_enqueued in
           Hist.add state.hist_all dt;
           if cached then begin
@@ -239,11 +231,10 @@ let handle_job state job =
           respond_job state job
             (Wire.Result
                { Wire.r_eps = eps; r_digest = digest; r_cached = cached;
-                 r_time_ms = dt *. 1e3; r_lp_solves = lp; r_lp_warm = warm;
-                 r_milp_solves = milp; r_shard = None; r_degraded = false })
+                 r_time_ms = dt *. 1e3; r_shard = None; r_degraded = false })
         in
         match if q.Wire.q_no_cache then None else Cache.find state.cache key with
-        | Some eps -> finish ~cached:true ~lp:0 ~warm:0 ~milp:0 eps
+        | Some eps -> finish ~cached:true eps
         | None ->
             let solve_hook base req =
               check_abandon ();
@@ -256,16 +247,8 @@ let handle_job state job =
                 net ~lo:q.Wire.q_lo ~hi:q.Wire.q_hi ~delta:q.Wire.q_delta
             in
             Hist.add state.hist_solve (Unix.gettimeofday () -. t0);
-            let add a n = ignore (Atomic.fetch_and_add a n) in
-            add state.lp_solves report.Cert.Certifier.lp_solves;
-            add state.lp_warm report.Cert.Certifier.lp_warm_solves;
-            add state.lp_pivots report.Cert.Certifier.lp_pivots;
-            add state.milp_solves report.Cert.Certifier.milp_solves;
             Cache.add state.cache key report.Cert.Certifier.eps;
-            finish ~cached:false ~lp:report.Cert.Certifier.lp_solves
-              ~warm:report.Cert.Certifier.lp_warm_solves
-              ~milp:report.Cert.Certifier.milp_solves
-              report.Cert.Certifier.eps)
+            finish ~cached:false report.Cert.Certifier.eps)
   with
   | Deadline_exceeded ->
       Atomic.incr state.expired_n;
@@ -318,21 +301,15 @@ let stats_json state =
                else float_of_int cc.Cache.hits /. float_of_int lookups));
            ("entries", Json.Num (float_of_int cc.Cache.entries));
            ("loaded_from_disk", Json.Num (float_of_int cc.Cache.loaded)) ]);
-      ("solves",
-       Json.Obj
-         [ ("lp", i state.lp_solves);
-           ("lp_warm", i state.lp_warm);
-           ("lp_pivots", i state.lp_pivots);
-           ("milp", i state.milp_solves) ]);
       ("latency",
        Json.Obj
          [ ("all", Hist.to_json state.hist_all);
            ("cache_hit", Hist.to_json state.hist_hit);
            ("solve", Hist.to_json state.hist_solve) ]) ]
      @
-     (* [--metrics]: the process-wide Obs registry, flattened — solver
-        internals (pivots, phase runs, warm/cold splits) the per-request
-        counters above cannot see *)
+     (* [--metrics]: the process-wide Obs registry, flattened — the
+        daemon's only record of solver work (queries, pivots, phase
+        runs, warm/cold splits) *)
      (if state.cfg.metrics then
         [ ("metrics",
            Json.Obj

@@ -28,9 +28,6 @@ type result = {
   r_digest : string;
   r_cached : bool;
   r_time_ms : float;
-  r_lp_solves : int;
-  r_lp_warm : int;
-  r_milp_solves : int;
   r_shard : int option;
   r_degraded : bool;
 }
@@ -160,19 +157,16 @@ let decode_request v =
 
 (* --- responses --- *)
 
-(* [r_shard]/[r_degraded] are router annotations: emitted only when
-   set, so a daemon's frames are byte-identical to the legacy
-   protocol and old clients simply ignore them. *)
+(* [r_shard]/[r_degraded] are router annotations, emitted only when
+   set: a daemon's frames never carry them, and a decoder that does not
+   know them skips them like any unknown member. *)
 let result_fields r =
   [ ("ok", Json.Bool true);
     ("eps",
      Json.List (Array.to_list (Array.map (fun e -> Json.Num e) r.r_eps)));
     ("digest", Json.Str r.r_digest);
     ("cached", Json.Bool r.r_cached);
-    ("time_ms", Json.Num r.r_time_ms);
-    ("lp_solves", Json.Num (float_of_int r.r_lp_solves));
-    ("lp_warm", Json.Num (float_of_int r.r_lp_warm));
-    ("milp_solves", Json.Num (float_of_int r.r_milp_solves)) ]
+    ("time_ms", Json.Num r.r_time_ms) ]
   @ (match r.r_shard with
      | Some s -> [ ("shard", Json.Num (float_of_int s)) ]
      | None -> [])
@@ -224,10 +218,6 @@ let decode_result v =
         r_digest = Option.value ~default:"" (Json.mem_str "digest" v);
         r_cached = Option.value ~default:false (Json.mem_bool "cached" v);
         r_time_ms = Option.value ~default:0.0 (Json.mem_num "time_ms" v);
-        r_lp_solves = Option.value ~default:0 (Json.mem_int "lp_solves" v);
-        r_lp_warm = Option.value ~default:0 (Json.mem_int "lp_warm" v);
-        r_milp_solves =
-          Option.value ~default:0 (Json.mem_int "milp_solves" v);
         r_shard = Json.mem_int "shard" v;
         r_degraded =
           Option.value ~default:false (Json.mem_bool "degraded" v) }

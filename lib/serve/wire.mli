@@ -56,13 +56,9 @@ type result = {
   r_digest : string;          (** network the answer is for *)
   r_cached : bool;
   r_time_ms : float;          (** server-side handling time *)
-  r_lp_solves : int;
-  r_lp_warm : int;
-  r_milp_solves : int;
   r_shard : int option;
       (** router annotation: index of the backend that answered; daemons
-          leave it [None] and the field off the wire, keeping their
-          frames byte-identical to the legacy protocol *)
+          leave it [None] and the field off the wire *)
   r_degraded : bool;
       (** router annotation: the answer was produced by a retry on
           another shard after a backend died; emitted only when true *)
@@ -96,6 +92,9 @@ val decode_request : Json.t -> int * request
 val encode_response : id:int -> response -> string
 
 val decode_response : Json.t -> int * response
+(** Result members the decoder does not know are ignored, among them
+    the retired per-request solve counts [lp_solves], [lp_warm] and
+    [milp_solves]. *)
 
 val read_frame : Buffer.t -> Unix.file_descr -> Json.t option
 (** Blocking helper for clients and tests: read from [fd] into the

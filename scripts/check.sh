@@ -288,7 +288,7 @@ echo "== certification daemon smoke test =="
 sock="_build/grc-ci.sock"
 cachef="_build/grc-ci-cache.txt"
 rm -f "$sock" "$cachef"
-"$grc" serve --socket "$sock" --cache "$cachef" --workers 1 &
+"$grc" serve --socket "$sock" --cache "$cachef" --workers 1 --metrics &
 serve_pid=$!
 cleanup_serve() {
   kill "$serve_pid" 2>/dev/null || true
@@ -301,6 +301,13 @@ echo "$first" | grep -q 'cached: false' || {
   echo "first submission unexpectedly cached" >&2
   exit 1
 }
+# the metrics registry is the daemon's only record of solve counts
+lp_queries=$("$grc" submit --socket "$sock" --stats \
+  | sed -n 's/.*"engine\.lp_queries":\([0-9]*\).*/\1/p')
+if [ -z "$lp_queries" ] || [ "$lp_queries" -eq 0 ]; then
+  echo "stats metrics report no engine.lp_queries after a solve" >&2
+  exit 1
+fi
 second=$("$grc" submit --socket "$sock" \
   --net _build/lint-artifacts/lint-ci.net --delta 0.001)
 echo "$second" | grep -q 'cached: true' || {

@@ -162,16 +162,43 @@ let test_unstable_relu_needs_finite_bounds () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* a window's input intervals are the network input box when it starts
+   at layer 0 and the previous layer's activation ranges otherwise *)
 let test_input_intervals_of_view () =
-  let net = one_layer_net [| [| 1.0; -1.0 |] |] in
+  let net =
+    Nn.Network.make
+      [ Nn.Layer.dense ~relu:true
+          ~weight:(Linalg.Mat.of_arrays [| [| 1.0; -1.0 |]; [| 2.0; 1.0 |] |])
+          ~bias:[| 0.0; -0.5 |] ();
+        Nn.Layer.dense ~relu:true
+          ~weight:(Linalg.Mat.of_arrays [| [| 1.0; 1.0 |] |])
+          ~bias:[| 0.0 |] () ]
+  in
   let bounds = bounds_for net ~lo:(-2.0) ~hi:3.0 ~delta:0.25 in
-  let view = Cert.Subnet.full net in
-  let iv = Cert.Encode.input_interval bounds view 0 in
-  Alcotest.(check bool) "input interval" true
-    (Interval.equal iv (Interval.make (-2.0) 3.0));
-  let div = Cert.Encode.input_dist_interval bounds view 1 in
-  Alcotest.(check bool) "dist interval" true
-    (Interval.equal div (Interval.make (-0.25) 0.25))
+  let same what a b =
+    Alcotest.(check bool) what true (Interval.equal a b)
+  in
+  let first_of ~last =
+    (Cert.Subnet.cone net ~last ~targets:[| 0 |] ~window:1).Cert.Subnet.first
+  in
+  let f0 = first_of ~last:0 in
+  Alcotest.(check int) "window at the input" 0 f0;
+  same "input interval" (Interval.make (-2.0) 3.0)
+    (Cert.Bounds.val_in bounds f0 0);
+  same "input dist interval" (Interval.make (-0.25) 0.25)
+    (Cert.Bounds.dist_in bounds f0 1);
+  let f1 = first_of ~last:1 in
+  Alcotest.(check int) "interior window" 1 f1;
+  for j = 0 to 1 do
+    same "interior interval" bounds.Cert.Bounds.x.(0).(j)
+      (Cert.Bounds.val_in bounds f1 j);
+    same "interior dist interval" bounds.Cert.Bounds.dx.(0).(j)
+      (Cert.Bounds.dist_in bounds f1 j)
+  done;
+  (* the interior lookup reads the activation ranges, not the input box *)
+  Alcotest.(check bool) "interior differs from the input box" false
+    (Interval.equal (Cert.Bounds.val_in bounds f1 1)
+       (Cert.Bounds.val_in bounds f0 1))
 
 let suites =
   [ ( "cert:encode",

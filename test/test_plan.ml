@@ -32,20 +32,20 @@ let test_parallel_map_grid () =
   for n = 0 to 9 do
     for domains = 1 to 6 do
       let items = Array.init n (fun i -> i) in
-      let results, ctxs =
-        Plan.Executor.parallel_map domains ~init:(fun () -> ref 0) items
-          (fun ctx x ->
-            incr ctx;
+      let processed = Atomic.make 0 in
+      let results =
+        Plan.Executor.parallel_map domains ~init:(fun () -> ()) items
+          (fun () x ->
+            Atomic.incr processed;
             (3 * x) + 1)
       in
       Alcotest.(check (array int))
         (Printf.sprintf "results n=%d domains=%d" n domains)
         (Array.init n (fun i -> (3 * i) + 1))
         results;
-      let processed = List.fold_left (fun acc c -> acc + !c) 0 ctxs in
       Alcotest.(check int)
         (Printf.sprintf "totality n=%d domains=%d" n domains)
-        n processed
+        n (Atomic.get processed)
     done
   done
 
@@ -116,19 +116,34 @@ let test_conv_dedup_identical () =
     let config = { Cert.Certifier.default_config with Cert.Certifier.dedup } in
     Cert.Certifier.certify ~config net ~input ~delta:0.01
   in
-  let on = certify true and off = certify false in
+  (* the certifier's work counts live in the metrics registry: read
+     each certify's deltas *)
+  let metric k =
+    int_of_float (Option.value ~default:0.0 (Obs.Metrics.find k))
+  in
+  let counted dedup =
+    let q0 = metric "certifier.bound_queries"
+    and e0 = metric "certifier.encoded_models"
+    and h0 = metric "certifier.dedup_hits" in
+    let r = certify dedup in
+    ( r,
+      metric "certifier.bound_queries" - q0,
+      metric "certifier.encoded_models" - e0,
+      metric "certifier.dedup_hits" - h0 )
+  in
+  let on, on_queries, on_encodes, on_hits = counted true in
+  let off, off_queries, off_encodes, off_hits = counted false in
   (* dedup is a pure execution-plan optimisation: certified bounds must
      be bitwise identical with it on or off *)
   Alcotest.(check (array (float 0.0)))
     "eps identical" off.Cert.Certifier.eps on.Cert.Certifier.eps;
-  Alcotest.(check int) "same queries" off.Cert.Certifier.bound_queries
-    on.Cert.Certifier.bound_queries;
-  Alcotest.(check bool) "dedup fires" true (on.Cert.Certifier.dedup_hits > 0);
+  Alcotest.(check int) "same queries" off_queries on_queries;
+  Alcotest.(check bool) "dedup fires" true (on_hits > 0);
   Alcotest.(check bool) "fewer encodes than queries" true
-    (on.Cert.Certifier.encoded_models < on.Cert.Certifier.bound_queries);
+    (on_encodes < on_queries);
   Alcotest.(check bool) "dedup reduces encodes" true
-    (on.Cert.Certifier.encoded_models < off.Cert.Certifier.encoded_models);
-  Alcotest.(check int) "no hits when off" 0 off.Cert.Certifier.dedup_hits
+    (on_encodes < off_encodes);
+  Alcotest.(check int) "no hits when off" 0 off_hits
 
 (* --- cone signatures: invariant to window-input intervals only --- *)
 
@@ -160,7 +175,7 @@ let test_executor_hook_and_order () =
   let net = random_net ~rng ~relu:true ~dims:[ 3; 6; 4 ] in
   let bounds = box_bounds net ~lo:(-1.0) ~hi:1.0 ~delta:0.05 in
   let plan = Cert.Planner.plan_values pconfig bounds net ~layer:1 in
-  Alcotest.(check bool) "plan has LP work" true (plan.Plan.n_queries > 0);
+  Alcotest.(check bool) "plan has LP work" true (Plan.n_queries plan > 0);
   let seen = Atomic.make 0 in
   let hook base req =
     Atomic.incr seen;
@@ -173,8 +188,8 @@ let test_executor_hook_and_order () =
   in
   let seq = run 1 in
   let hooked = Atomic.get seen in
-  Alcotest.(check int) "hook sees every query" plan.Plan.n_queries hooked;
-  Alcotest.(check int) "one answer per query" plan.Plan.n_queries
+  Alcotest.(check int) "hook sees every query" (Plan.n_queries plan) hooked;
+  Alcotest.(check int) "one answer per query" (Plan.n_queries plan)
     (Array.length seq.Plan.Executor.solved);
   let par = run 4 in
   (* answers come back in plan order regardless of worker scheduling *)
@@ -214,7 +229,7 @@ let test_parallel_map_finally () =
      every item of theirs *)
   Alcotest.(check int) "surviving chunks completed" 7 (Atomic.get ran)
 
-(* --- plan audit: well-formed plans are clean, corrupt counters are not --- *)
+(* --- plan audit: well-formed plans are clean, corrupt contents are not --- *)
 
 let test_plan_audit () =
   let rng = Random.State.make [| 33 |] in
@@ -225,8 +240,24 @@ let test_plan_audit () =
     Audit_core.Diag.count Audit_core.Diag.Error (Audit.Plan_check.check ds)
   in
   Alcotest.(check int) "planner output is clean" 0 (errors plan);
-  let corrupt = { plan with Plan.n_queries = plan.Plan.n_queries + 1 } in
-  Alcotest.(check bool) "corrupt counter detected" true (errors corrupt > 0)
+  (* point the first unit's first query at a variable past the end of
+     its task's model *)
+  let u = plan.Plan.units.(0) in
+  let n_vars = Lp.Model.n_vars plan.Plan.tasks.(u.Plan.task_id).Plan.model in
+  let queries = Array.copy u.Plan.queries in
+  queries.(0) <- { (queries.(0)) with Plan.terms = [ (n_vars, 1.0) ] };
+  let units = Array.copy plan.Plan.units in
+  units.(0) <- { u with Plan.queries };
+  let codes =
+    List.filter_map
+      (fun (d : Audit_core.Diag.t) ->
+        if d.Audit_core.Diag.severity = Audit_core.Diag.Error then
+          Some d.Audit_core.Diag.code
+        else None)
+      (Audit.Plan_check.check { plan with Plan.units })
+  in
+  Alcotest.(check (list string)) "out-of-model query variable detected"
+    [ "query-var-range" ] codes
 
 let suites =
   [ ( "plan:executor",

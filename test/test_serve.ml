@@ -115,13 +115,12 @@ let test_wire_response_roundtrip () =
   let resps =
     [ Wire.Result
         { Wire.r_eps = [| 0.125; 1.0 /. 3.0 |]; r_digest = "d";
-          r_cached = true; r_time_ms = 1.5; r_lp_solves = 7; r_lp_warm = 3;
-          r_milp_solves = 2; r_shard = None; r_degraded = false };
+          r_cached = true; r_time_ms = 1.5; r_shard = None;
+          r_degraded = false };
       Wire.Result
         (* router annotations survive a roundtrip *)
         { Wire.r_eps = [| 0.5 |]; r_digest = "d"; r_cached = false;
-          r_time_ms = 0.5; r_lp_solves = 1; r_lp_warm = 0; r_milp_solves = 0;
-          r_shard = Some 3; r_degraded = true };
+          r_time_ms = 0.5; r_shard = Some 3; r_degraded = true };
       Wire.Loaded { digest = "abc"; params = 10; layers = 2 };
       Wire.Stats_payload (Json.Obj [ ("x", Json.Num 1.0) ]);
       Wire.Ack; Wire.Error "boom";
@@ -130,8 +129,7 @@ let test_wire_response_roundtrip () =
           bi_resp =
             Ok
               { Wire.r_eps = [| 1.0 /. 7.0 |]; r_digest = "d";
-                r_cached = true; r_time_ms = 0.25; r_lp_solves = 0;
-                r_lp_warm = 0; r_milp_solves = 0; r_shard = Some 1;
+                r_cached = true; r_time_ms = 0.25; r_shard = Some 1;
                 r_degraded = false } };
       Wire.Batch_item { bi_item = 0; bi_resp = Stdlib.Error "queue full" };
       Wire.Batch_done { bd_items = 3; bd_errors = 1; bd_degraded = true };
@@ -145,15 +143,49 @@ let test_wire_response_roundtrip () =
       in
       Alcotest.(check int) "id" id id';
       if resp' <> resp then Alcotest.failf "response %d did not roundtrip" i)
-    resps
+    resps;
+  (* a daemon's result frame carries no per-request solve counts; a
+     parent daemon's frame still carries them, and they decode like any
+     unknown member, to the same result with the same eps bits *)
+  let daemon =
+    { Wire.r_eps = [| 0.125; 1.0 /. 3.0 |]; r_digest = "d"; r_cached = false;
+      r_time_ms = 1.5; r_shard = None; r_degraded = false }
+  in
+  let counts = [ "lp_solves"; "lp_warm"; "milp_solves" ] in
+  let frame =
+    Json.of_string (Wire.encode_response ~id:20 (Wire.Result daemon))
+  in
+  List.iter
+    (fun name ->
+      if Json.member name frame <> None then
+        Alcotest.failf "daemon result carries %S" name)
+    counts;
+  let parent_frame =
+    match frame with
+    | Json.Obj members ->
+        Json.Obj
+          (members
+          @ List.map2
+              (fun name n -> (name, Json.Num n))
+              counts [ 7.0; 3.0; 2.0 ])
+    | _ -> Alcotest.fail "result frame is not an object"
+  in
+  match Wire.decode_response (Json.of_string (Json.to_string parent_frame)) with
+  | 20, Wire.Result r ->
+      if r <> daemon then Alcotest.fail "parent frame decoded differently";
+      Array.iteri
+        (fun i e ->
+          if Int64.bits_of_float e <> Int64.bits_of_float r.Wire.r_eps.(i)
+          then Alcotest.failf "parent frame eps %d drifted" i)
+        daemon.Wire.r_eps
+  | _ -> Alcotest.fail "parent frame did not decode to a result"
 
 let test_wire_eps_bitwise () =
   (* certified bounds cross the wire bit for bit *)
   let eps = [| 1.0 /. 3.0; Float.succ 0.1; 4.9e-324; 0.0 |] in
   let r =
     { Wire.r_eps = eps; r_digest = ""; r_cached = false; r_time_ms = 0.0;
-      r_lp_solves = 0; r_lp_warm = 0; r_milp_solves = 0; r_shard = None;
-      r_degraded = false }
+      r_shard = None; r_degraded = false }
   in
   match
     Wire.decode_response
@@ -241,8 +273,7 @@ let valid_frames =
     Wire.encode_response ~id:4
       (Wire.Result
          { Wire.r_eps = [| 0.5 |]; r_digest = "d"; r_cached = false;
-           r_time_ms = 1.0; r_lp_solves = 1; r_lp_warm = 0;
-           r_milp_solves = 0; r_shard = None; r_degraded = false });
+           r_time_ms = 1.0; r_shard = None; r_degraded = false });
     Wire.encode_request ~id:5
       (Wire.Batch [ sample_query; Wire.default_query ]);
     Wire.encode_response ~id:6
@@ -251,8 +282,7 @@ let valid_frames =
            bi_resp =
              Ok
                { Wire.r_eps = [| 0.25 |]; r_digest = "d"; r_cached = false;
-                 r_time_ms = 1.0; r_lp_solves = 1; r_lp_warm = 0;
-                 r_milp_solves = 0; r_shard = Some 1; r_degraded = true } });
+                 r_time_ms = 1.0; r_shard = Some 1; r_degraded = true } });
     Wire.encode_response ~id:6
       (Wire.Batch_item { bi_item = 0; bi_resp = Stdlib.Error "boom" });
     Wire.encode_response ~id:6

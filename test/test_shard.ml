@@ -68,8 +68,7 @@ let mock_backend ?die_after ~idx addr =
                         { Wire.r_eps = [| float_of_int idx |];
                           r_digest =
                             Option.value ~default:"" q.Wire.q_digest;
-                          r_cached = false; r_time_ms = 0.0; r_lp_solves = 0;
-                          r_lp_warm = 0; r_milp_solves = 0; r_shard = None;
+                          r_cached = false; r_time_ms = 0.0; r_shard = None;
                           r_degraded = false });
                    incr answered;
                    (match die_after with
